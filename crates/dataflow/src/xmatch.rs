@@ -14,9 +14,9 @@
 
 use crate::DataflowError;
 use sdss_catalog::TagObject;
-/// The zone-partitioned build side, shared with the query engine's
-/// `MATCH(a, b, radius)` pair join (it lives in `sdss_storage::zone`,
-/// beneath both consumers).
+/// The zone-partitioned build side (`sdss_storage::zone`; the query
+/// engine's `MATCH(a, b, radius)` join uses that module's
+/// declination-zone index instead).
 pub use sdss_storage::ZoneIndex;
 
 /// One cross-match result.
@@ -74,8 +74,7 @@ impl XMatcher {
                 "non-positive match radius".into(),
             ));
         }
-        // The zone-partitioned build side, shared with the query
-        // engine's MATCH join.
+        // The zone-partitioned build side.
         let index = ZoneIndex::build(reference, self.bucket_level)
             .map_err(|e| DataflowError::InvalidConfig(e.to_string()))?;
 

@@ -27,14 +27,14 @@
 //!   a burst of full-sky sweeps cannot starve interactive cone searches.
 
 use crate::exec::{
-    compile_into_scan, drive_into_scan, launch, plan_uses_columnar, BatchHandle, ExecEnv, ExecMode,
-    ResultBatch, Row, ScanTotals, TicketCore,
+    compile_into_scan, drive_into_scan, launch, match_archive_footprint, match_builds_on_a,
+    plan_uses_columnar, BatchHandle, ExecEnv, ExecMode, ResultBatch, Row, ScanTotals, TicketCore,
 };
 use crate::parser::parse_statement;
 use crate::plan::{plan, MatchInput, PlanNode, QueryPlan, QuerySource};
 use crate::session::{Session, SessionConfig, SessionInfo, SessionShared};
 use crate::QueryError;
-use sdss_storage::{CostModel, ObjectStore, ResultSet, ResultSetBuilder, TagStore};
+use sdss_storage::{CostModel, MatchFootprint, ObjectStore, ResultSet, ResultSetBuilder, TagStore};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -603,14 +603,17 @@ impl Archive {
                 if let QuerySource::Match(m) = &s.source {
                     // Cost from both inputs' exact row counts: stored
                     // sets are resident (exact); an archive input prices
-                    // a whole tag sweep. Pair multiplicity is
-                    // data-dependent, so est_rows carries the probe-side
-                    // row count (the scan driver), and est_seconds adds
-                    // a per-probe zone-lookup term on top of the byte
-                    // cost of reading both sides.
-                    let mut probe_rows = 0.0;
-                    for (input, is_probe) in [(&m.a, true), (&m.b, false)] {
-                        let (rows, bytes, full, partial) = match input {
+                    // the same footprint the execution reads — the
+                    // cover of the other input's cap, nothing for an
+                    // empty set, else a whole tag sweep. Pair
+                    // multiplicity is data-dependent, so est_rows
+                    // carries the probe-side row count (the scan
+                    // driver), and est_seconds adds a per-probe term on
+                    // top of the byte cost of reading both sides.
+                    let footprint = match_archive_footprint(m, sets);
+                    let mut sides = [(0.0, 0, 0, 0); 2];
+                    for (side, input) in sides.iter_mut().zip([&m.a, &m.b]) {
+                        *side = match input {
                             MatchInput::Set(name) => {
                                 let set = sets.get(name).ok_or_else(|| {
                                     QueryError::Unknown(format!(
@@ -621,14 +624,22 @@ impl Archive {
                                 (set.rows() as f64, set.bytes() as u64, set.n_chunks(), 0)
                             }
                             MatchInput::Archive => {
-                                est.full_sweep = true;
                                 let tags = self.inner.tags.as_ref().ok_or_else(|| {
                                     QueryError::Type(
                                         "MATCH against the archive requires the tag store"
                                             .to_string(),
                                     )
                                 })?;
-                                let leaf = model.estimate_sweep(tags.containers());
+                                let leaf = match &footprint {
+                                    MatchFootprint::Cap(cap) => model.estimate_tags(tags, cap)?,
+                                    MatchFootprint::Empty => {
+                                        model.estimate_sweep(std::iter::empty())
+                                    }
+                                    MatchFootprint::Whole => {
+                                        est.full_sweep = true;
+                                        model.estimate_sweep(tags.containers())
+                                    }
+                                };
                                 (
                                     leaf.est_rows,
                                     leaf.est_bytes,
@@ -637,10 +648,17 @@ impl Archive {
                                 )
                             }
                         };
-                        if is_probe {
-                            probe_rows = rows;
-                            surface.probe_morsels += full + partial;
-                        }
+                    }
+                    // The execution probes with the larger input.
+                    let [a_side, b_side] = sides;
+                    let (probe_rows, _, probe_full, probe_partial) =
+                        if match_builds_on_a(a_side.1, b_side.1) {
+                            b_side
+                        } else {
+                            a_side
+                        };
+                    surface.probe_morsels += probe_full + probe_partial;
+                    for (_, bytes, full, partial) in sides {
                         // The surface mirrors exactly what this arm adds
                         // to the estimate, so `planned_workers`' swap-out
                         // subtraction can never drift from the totals.
@@ -651,11 +669,11 @@ impl Archive {
                         est.containers_partial += partial;
                     }
                     est.est_rows += probe_rows;
-                    // Per-probe zone lookup (a small HTM cover per probe
-                    // row) dominates the join — see the ROADMAP's
-                    // cover-memoization open item; the queue orders on
-                    // est_seconds, so underpricing this would let heavy
-                    // joins jump interactive queries.
+                    // The per-probe join work (stripe searches, candidate
+                    // separations, pair evaluation — see
+                    // `CostModel::match_probe_seconds`); the queue orders
+                    // on est_seconds, so underpricing this would let
+                    // heavy joins jump interactive queries.
                     est.est_seconds += probe_rows * model.match_probe_seconds;
                     return Ok(());
                 }

@@ -34,8 +34,8 @@ use crate::QueryError;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use sdss_catalog::{ObjClass, TagObject};
 use sdss_storage::{
-    sample_hash_keep, ColumnBatch, MorselQueue, ObjectStore, RegionScan, ResultSet, SelectionMask,
-    TagScanPlan, TagStore, ZoneIndex,
+    sample_hash_keep, ColumnBatch, DecZoneIndex, MatchFootprint, MorselQueue, ObjectStore,
+    RegionScan, ResultSet, ResultSetBuilder, SelectionMask, TagScanPlan, TagStore,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -1057,6 +1057,11 @@ impl ScanSource {
         }
     }
 
+    /// Bytes a full drain of the source reads.
+    fn total_bytes(&self) -> u64 {
+        self.morsel_bytes().iter().sum::<usize>() as u64
+    }
+
     /// Plan-time cover lookup outcome (`None` for sweeps and sets).
     fn cover_cache_hit(&self) -> Option<bool> {
         match self {
@@ -1220,9 +1225,29 @@ impl AggScanJob {
 }
 
 // ---------------------------------------------------------------------
-// MATCH joins: morsel-parallel cross-match over a zone-partitioned
+// MATCH joins: morsel-parallel cross-match over a declination-zone
 // build side
 // ---------------------------------------------------------------------
+
+/// The part of the archive a MATCH reads. When exactly one input is the
+/// archive and the other a stored set, only the set's footprint cap
+/// (see [`MatchFootprint::of_set`]) can hold partners; every other shape
+/// reads the archive whole. The cost estimate and the execution both
+/// call this, so EXPLAIN, admission and the scan agree on what is read.
+pub(crate) fn match_archive_footprint(
+    m: &MatchSpec,
+    sets: &HashMap<String, Arc<ResultSet>>,
+) -> MatchFootprint {
+    let set = match (&m.a, &m.b) {
+        (MatchInput::Archive, MatchInput::Set(name))
+        | (MatchInput::Set(name), MatchInput::Archive) => sets.get(name),
+        _ => None,
+    };
+    match set {
+        Some(set) => MatchFootprint::of_set(set, m.radius_arcsec),
+        None => MatchFootprint::Whole,
+    }
+}
 
 /// One pair of a MATCH join, presented to the row-wise evaluator:
 /// `a.<attr>` / `b.<attr>` resolve through the underlying tag records,
@@ -1253,25 +1278,38 @@ impl AttrSource for PairSource<'_> {
     }
 }
 
+/// Whether a MATCH builds its index on input `a` and probes with `b`:
+/// the join builds on the input with fewer bytes to read, since the
+/// build is serial and held in memory while the probe side streams
+/// morsel-parallel. Ties keep `a` as the probe side. The cost estimate
+/// and the execution both decide through this rule.
+pub(crate) fn match_builds_on_a(a_bytes: u64, b_bytes: u64) -> bool {
+    a_bytes < b_bytes
+}
+
 /// The shared core of one MATCH execution: the resolved probe source
 /// (one morsel per chunk/container, drained through the byte-balanced
 /// [`MorselQueue`] exactly like a columnar scan), the collected build
-/// rows with their [`ZoneIndex`], and the join parameters. Probe workers
+/// rows with their [`DecZoneIndex`], and the join parameters. Probe workers
 /// share it behind an `Arc`; the projection and aggregate variants both
 /// drain pairs through [`MatchJobCore::drain_worker`].
 struct MatchJobCore {
     predicate: Option<Expr>,
     sample: Option<f64>,
     radius_arcsec: f64,
+    /// The build rows are input `a` and the probe rows input `b` (see
+    /// [`match_builds_on_a`]); pairs are presented as `(a, b)` either way.
+    build_is_a: bool,
     build: Vec<TagObject>,
-    index: ZoneIndex,
+    index: DecZoneIndex,
     probe: ScanSource,
     queue: MorselQueue,
     ticket: Arc<TicketCore>,
 }
 
 impl MatchJobCore {
-    /// Resolve both join sides and build the zone index. Returns the
+    /// Resolve both join sides (the archive one restricted to the
+    /// footprint) and build the declination-zone index. Returns the
     /// core plus the worker count (capped by probe morsels). Failures
     /// are recorded on the ticket (the consumer sees a closed channel
     /// plus the failure message, like every other resolution error).
@@ -1283,16 +1321,20 @@ impl MatchJobCore {
         workers: usize,
         ticket: Arc<TicketCore>,
     ) -> Option<(MatchJobCore, usize)> {
-        let probe = Self::resolve_input(&m.a, tags, sets, &ticket)?;
+        let footprint = match_archive_footprint(&m, sets);
+        let a = Self::resolve_input(&m.a, &footprint, tags, sets, &ticket)?;
+        let b = Self::resolve_input(&m.b, &footprint, tags, sets, &ticket)?;
+        let build_is_a = match_builds_on_a(a.total_bytes(), b.total_bytes());
+        let (probe, build_side) = if build_is_a { (b, a) } else { (a, b) };
+        // The sample clause filters `a` rows: on the probe side when `a`
+        // probes, here when it is the build side.
+        let build_sample = spec.sample.filter(|_| build_is_a);
         // Collect the build side once; its scan bytes are accounted to
         // the execution totals (but not to any probe worker).
-        let (build, build_deep, build_bytes, build_chunks) =
-            Self::collect_build(&m.b, tags, sets, &ticket)?;
+        let (build, build_bytes, build_chunks) =
+            Self::collect_build(&build_side, build_sample, &ticket)?;
         ticket.absorb_sweep(build_bytes, build_chunks);
-        // Bucket by the stored deep ids — integer shifts, no spherical
-        // lookups on the join's setup path.
-        let index =
-            ZoneIndex::build_from_deep(&build_deep, ZoneIndex::level_for_radius(m.radius_arcsec));
+        let index = DecZoneIndex::build(build.iter().map(TagObject::unit_vec), m.radius_arcsec);
         let n_workers = workers.min(probe.n_morsels()).max(1);
         let queue = MorselQueue::build(&probe.morsel_bytes(), n_workers);
         Some((
@@ -1300,6 +1342,7 @@ impl MatchJobCore {
                 predicate: spec.predicate.clone(),
                 sample: spec.sample,
                 radius_arcsec: m.radius_arcsec,
+                build_is_a,
                 build,
                 index,
                 probe,
@@ -1312,68 +1355,75 @@ impl MatchJobCore {
 
     /// One join input as a morsel source, delegated to the scan path's
     /// own resolver via a bare scan spec: stored sets expose their
-    /// chunks, the archive resolves to a whole-sky tag sweep plan
-    /// (`domain: None` — MATCH has no cover to restrict it; the join
-    /// radius is the restriction). The probe side drains it in
-    /// parallel; the build side drains it serially in `collect_build`.
+    /// chunks, the archive resolves to a tag scan plan over `footprint`
+    /// (a cover of the other input's cap, or the whole sky), and an
+    /// archive input facing an empty set resolves to no rows at all.
+    /// The probe side drains it in parallel; the build side drains it
+    /// serially in `collect_build`. Notes the archive scan's cover-cache
+    /// lookup on the ticket.
     fn resolve_input(
         input: &MatchInput,
+        footprint: &MatchFootprint,
         tags: &Option<Arc<TagStore>>,
         sets: &HashMap<String, Arc<ResultSet>>,
         ticket: &TicketCore,
     ) -> Option<ScanSource> {
-        let source = match input {
-            MatchInput::Set(name) => QuerySource::Set(name.clone()),
-            MatchInput::Archive => QuerySource::Tag,
+        let (source, domain) = match input {
+            MatchInput::Set(name) => (QuerySource::Set(name.clone()), None),
+            MatchInput::Archive if *footprint == MatchFootprint::Empty => {
+                return Some(ScanSource::Set(Arc::new(ResultSetBuilder::new(1).finish())));
+            }
+            MatchInput::Archive => (QuerySource::Tag, footprint.domain().cloned()),
         };
         let spec = ScanSpec {
             source,
-            domain: None,
+            domain,
             predicate: None,
             columns: Vec::new(),
             sample: None,
         };
-        ScanSource::resolve(tags.clone(), sets, &spec, None, ticket)
+        let resolved = ScanSource::resolve(tags.clone(), sets, &spec, None, ticket)?;
+        if let Some(hit) = resolved.cover_cache_hit() {
+            ticket.note_cover(hit);
+        }
+        Some(resolved)
     }
 
-    /// Materialize the build side as owned tag rows plus their stored
-    /// level-20 HTM ids (the zone index buckets by shift-ancestor of
-    /// `htm20` — no per-row spherical lookup; this is exactly why
-    /// materialized sets preserve `htm20`). Resolution and the batch
-    /// drain go through the same [`ScanSource`] seam as the probe side;
-    /// cancellation is checked per morsel — a whole-archive build side
-    /// is the most expensive thing a cancelled MATCH could otherwise
-    /// keep doing. The zone index holds row indices into the returned
-    /// vector.
+    /// Materialize the build side as owned tag rows: every morsel's
+    /// selected rows (a footprint-restricted archive scan clears the
+    /// rows of bisected containers outside the cap), filtered by the
+    /// sample when it applies to this side. The drain goes through the
+    /// same [`ScanSource`] seam as the probe side; cancellation is
+    /// checked per morsel — a whole-archive build side is the most
+    /// expensive thing a cancelled MATCH could otherwise keep doing.
+    /// The zone index holds row indices into the returned vector.
     fn collect_build(
-        input: &MatchInput,
-        tags: &Option<Arc<TagStore>>,
-        sets: &HashMap<String, Arc<ResultSet>>,
+        source: &ScanSource,
+        sample: Option<f64>,
         ticket: &TicketCore,
-    ) -> Option<(Vec<TagObject>, Vec<u64>, usize, usize)> {
-        let source = Self::resolve_input(input, tags, sets, ticket)?;
+    ) -> Option<(Vec<TagObject>, usize, usize)> {
         let mut rows = Vec::new();
-        let mut deep = Vec::new();
         let mut bytes = 0usize;
         let containers = source.n_morsels();
         for idx in 0..containers {
             if ticket.is_cancelled() {
                 return None;
             }
-            let (stats, _) = source.scan_morsel(idx, |batch, _sel| {
-                for i in 0..batch.len() {
-                    rows.push(batch.row(i));
-                }
-                deep.extend_from_slice(batch.htm20);
+            let (stats, _) = source.scan_morsel(idx, |batch, sel| {
+                rows.extend(
+                    sel.iter_set()
+                        .filter(|&i| sample.is_none_or(|f| sample_hash_keep(batch.obj_id[i], f)))
+                        .map(|i| batch.row(i)),
+                );
                 true
             });
             bytes += stats.bytes_scanned;
         }
-        Some((rows, deep, bytes, containers))
+        Some((rows, bytes, containers))
     }
 
     /// Drain probe morsels for worker `w`, streaming every surviving
-    /// pair (identity pairs excluded, sample applied probe-side,
+    /// pair (identity pairs excluded, sample applied to `a` rows,
     /// predicate evaluated per pair). `on_pair` returns `false` to
     /// abort (consumer hang-up). Registers the worker's accounting.
     fn drain_worker(&self, w: usize, mut on_pair: impl FnMut(&PairSource<'_>) -> bool) {
@@ -1389,29 +1439,36 @@ impl MatchJobCore {
                     return false;
                 }
                 for i in sel.iter_set() {
-                    let a = batch.row(i);
-                    if let Some(f) = self.sample {
-                        if !sample_hash_keep(a.obj_id, f) {
+                    let probe_id = batch.obj_id[i];
+                    if let Some(f) = self.sample.filter(|_| !self.build_is_a) {
+                        if !sample_hash_keep(probe_id, f) {
                             continue;
                         }
                     }
-                    let probed = self.index.neighbors_within(
-                        &self.build,
-                        a.unit_vec(),
+                    // The probe row is only materialized once it pairs.
+                    let mut probe_row: Option<TagObject> = None;
+                    self.index.neighbors_within(
+                        batch.unit_vec(i),
                         self.radius_arcsec,
                         |ri, sep| {
                             if !alive {
                                 return;
                             }
-                            let b = &self.build[ri as usize];
+                            let built = &self.build[ri as usize];
                             // An object is not its own neighbor: the
                             // self-join identity pair (sep = 0) carries
                             // no information.
-                            if b.obj_id == a.obj_id {
+                            if built.obj_id == probe_id {
                                 return;
                             }
+                            let probed = &*probe_row.get_or_insert_with(|| batch.row(i));
+                            let (a, b) = if self.build_is_a {
+                                (built, probed)
+                            } else {
+                                (probed, built)
+                            };
                             let pair = PairSource {
-                                a: &a,
+                                a,
                                 b,
                                 sep_arcsec: sep,
                             };
@@ -1429,11 +1486,6 @@ impl MatchJobCore {
                             }
                         },
                     );
-                    if let Err(e) = probed {
-                        self.ticket
-                            .record_failure(format!("MATCH probe failed: {e}"));
-                        return false;
-                    }
                     if !alive {
                         return false;
                     }
@@ -1452,8 +1504,8 @@ impl MatchJobCore {
 }
 
 /// Spawn a MATCH projection scan: probe workers drain morsels from the
-/// byte-balanced queue, join each probe row against the zone index, and
-/// stream projected pair rows into the shared channel.
+/// byte-balanced queue, join each probe row against the declination-zone
+/// index, and stream projected pair rows into the shared channel.
 fn spawn_match_scan(
     env: &ExecEnv,
     spec: ScanSpec,

@@ -33,8 +33,9 @@
 //!   cross-match source yields every ordered pair within the radius
 //!   (set-vs-set or set-vs-archive), exposing `a.<attr>` / `b.<attr>`
 //!   and the `sep_arcsec` pseudo-column. The join runs morsel-parallel
-//!   over the probe side against a zone-partitioned (HTM-bucketed)
-//!   build index — the paper's "find objects near other objects" /
+//!   over the probe side against a declination-zone build index, and a
+//!   set-vs-archive join reads only the archive inside the set's
+//!   footprint cap — the paper's "find objects near other objects" /
 //!   gravitational-lens queries as a first-class query source, and
 //!   `MATCH ... INTO pairs` materializes the result under quotas.
 //! * [`Archive::prepare`] / [`Session::prepare`] → [`Prepared`] —

@@ -48,7 +48,8 @@ impl MatchInput {
 
 /// The `MATCH(a, b, radius_arcsec)` join description carried by a scan
 /// leaf: probe side `a` (one morsel per chunk/container), build side `b`
-/// (zone-partitioned into an HTM bucket index), and the match radius.
+/// (filed into declination zones), and the match radius. An archive
+/// input facing a stored set reads only the set's footprint cap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatchSpec {
     /// Probe side — its chunks become the scan morsels.
@@ -74,7 +75,7 @@ pub enum QuerySource {
     /// A `MATCH(a, b, radius)` cross-match join: rows are the ordered
     /// pairs within the radius, exposing `a.<attr>` / `b.<attr>` plus
     /// `sep_arcsec`. Executes morsel-parallel over the probe side
-    /// against the zone-partitioned build side.
+    /// against the declination-zone build side.
     Match(MatchSpec),
 }
 

@@ -14,8 +14,9 @@ use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sdss_catalog::SkyModel;
-use sdss_query::{Archive, ArchiveConfig, ExecMode, Value};
+use sdss_query::{Archive, ArchiveConfig, ExecMode, Row, Value};
 use sdss_storage::{ObjectStore, StoreConfig, TagStore};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Bitwise value identity: NaN == NaN, -0.0 != +0.0.
@@ -23,6 +24,56 @@ fn value_identical(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Num(x), Value::Num(y)) => x.to_bits() == y.to_bits(),
         _ => a == b,
+    }
+}
+
+/// A total order consistent with [`value_identical`] (`total_cmp` is
+/// equal exactly on equal bit patterns), used to sort rows canonically.
+fn value_order(a: &Value, b: &Value) -> Ordering {
+    fn rank(v: &Value) -> u8 {
+        match v {
+            Value::Num(_) => 0,
+            Value::Id(_) => 1,
+            Value::Str(_) => 2,
+            Value::Bool(_) => 3,
+            Value::Null => 4,
+        }
+    }
+    match (a, b) {
+        (Value::Num(x), Value::Num(y)) => x.total_cmp(y),
+        (Value::Id(x), Value::Id(y)) => x.cmp(y),
+        (Value::Str(x), Value::Str(y)) => x.cmp(y),
+        (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
+        _ => rank(a).cmp(&rank(b)),
+    }
+}
+
+/// The rows as a canonically sorted multiset. The generator emits no
+/// ORDER BY, so by the result contract only the multiset is fixed: a
+/// parallel scan's workers may interleave rows in any order.
+fn canonical(rows: &[Row]) -> Vec<Row> {
+    let mut rows = rows.to_vec();
+    rows.sort_by(|a, b| {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| value_order(x, y))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| a.len().cmp(&b.len()))
+    });
+    rows
+}
+
+/// Assert two results hold bit-identical rows as multisets.
+fn assert_same_rows(a: &[Row], b: &[Row], context: &str) {
+    assert_eq!(a.len(), b.len(), "{context}: row count differs");
+    for (i, (ra, rb)) in canonical(a).iter().zip(canonical(b).iter()).enumerate() {
+        assert_eq!(ra.len(), rb.len(), "{context}");
+        for (va, vb) in ra.iter().zip(rb.iter()) {
+            assert!(
+                value_identical(va, vb),
+                "{context}\n  sorted row {i}: {va:?} != {vb:?}"
+            );
+        }
     }
 }
 
@@ -238,20 +289,7 @@ fn compiled_columnar_matches_interpreted_rows() {
             .run(&sql)
             .unwrap_or_else(|e| panic!("case {case}: {sql} failed on Interpreted: {e}"));
         assert_eq!(a.columns, b.columns, "case {case}: {sql}");
-        assert_eq!(
-            a.rows.len(),
-            b.rows.len(),
-            "case {case}: row count differs for {sql}"
-        );
-        for (i, (ra, rb)) in a.rows.iter().zip(b.rows.iter()).enumerate() {
-            assert_eq!(ra.len(), rb.len());
-            for (va, vb) in ra.iter().zip(rb.iter()) {
-                assert!(
-                    value_identical(va, vb),
-                    "case {case}: {sql}\n  row {i}: {va:?} != {vb:?}"
-                );
-            }
-        }
+        assert_same_rows(&a.rows, &b.rows, &format!("case {case}: {sql}"));
         assert!(!b.stats.columnar, "Interpreted engine must report row path");
         if a.stats.columnar {
             columnar_cases += 1;
@@ -284,12 +322,7 @@ fn equivalence_holds_across_cover_levels_and_skies() {
                 let sql = generator.query();
                 let a = auto.run(&sql).unwrap();
                 let b = interp.run(&sql).unwrap();
-                assert_eq!(a.rows.len(), b.rows.len(), "{sql} at level {cover_level}");
-                for (ra, rb) in a.rows.iter().zip(b.rows.iter()) {
-                    for (va, vb) in ra.iter().zip(rb.iter()) {
-                        assert!(value_identical(va, vb), "{sql} at level {cover_level}");
-                    }
-                }
+                assert_same_rows(&a.rows, &b.rows, &format!("{sql} at level {cover_level}"));
             }
         }
     }

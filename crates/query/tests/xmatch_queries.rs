@@ -3,9 +3,13 @@
 //! brute-force O(n·m) great-circle oracle, morsel-parallel execution
 //! over the probe side, in-scan pair-count folding, `MATCH ... INTO`
 //! materialization under session quotas, and the plan-time validation
-//! surface.
+//! surface. The declination-zone index and the footprint restriction of
+//! set-vs-archive joins are checked at explicit worker counts 1 and 4
+//! across RA wrap, the poles, radii from 0.5" to over a degree, pairs at
+//! exactly the radius, empty sets and sets spread over a hemisphere.
 
-use sdss_catalog::{PhotoObj, SkyModel};
+use sdss_catalog::{GenRegion, PhotoObj, SkyModel};
+use sdss_htm::lookup_id;
 use sdss_query::{
     AdmissionConfig, Archive, ArchiveConfig, QueryError, QueryOutput, Session, SessionConfig,
 };
@@ -407,4 +411,286 @@ fn prepared_match_pins_its_set_snapshots() {
     assert!(session
         .prepare("SELECT a.objid FROM MATCH(s, s, 60)")
         .is_err());
+}
+
+// ---------------------------------------------------------------------
+// Declination zones and footprint restriction: exactness at 1 and 4
+// workers
+// ---------------------------------------------------------------------
+
+/// A sky over `region` with a close companion 0.2"–2" from every fifth
+/// object, so arcsecond radii have pairs to find.
+fn build_region_stores(
+    seed: u64,
+    region: GenRegion,
+    n_galaxies: usize,
+) -> (Arc<ObjectStore>, Arc<TagStore>, Vec<PhotoObj>) {
+    let model = SkyModel {
+        region,
+        n_galaxies,
+        n_stars: n_galaxies / 3,
+        n_quasars: n_galaxies / 12,
+        ..SkyModel::small(seed)
+    };
+    let mut objs = model.generate().unwrap();
+    let mut rng = Lcg(seed);
+    let first_id = objs.iter().map(|o| o.obj_id).max().unwrap() + 1;
+    let companions: Vec<PhotoObj> = objs
+        .iter()
+        .step_by(5)
+        .enumerate()
+        .map(|(k, o)| {
+            let mut c = o.clone();
+            c.obj_id = first_id + k as u64;
+            let (pa, sep) = (rng.next_f64(0.0, 360.0), rng.next_f64(0.2, 2.0));
+            c.set_position(o.pos().offset_by(pa, sep / 3600.0));
+            c.htm20 = lookup_id(c.unit_vec(), 20).unwrap().raw();
+            c
+        })
+        .collect();
+    objs.extend(companions);
+    let mut store = ObjectStore::new(StoreConfig::default()).unwrap();
+    store.insert_batch(&objs).unwrap();
+    let tags = TagStore::from_store(&store);
+    (Arc::new(store), Arc::new(tags), objs)
+}
+
+/// The oracle's pairs with their separations' bit patterns.
+fn oracle_pairs_with_sep(
+    a: &[&PhotoObj],
+    b: &[&PhotoObj],
+    radius_arcsec: f64,
+) -> Vec<(u64, u64, u64)> {
+    let mut pairs = Vec::new();
+    for p in a {
+        for q in b {
+            let sep = p.unit_vec().separation_deg(q.unit_vec()) * 3600.0;
+            if p.obj_id != q.obj_id && sep <= radius_arcsec {
+                pairs.push((p.obj_id, q.obj_id, sep.to_bits()));
+            }
+        }
+    }
+    pairs.sort_unstable();
+    pairs
+}
+
+/// `MATCH(a, b, radius)` returns exactly the oracle's pairs with
+/// bit-identical separations, and `COUNT(*)` over it the same number.
+/// Returns the pair count.
+fn assert_match_exact(
+    session: &Session,
+    (a, a_objs): (&str, &[&PhotoObj]),
+    (b, b_objs): (&str, &[&PhotoObj]),
+    radius: f64,
+    context: &str,
+) -> usize {
+    let want = oracle_pairs_with_sep(a_objs, b_objs, radius);
+    let out = session
+        .run(&format!(
+            "SELECT a.objid, b.objid, sep_arcsec FROM MATCH({a}, {b}, {radius:?})"
+        ))
+        .unwrap();
+    let mut got: Vec<(u64, u64, u64)> = out
+        .rows
+        .iter()
+        .map(|r| {
+            let sep = r[2].as_num().unwrap();
+            (r[0].as_id().unwrap(), r[1].as_id().unwrap(), sep.to_bits())
+        })
+        .collect();
+    got.sort_unstable();
+    assert_eq!(got, want, "{context}: MATCH({a}, {b}, {radius:?})");
+    let count = session
+        .run(&format!("SELECT COUNT(*) FROM MATCH({a}, {b}, {radius:?})"))
+        .unwrap();
+    assert_eq!(
+        count.rows[0][0].as_num().unwrap() as usize,
+        want.len(),
+        "{context}: COUNT over MATCH({a}, {b}, {radius:?})"
+    );
+    want.len()
+}
+
+/// An `r` cut keeping about `fraction` of `objs`, placed midway between
+/// two distinct magnitudes so float ties cannot split the oracle from
+/// the engine.
+fn r_cut(objs: &[PhotoObj], fraction: f64) -> f64 {
+    let mut r: Vec<f64> = objs.iter().map(|o| o.mag(2) as f64).collect();
+    r.sort_by(f64::total_cmp);
+    r.dedup();
+    let k = ((r.len() as f64 * fraction) as usize).clamp(1, r.len() - 1);
+    (r[k - 1] + r[k]) / 2.0
+}
+
+#[test]
+fn match_is_exact_across_ra_wrap_poles_and_radii() {
+    let skies = [
+        // Straddles ra = 0/360.
+        GenRegion::Cap {
+            ra_deg: 0.0,
+            dec_deg: 0.3,
+            radius_deg: 1.0,
+        },
+        // Every object at dec >= 89.9 (and the mirror at the south pole).
+        GenRegion::Cap {
+            ra_deg: 0.0,
+            dec_deg: 90.0,
+            radius_deg: 0.1,
+        },
+        GenRegion::Cap {
+            ra_deg: 0.0,
+            dec_deg: -90.0,
+            radius_deg: 0.1,
+        },
+    ];
+    for (k, region) in skies.into_iter().enumerate() {
+        let (store, tags, objs) = build_region_stores(81 + k as u64, region, 240);
+        if k == 0 {
+            assert!(objs.iter().any(|o| o.ra_deg > 359.0) && objs.iter().any(|o| o.ra_deg < 1.0));
+        } else {
+            assert!(objs.iter().all(|o| o.dec_deg.abs() >= 89.9));
+        }
+        let (cut1, cut2) = (r_cut(&objs, 0.15), r_cut(&objs, 0.7));
+        let s1: Vec<&PhotoObj> = objs.iter().filter(|o| (o.mag(2) as f64) < cut1).collect();
+        let s2: Vec<&PhotoObj> = objs.iter().filter(|o| (o.mag(2) as f64) < cut2).collect();
+        let sky: Vec<&PhotoObj> = objs.iter().collect();
+        // One radius is a pair's own separation: a pair at exactly the
+        // radius must be kept.
+        let exact = oracle_pairs(&s1, &s2, 2.5)
+            .iter()
+            .filter_map(|&(p, q)| {
+                let (p, q) = (
+                    objs.iter().find(|o| o.obj_id == p)?,
+                    objs.iter().find(|o| o.obj_id == q)?,
+                );
+                Some(p.unit_vec().separation_deg(q.unit_vec()) * 3600.0)
+            })
+            .fold(0.0, f64::max);
+        assert!(exact > 0.0, "sky {k}: no close pairs to pin the radius to");
+        for workers in [1, 4] {
+            let archive = archive_with_workers(&store, &tags, workers);
+            let session = small_chunk_session(&archive);
+            session
+                .run(&format!(
+                    "SELECT objid INTO s1 FROM photoobj WHERE r < {cut1:?}"
+                ))
+                .unwrap();
+            session
+                .run(&format!(
+                    "SELECT objid INTO s2 FROM photoobj WHERE r < {cut2:?}"
+                ))
+                .unwrap();
+            for radius in [0.5, exact, 3.0, 45.0, 600.0, 4000.0] {
+                let ctx = format!("sky {k}, {workers} workers");
+                let pairs = assert_match_exact(&session, ("s1", &s1), ("s2", &s2), radius, &ctx);
+                if radius >= exact {
+                    assert!(pairs > 0, "{ctx}: radius {radius} found no pairs");
+                }
+                // The archive restricted on either side of the join.
+                assert_match_exact(&session, ("s1", &s1), ("photoobj", &sky), radius, &ctx);
+                assert_match_exact(&session, ("photoobj", &sky), ("s1", &s1), radius, &ctx);
+            }
+            assert_eq!(archive.admission().running, 0, "slots leaked");
+        }
+    }
+}
+
+#[test]
+fn set_vs_archive_match_reads_only_the_set_footprint() {
+    let (store, tags, objs) = build_stores(84, 3000);
+    let whole_bytes = tags.bytes() as u64;
+    for workers in [1, 4] {
+        let archive = archive_with_workers(&store, &tags, workers);
+        let session = small_chunk_session(&archive);
+        session
+            .run("SELECT objid INTO s FROM photoobj WHERE CIRCLE(185, 15, 0.7) AND r < 22")
+            .unwrap();
+        let set = session.set_info("s").unwrap();
+        let centre = sdss_skycoords::SkyPos::new(185.0, 15.0).unwrap().unit_vec();
+        let s: Vec<&PhotoObj> = objs
+            .iter()
+            .filter(|o| o.unit_vec().separation_deg(centre) <= 0.7 && (o.mag(2) as f64) < 22.0)
+            .collect();
+        assert_eq!(s.len(), set.rows);
+        let sky: Vec<&PhotoObj> = objs.iter().collect();
+        for sql in [
+            "SELECT COUNT(*) FROM MATCH(s, photoobj, 20)",
+            "SELECT COUNT(*) FROM MATCH(photoobj, s, 20)",
+        ] {
+            // EXPLAIN and admission price the same cap the scan reads.
+            let prepared = session.prepare(sql).unwrap();
+            let est = *prepared.estimate();
+            assert!(!est.full_sweep, "{sql}: priced as a whole sweep");
+            assert!(
+                est.est_bytes < whole_bytes / 2,
+                "{sql}: {} of {whole_bytes} bytes priced",
+                est.est_bytes
+            );
+            let out = prepared.run().unwrap();
+            assert_eq!(
+                out.stats.scan.bytes_scanned, est.est_bytes,
+                "{sql}: estimate and execution read different bytes"
+            );
+        }
+        let ctx = format!("{workers} workers");
+        assert!(assert_match_exact(&session, ("s", &s), ("photoobj", &sky), 20.0, &ctx) > 0);
+        assert_match_exact(&session, ("photoobj", &sky), ("s", &s), 20.0, &ctx);
+    }
+}
+
+#[test]
+fn empty_set_match_yields_no_pairs_and_reads_nothing() {
+    let (store, tags, _) = build_stores(85, 600);
+    for workers in [1, 4] {
+        let archive = archive_with_workers(&store, &tags, workers);
+        let session = small_chunk_session(&archive);
+        session
+            .run("SELECT objid INTO e FROM photoobj WHERE r < 0")
+            .unwrap();
+        assert_eq!(session.set_info("e").unwrap().rows, 0);
+        for (a, b) in [("e", "photoobj"), ("photoobj", "e"), ("e", "e")] {
+            let sql = format!("SELECT a.objid, b.objid FROM MATCH({a}, {b}, 30)");
+            let prepared = session.prepare(&sql).unwrap();
+            assert_eq!(prepared.estimate().est_bytes, 0, "{sql}");
+            let out = prepared.run().unwrap();
+            assert!(out.rows.is_empty(), "{sql}");
+            assert_eq!(out.stats.scan.bytes_scanned, 0, "{sql}");
+            let count = session
+                .run(&format!("SELECT COUNT(*) FROM MATCH({a}, {b}, 30)"))
+                .unwrap();
+            assert_eq!(count.rows[0][0].as_num().unwrap(), 0.0, "{sql}");
+        }
+        assert_eq!(archive.admission().running, 0, "slots leaked");
+    }
+}
+
+#[test]
+fn set_spread_over_a_hemisphere_falls_back_to_the_whole_archive() {
+    let (store, tags, objs) = build_region_stores(86, GenRegion::AllSky, 300);
+    let cut = r_cut(&objs, 0.3);
+    let s: Vec<&PhotoObj> = objs.iter().filter(|o| (o.mag(2) as f64) < cut).collect();
+    let sky: Vec<&PhotoObj> = objs.iter().collect();
+    for workers in [1, 4] {
+        let archive = archive_with_workers(&store, &tags, workers);
+        let session = small_chunk_session(&archive);
+        session
+            .run(&format!(
+                "SELECT objid INTO s FROM photoobj WHERE r < {cut:?}"
+            ))
+            .unwrap();
+        let prepared = session
+            .prepare("SELECT COUNT(*) FROM MATCH(s, photoobj, 3)")
+            .unwrap();
+        assert!(
+            prepared.estimate().full_sweep,
+            "an all-sky set cannot restrict"
+        );
+        let out = prepared.run().unwrap();
+        assert!(out.stats.scan.bytes_scanned >= tags.bytes() as u64);
+        let ctx = format!("{workers} workers");
+        for radius in [3.0, 1800.0] {
+            assert!(assert_match_exact(&session, ("s", &s), ("photoobj", &sky), radius, &ctx) > 0);
+            assert_match_exact(&session, ("photoobj", &sky), ("s", &s), radius, &ctx);
+        }
+    }
 }

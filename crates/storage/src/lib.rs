@@ -57,7 +57,7 @@ pub use resultset::{ResultSet, ResultSetBuilder, RESULT_SET_CHUNK_ROWS};
 pub use sample::sample_hash_keep;
 pub use store::{ObjectStore, RegionScan, StoreConfig, TouchCounters};
 pub use vertical::{TagMorsel, TagScanPlan, TagStore};
-pub use zone::ZoneIndex;
+pub use zone::{DecZoneIndex, MatchFootprint, ZoneIndex};
 
 /// Errors produced by the storage crate.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,25 +1,303 @@
-//! Zone-partitioned spatial index for cross-identification.
+//! Spatial indexes for cross-identification.
 //!
 //! Paper, §Data Products: "each subsequent astronomical survey will want
-//! to cross-identify its objects with the SDSS catalog". The primitive
-//! behind every cross-match — the dataflow hash machine's nearest
-//! neighbor and the query engine's `MATCH(a, b, radius)` pair join — is
-//! the same: file the build side under its home HTM trixel (a *zone*),
-//! and expand each probe by the match radius so candidates come from
-//! exactly the zones the match cap can intersect (the hash machine's
-//! one-sided replication argument — expanding one side suffices for
-//! completeness, including across zone boundaries).
+//! to cross-identify its objects with the SDSS catalog". Every
+//! cross-match — the dataflow hash machine's nearest neighbor and the
+//! query engine's `MATCH(a, b, radius)` pair join — files the build side
+//! so that a probe only compares against rows that could lie within the
+//! match radius. Two layouts live here:
 //!
-//! It lives in the storage crate, beneath both consumers: the query
-//! engine joins [`crate::ResultSet`] chunks against it and
-//! `dataflow::xmatch` re-exports it as the build side of its
-//! nearest-neighbor matcher.
+//! * [`DecZoneIndex`] — the query engine's `MATCH` index. Build rows sit
+//!   in declination stripes ("zones", the layout Gray et al. adopted for
+//!   the SkyServer neighbours table), each stripe sorted by RA. A probe
+//!   visits the stripes within `dec ± r` and binary-searches each for the
+//!   RA window `ra ± α(dec, r)` — no per-probe HTM cover at all.
+//! * [`ZoneIndex`] — HTM buckets at a radius-matched level; each probe
+//!   expands into a small HTM cover of its match cap (the hash machine's
+//!   one-sided replication argument — expanding one side suffices for
+//!   completeness, including across bucket boundaries). It remains the
+//!   build side of `dataflow::xmatch`'s nearest-neighbor matcher.
+//!
+//! [`MatchFootprint`] is the other half of a set-vs-archive `MATCH`: the
+//! cap around a stored set outside which no archive object can pair, so
+//! the archive input reads only that cap instead of the whole sky.
+//!
+//! Both indexes end in the same exact test,
+//! `probe.separation_deg(row) * 3600 <= radius_arcsec`, so they return
+//! the same pairs with bit-identical separations.
 
-use crate::StorageError;
+use crate::{ResultSet, StorageError};
 use sdss_catalog::TagObject;
-use sdss_htm::{lookup_id, Cover, Region};
-use sdss_skycoords::UnitVec3;
+use sdss_htm::{lookup_id, Cover, Domain, Region};
+use sdss_skycoords::{UnitVec3, Vec3};
 use std::collections::HashMap;
+
+/// Angular slack (degrees) added to every geometric bound of
+/// [`DecZoneIndex`] and [`MatchFootprint`]. The bounds only prune
+/// candidates before the exact separation test, so widening them costs a
+/// few comparisons and keeps rounding in the `atan2`/`asin` conversions
+/// from ever dropping a pair that sits exactly on the radius.
+const BOUND_SLACK_DEG: f64 = 1e-7;
+
+/// Within this many degrees of a pole, a probe's RA window is not worth
+/// deriving: it scans whole stripes, up to the pole.
+const POLAR_MARGIN_DEG: f64 = 1e-3;
+
+/// A declination-zone index over a cross-match's build rows: positions
+/// in stripes of constant declination height, each stripe sorted by
+/// right ascension. Row `i` is the `i`-th point the index was built
+/// from; [`DecZoneIndex::neighbors_within`] reports rows by that number.
+#[derive(Debug, Clone)]
+pub struct DecZoneIndex {
+    /// Stripe height, degrees. Stripe `k` covers declinations
+    /// `[-90 + k·h, -90 + (k+1)·h)`.
+    height_deg: f64,
+    /// Absolute stripe number of the first stored stripe (only stripes
+    /// between the lowest and highest build row are stored).
+    first_zone: i64,
+    /// Entries `starts[z]..starts[z + 1]` belong to stripe
+    /// `first_zone + z`.
+    starts: Vec<u32>,
+    /// Per entry, ordered by (stripe, RA): RA in `[0, 360)` degrees, the
+    /// position, and the build row it came from.
+    ra: Vec<f64>,
+    pos: Vec<UnitVec3>,
+    row: Vec<u32>,
+    /// The radius the index was built for and its sine (the RA-window
+    /// numerator, reused by every probe at that radius).
+    radius_arcsec: f64,
+    sin_radius: f64,
+}
+
+/// `(ra, dec)` in degrees, RA in `[0, 360)`. `asin` loses precision only
+/// within a hair of a pole, where probes scan whole stripes up to the
+/// pole anyway.
+fn ra_dec(p: UnitVec3) -> (f64, f64) {
+    let mut ra = p.y().atan2(p.x()).to_degrees();
+    if ra < 0.0 {
+        ra += 360.0;
+    }
+    if ra >= 360.0 {
+        ra -= 360.0;
+    }
+    (ra, p.z().clamp(-1.0, 1.0).asin().to_degrees())
+}
+
+impl DecZoneIndex {
+    /// Index `points` for probes of `radius_arcsec`. The stripe height is
+    /// the radius, so a probe visits two or three stripes; it only grows
+    /// where the build side is so sparse that there would be more stripes
+    /// than rows.
+    pub fn build(points: impl IntoIterator<Item = UnitVec3>, radius_arcsec: f64) -> DecZoneIndex {
+        let points: Vec<(f64, f64, UnitVec3)> = points
+            .into_iter()
+            .map(|p| {
+                let (ra, dec) = ra_dec(p);
+                (ra, dec, p)
+            })
+            .collect();
+        let (lo, hi) = points
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
+                (lo.min(p.1), hi.max(p.1))
+            });
+        let mut height_deg = (radius_arcsec / 3600.0).max((hi - lo) / points.len().max(1) as f64);
+        if !(height_deg > 0.0 && height_deg.is_finite()) {
+            height_deg = 1.0; // a zero radius over coincident rows
+        }
+        let zone = |dec: f64| ((dec + 90.0) / height_deg).floor() as i64;
+        let first_zone = if points.is_empty() { 0 } else { zone(lo) };
+        let n_zones = if points.is_empty() {
+            0
+        } else {
+            (zone(hi) - first_zone + 1) as usize
+        };
+        // Counting sort by stripe, then RA order within each stripe.
+        let home: Vec<usize> = points
+            .iter()
+            .map(|p| (zone(p.1) - first_zone) as usize)
+            .collect();
+        let mut starts = vec![0u32; n_zones + 1];
+        for &z in &home {
+            starts[z + 1] += 1;
+        }
+        for z in 0..n_zones {
+            starts[z + 1] += starts[z];
+        }
+        let mut fill = starts.clone();
+        let mut order = vec![0u32; points.len()];
+        for (i, &z) in home.iter().enumerate() {
+            order[fill[z] as usize] = i as u32;
+            fill[z] += 1;
+        }
+        for z in 0..n_zones {
+            order[starts[z] as usize..starts[z + 1] as usize]
+                .sort_unstable_by(|&a, &b| points[a as usize].0.total_cmp(&points[b as usize].0));
+        }
+        DecZoneIndex {
+            height_deg,
+            first_zone,
+            starts,
+            ra: order.iter().map(|&i| points[i as usize].0).collect(),
+            pos: order.iter().map(|&i| points[i as usize].2).collect(),
+            row: order,
+            radius_arcsec,
+            sin_radius: (radius_arcsec / 3600.0).to_radians().sin(),
+        }
+    }
+
+    /// Rows indexed.
+    pub fn len(&self) -> usize {
+        self.row.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.row.is_empty()
+    }
+
+    /// Stream every indexed row within `radius_arcsec` of `probe` as
+    /// `(row, separation arcsec)` — all pairs, not just the nearest.
+    /// Works for any radius (a larger one than the index was built for
+    /// visits more stripes). Returns the number of candidate separations
+    /// computed.
+    pub fn neighbors_within(
+        &self,
+        probe: UnitVec3,
+        radius_arcsec: f64,
+        mut f: impl FnMut(u32, f64),
+    ) -> usize {
+        let n_zones = self.starts.len() as i64 - 1;
+        if n_zones <= 0 {
+            return 0;
+        }
+        let r = radius_arcsec / 3600.0;
+        let (ra, dec) = ra_dec(probe);
+        let zone = |dec: f64| ((dec + 90.0) / self.height_deg).floor() as i64 - self.first_zone;
+        let mut z_lo = zone(dec - r - BOUND_SLACK_DEG).max(0);
+        let mut z_hi = zone(dec + r + BOUND_SLACK_DEG).min(n_zones - 1);
+        // Half-width of the RA window: sin α = sin r / cos δ bounds the
+        // RA offset of every point of the cap, and α ≤ tan α =
+        // s / √(1 − s²) bounds α without another trig call. `None` scans
+        // whole stripes — up to the pole when the cap reaches one, or
+        // when the window would wrap all the way round.
+        let half_width = if dec.abs() + r >= 90.0 - POLAR_MARGIN_DEG {
+            if dec > 0.0 {
+                z_hi = n_zones - 1;
+            } else {
+                z_lo = 0;
+            }
+            None
+        } else {
+            let cos_dec = (probe.x() * probe.x() + probe.y() * probe.y()).sqrt();
+            let sin_r = if radius_arcsec == self.radius_arcsec {
+                self.sin_radius
+            } else {
+                r.to_radians().sin()
+            };
+            let s = sin_r / cos_dec;
+            let a = (s / (1.0 - s * s).sqrt()).to_degrees() + BOUND_SLACK_DEG;
+            (s < 1.0 && a < 180.0).then_some(a)
+        };
+        let mut comparisons = 0usize;
+        // Test the entries of stripe `s..e` with RA in `[lo, hi]`.
+        let mut visit = |s: usize, e: usize, lo: f64, hi: f64| {
+            let mut i = s + self.ra[s..e].partition_point(|&x| x < lo);
+            while i < e && self.ra[i] <= hi {
+                comparisons += 1;
+                let sep = probe.separation_deg(self.pos[i]) * 3600.0;
+                if sep <= radius_arcsec {
+                    f(self.row[i], sep);
+                }
+                i += 1;
+            }
+        };
+        for z in z_lo..=z_hi {
+            let (s, e) = (
+                self.starts[z as usize] as usize,
+                self.starts[z as usize + 1] as usize,
+            );
+            if s == e {
+                continue;
+            }
+            match half_width {
+                None => visit(s, e, f64::NEG_INFINITY, f64::INFINITY),
+                Some(a) => {
+                    let (lo, hi) = (ra - a, ra + a);
+                    if lo < 0.0 {
+                        visit(s, e, lo + 360.0, 360.0);
+                        visit(s, e, 0.0, hi);
+                    } else if hi >= 360.0 {
+                        visit(s, e, lo, 360.0);
+                        visit(s, e, 0.0, hi - 360.0);
+                    } else {
+                        visit(s, e, lo, hi);
+                    }
+                }
+            }
+        }
+        comparisons
+    }
+}
+
+/// How much of the archive a `MATCH` between a stored set and the
+/// archive has to read: only objects within the match radius of some set
+/// row can pair, and all of them lie in one cap around the set.
+#[derive(Debug, Clone, PartialEq)]
+pub enum MatchFootprint {
+    /// The whole archive: no useful cap (degenerate centroid, or the cap
+    /// would reach a hemisphere).
+    Whole,
+    /// Only the archive objects inside this cap.
+    Cap(Domain),
+    /// Nothing: the set is empty, so there are no pairs.
+    Empty,
+}
+
+impl MatchFootprint {
+    /// The cap centred on `set`'s normalized centroid whose radius is the
+    /// set's largest distance from that centroid plus the match radius.
+    /// Cheap enough to call at prepare time and again at execution: one
+    /// pass for the centroid, one for the largest chord.
+    pub fn of_set(set: &ResultSet, radius_arcsec: f64) -> MatchFootprint {
+        if set.is_empty() {
+            return MatchFootprint::Empty;
+        }
+        let rows = || {
+            set.chunks()
+                .iter()
+                .flat_map(|c| (0..c.len()).map(move |i| (c.x[i], c.y[i], c.z[i])))
+        };
+        let (sx, sy, sz) = rows().fold((0.0, 0.0, 0.0), |(sx, sy, sz), (x, y, z)| {
+            (sx + x, sy + y, sz + z)
+        });
+        let Ok(center) = Vec3::new(sx, sy, sz).normalized() else {
+            return MatchFootprint::Whole;
+        };
+        // The chord is well conditioned at small angles, unlike acos(dot).
+        let max_chord2 = rows().fold(0.0f64, |m, (x, y, z)| {
+            let (dx, dy, dz) = (x - center.x(), y - center.y(), z - center.z());
+            m.max(dx * dx + dy * dy + dz * dz)
+        });
+        let spread_deg = 2.0 * (max_chord2.sqrt() / 2.0).min(1.0).asin().to_degrees();
+        let radius_deg = spread_deg + radius_arcsec / 3600.0 + BOUND_SLACK_DEG;
+        if radius_deg.is_nan() || radius_deg >= 90.0 {
+            return MatchFootprint::Whole;
+        }
+        match Region::circle_vec(center, radius_deg) {
+            Ok(cap) => MatchFootprint::Cap(cap),
+            Err(_) => MatchFootprint::Whole,
+        }
+    }
+
+    /// The cap to restrict the archive scan to (`None` for `Whole` and
+    /// `Empty`).
+    pub fn domain(&self) -> Option<&Domain> {
+        match self {
+            MatchFootprint::Cap(d) => Some(d),
+            MatchFootprint::Whole | MatchFootprint::Empty => None,
+        }
+    }
+}
 
 /// A zone-partitioned spatial index over a reference catalog: reference
 /// row indices bucketed by home HTM trixel at a fixed level.
@@ -114,6 +392,178 @@ impl ZoneIndex {
 mod tests {
     use super::*;
     use sdss_catalog::SkyModel;
+    use sdss_skycoords::SkyPos;
+
+    /// Every `(row, sep)` a probe yields, in row order.
+    fn dec_zone_pairs(ix: &DecZoneIndex, probe: UnitVec3, radius: f64) -> Vec<(u32, u64)> {
+        let mut v = Vec::new();
+        ix.neighbors_within(probe, radius, |ri, sep| v.push((ri, sep.to_bits())));
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn dec_zones_agree_with_zone_index_on_small_sky() {
+        // Same pairs, bit-identical separations, at radii on both sides
+        // of every HTM bucket-level boundary.
+        let objs = SkyModel::small(31).generate().unwrap();
+        let tags: Vec<TagObject> = objs.iter().map(TagObject::from_photo).collect();
+        let deep: Vec<u64> = objs.iter().map(|o| o.htm20).collect();
+        for radius in [0.5, 10.0, 200.0, 900.0, 3600.0, 5400.0] {
+            let zones = ZoneIndex::build_from_deep(&deep, ZoneIndex::level_for_radius(radius));
+            let stripes = DecZoneIndex::build(tags.iter().map(TagObject::unit_vec), radius);
+            assert_eq!(stripes.len(), tags.len());
+            let mut pairs = 0usize;
+            for probe in tags.iter().step_by(7) {
+                let mut want = Vec::new();
+                zones
+                    .neighbors_within(&tags, probe.unit_vec(), radius, |ri, sep| {
+                        want.push((ri, sep.to_bits()))
+                    })
+                    .unwrap();
+                want.sort_unstable();
+                let got = dec_zone_pairs(&stripes, probe.unit_vec(), radius);
+                pairs += got.len();
+                assert_eq!(got, want, "radius {radius}");
+            }
+            assert!(pairs > 0, "radius {radius}: vacuous");
+        }
+    }
+
+    /// Brute-force reference: every point within the radius.
+    fn brute(points: &[UnitVec3], probe: UnitVec3, radius: f64) -> Vec<(u32, u64)> {
+        let mut v: Vec<(u32, u64)> = points
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &p)| {
+                let sep = probe.separation_deg(p) * 3600.0;
+                (sep <= radius).then_some((i as u32, sep.to_bits()))
+            })
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn dec_zones_handle_ra_wrap_and_poles() {
+        // A grid straddling ra = 0/360, and rings at |dec| >= 89.9 where
+        // the RA window degenerates into whole stripes.
+        let mut points = Vec::new();
+        for i in 0..40 {
+            for j in 0..20 {
+                let ra = (359.99 + i as f64 * 0.0007).rem_euclid(360.0);
+                points.push(
+                    SkyPos::new(ra, -0.005 + j as f64 * 0.0005)
+                        .unwrap()
+                        .unit_vec(),
+                );
+            }
+        }
+        for pole in [89.9f64, -89.9] {
+            for i in 0..120 {
+                let dec = pole + pole.signum() * (i % 10) as f64 * 0.0099;
+                points.push(SkyPos::new(i as f64 * 3.0, dec).unwrap().unit_vec());
+            }
+        }
+        points.push(UnitVec3::new_unchecked(0.0, 0.0, 1.0));
+        for radius in [0.5, 2.0, 7.5, 40.0, 400.0, 4000.0] {
+            let ix = DecZoneIndex::build(points.iter().copied(), radius);
+            for &probe in points.iter().step_by(3) {
+                assert_eq!(
+                    dec_zone_pairs(&ix, probe, radius),
+                    brute(&points, probe, radius),
+                    "radius {radius}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dec_zones_include_pairs_at_exactly_the_radius() {
+        let points: Vec<UnitVec3> = (0..50)
+            .map(|i| {
+                SkyPos::new(10.0 + i as f64 * 0.00071, 45.0 + i as f64 * 0.00033)
+                    .unwrap()
+                    .unit_vec()
+            })
+            .collect();
+        for k in [1usize, 5, 20] {
+            // The radius is one pair's own computed separation.
+            let radius = points[0].separation_deg(points[k]) * 3600.0;
+            let ix = DecZoneIndex::build(points.iter().copied(), radius);
+            let got = dec_zone_pairs(&ix, points[0], radius);
+            assert!(got.iter().any(|&(ri, _)| ri as usize == k));
+            assert_eq!(got, brute(&points, points[0], radius));
+        }
+    }
+
+    #[test]
+    fn empty_dec_zone_index_yields_nothing() {
+        let ix = DecZoneIndex::build(std::iter::empty(), 10.0);
+        assert!(ix.is_empty());
+        let probe = UnitVec3::new_unchecked(1.0, 0.0, 0.0);
+        assert_eq!(ix.neighbors_within(probe, 10.0, |_, _| panic!()), 0);
+    }
+
+    fn set_of(points: &[UnitVec3]) -> ResultSet {
+        let template = TagObject::from_photo(&SkyModel::small(1).generate().unwrap()[0]);
+        let mut b = crate::ResultSetBuilder::new(64);
+        for (i, p) in points.iter().enumerate() {
+            let t = TagObject {
+                obj_id: i as u64,
+                x: p.x(),
+                y: p.y(),
+                z: p.z(),
+                ..template
+            };
+            b.push(&t, 0);
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn match_footprint_covers_every_possible_partner() {
+        assert_eq!(
+            MatchFootprint::of_set(&set_of(&[]), 10.0),
+            MatchFootprint::Empty
+        );
+        let cluster: Vec<UnitVec3> = (0..30)
+            .map(|i| {
+                SkyPos::new(359.5 + i as f64 * 0.04, 2.0 - i as f64 * 0.03)
+                    .unwrap()
+                    .unit_vec()
+            })
+            .collect();
+        let radius = 30.0;
+        let fp = MatchFootprint::of_set(&set_of(&cluster), radius);
+        let cap = fp.domain().expect("a small cluster restricts").clone();
+        // Partners exactly `radius` away from every member, in several
+        // directions, all fall inside the cap.
+        for p in &cluster {
+            let pos = SkyPos::from_unit_vec(*p);
+            for pa in [0.0, 90.0, 180.0, 270.0, 45.0] {
+                let q = pos.offset_by(pa, radius / 3600.0).unit_vec();
+                assert!(cap.contains(q));
+            }
+        }
+        // Far from the cluster is outside.
+        assert!(!cap.contains(SkyPos::new(180.0, 0.0).unwrap().unit_vec()));
+        // A set spread over more than a hemisphere cannot restrict.
+        let spread: Vec<UnitVec3> = [
+            (0.0, 0.0),
+            (90.0, 0.0),
+            (180.0, 0.0),
+            (270.0, 0.0),
+            (0.0, 60.0),
+        ]
+        .iter()
+        .map(|&(ra, dec)| SkyPos::new(ra, dec).unwrap().unit_vec())
+        .collect();
+        assert_eq!(
+            MatchFootprint::of_set(&set_of(&spread), radius),
+            MatchFootprint::Whole
+        );
+    }
 
     #[test]
     fn deep_id_build_matches_spherical_build() {
