@@ -18,7 +18,7 @@ fn bench_scan_machine(c: &mut Criterion) {
     for nodes in [1usize, 4, 8] {
         let cluster = SimCluster::from_store(&store, nodes).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
-            let machine = ScanMachine::new(&cluster).unwrap();
+            let machine = ScanMachine::new(&cluster);
             b.iter(|| {
                 let mut n = 0usize;
                 machine.run_query(pred.clone(), |_| n += 1).unwrap();

@@ -34,7 +34,7 @@ fn main() {
     let mut base = None;
     for nodes in [1usize, 2, 4, 8, 16, 20] {
         let cluster = SimCluster::from_store(&store, nodes).unwrap();
-        let machine = ScanMachine::new(&cluster).unwrap();
+        let machine = ScanMachine::new(&cluster);
         // Warm + best-of-3 to squeeze scheduler noise out.
         let mut best: Option<sdss_dataflow::ScanReport> = None;
         for _ in 0..3 {

@@ -9,16 +9,8 @@
 
 use crate::DataflowError;
 use bytes::Bytes;
-use sdss_catalog::{PhotoObj, TagObject};
-use sdss_storage::{ColumnChunk, ObjectStore, PartitionMap, TagStore, TagView};
-use std::sync::Arc;
-
-/// What record type a cluster holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordKind {
-    Full,
-    Tag,
-}
+use sdss_catalog::PhotoObj;
+use sdss_storage::{ObjectStore, PartitionMap};
 
 /// One container's shipped image on a node.
 #[derive(Debug, Clone)]
@@ -26,11 +18,6 @@ pub struct NodeContainer {
     pub container_raw: u64,
     pub payload: Bytes,
     pub record_len: usize,
-    /// The container's struct-of-arrays image (tag clusters only):
-    /// nodes scan these columns directly with compiled predicates
-    /// instead of deserializing records. `Arc`-shared with the store —
-    /// shipping a chunk costs a refcount, not a copy.
-    pub columns: Option<Arc<ColumnChunk>>,
 }
 
 impl NodeContainer {
@@ -42,17 +29,6 @@ impl NodeContainer {
     pub fn photo(&self, i: usize) -> PhotoObj {
         let mut slice = &self.payload[i * self.record_len..(i + 1) * self.record_len];
         PhotoObj::read_from(&mut slice).expect("cluster holds valid records")
-    }
-
-    /// Deserialize record `i` as a tag object.
-    pub fn tag(&self, i: usize) -> TagObject {
-        let mut slice = &self.payload[i * self.record_len..(i + 1) * self.record_len];
-        TagObject::read_from(&mut slice).expect("cluster holds valid tag records")
-    }
-
-    /// Zero-copy view of tag record `i` (no deserialization).
-    pub fn tag_view(&self, i: usize) -> TagView<'_> {
-        TagView::new(&self.payload[i * self.record_len..(i + 1) * self.record_len])
     }
 }
 
@@ -67,7 +43,6 @@ pub struct NodeStats {
 /// A simulated cluster: `nodes[i]` is the container set of node `i`.
 #[derive(Debug)]
 pub struct SimCluster {
-    kind: RecordKind,
     nodes: Vec<Vec<NodeContainer>>,
 }
 
@@ -89,51 +64,9 @@ impl SimCluster {
                 container_raw: c.id().raw(),
                 payload: Bytes::from(payload),
                 record_len: c.record_len(),
-                columns: None,
             });
         }
-        Ok(SimCluster {
-            kind: RecordKind::Full,
-            nodes,
-        })
-    }
-
-    /// Partition a tag store over `n_nodes` (containers in id order,
-    /// byte-balanced greedily like [`PartitionMap`]).
-    pub fn from_tags(tags: &TagStore, n_nodes: usize) -> Result<SimCluster, DataflowError> {
-        if n_nodes == 0 {
-            return Err(DataflowError::InvalidConfig("zero nodes".into()));
-        }
-        let total: usize = tags.bytes();
-        let target = total as f64 / n_nodes as f64;
-        let mut nodes: Vec<Vec<NodeContainer>> = vec![Vec::new(); n_nodes];
-        let mut server = 0usize;
-        let mut server_bytes = 0usize;
-        for c in tags.containers() {
-            if server + 1 < n_nodes && server_bytes as f64 >= target {
-                server += 1;
-                server_bytes = 0;
-            }
-            let mut payload = Vec::with_capacity(c.bytes());
-            for rec in c.iter_records() {
-                payload.extend_from_slice(rec);
-            }
-            server_bytes += payload.len();
-            nodes[server].push(NodeContainer {
-                container_raw: c.id().raw(),
-                payload: Bytes::from(payload),
-                record_len: c.record_len(),
-                columns: tags.column_chunk(c.id().raw()).cloned(),
-            });
-        }
-        Ok(SimCluster {
-            kind: RecordKind::Tag,
-            nodes,
-        })
-    }
-
-    pub fn kind(&self) -> RecordKind {
-        self.kind
+        Ok(SimCluster { nodes })
     }
 
     pub fn n_nodes(&self) -> usize {
@@ -192,16 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn tag_cluster_matches_tag_store() {
-        let s = store(2);
-        let tags = TagStore::from_store(&s);
-        let cluster = SimCluster::from_tags(&tags, 3).unwrap();
-        assert_eq!(cluster.kind(), RecordKind::Tag);
-        assert_eq!(cluster.total_records(), tags.len());
-        assert_eq!(cluster.total_bytes(), tags.bytes());
-    }
-
-    #[test]
     fn nodes_are_balanced() {
         let s = store(3);
         let cluster = SimCluster::from_store(&s, 4).unwrap();
@@ -215,8 +138,6 @@ mod tests {
     fn zero_nodes_rejected() {
         let s = store(4);
         assert!(SimCluster::from_store(&s, 0).is_err());
-        let tags = TagStore::from_store(&s);
-        assert!(SimCluster::from_tags(&tags, 0).is_err());
     }
 
     #[test]

@@ -17,24 +17,25 @@
 //! All three run over [`cluster::SimCluster`], a simulated array of
 //! nodes — each node is a thread owning a disjoint set of storage
 //! containers, standing in for the paper's 20×4-CPU Intel cluster.
+//! [`sort`] and [`xmatch`] add the parallel sort behind the river's
+//! sort stage and a nearest-neighbor cross-matcher.
+//!
+//! These machines reproduce the paper's figures and ablations. Queries
+//! do not run here: `sdss_query` executes every query through its own
+//! morsel driver, the single-node analog of the scan machine's striped
+//! sweep.
 
 pub mod cluster;
 pub mod hash;
-pub mod pool;
 pub mod river;
 pub mod scan;
-pub mod sched;
 pub mod sort;
 pub mod xmatch;
 
-pub use cluster::{NodeStats, RecordKind, SimCluster};
+pub use cluster::{NodeStats, SimCluster};
 pub use hash::{brute_force_pairs, HashMachine, HashReport, PairPredicate, PairResult};
-pub use pool::{PoolReport, WorkerPool};
 pub use river::{RiverGraph, RiverReport, RiverStage};
-pub use scan::{
-    ContinuousScan, ObjPredicate, ScanMachine, ScanReport, TagPredicate, TagScanMachine,
-};
-pub use sched::{BatchScheduler, JobClass, JobState};
+pub use scan::{ContinuousScan, ObjPredicate, ScanMachine, ScanReport};
 pub use sort::{parallel_sort_by_key, SortReport};
 pub use xmatch::{Match, XMatchReport, XMatcher};
 

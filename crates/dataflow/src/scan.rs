@@ -15,31 +15,22 @@
 //!   benchmark measures aggregate bytes/second vs node count);
 //! * [`ScanMachine::continuous`] — the broadcast-disk mode: node threads
 //!   cycle over their containers forever; queries attach at any moment
-//!   and complete after one full cycle;
-//! * [`TagScanMachine`] — the same sweep over the tag partition, either
-//!   with zero-copy [`TagView`] predicates or with a compiled columnar
-//!   predicate from the query engine running over each node's shipped
-//!   [`sdss_storage::ColumnChunk`]s — the 20-node scan machine of the
-//!   paper driving the batch execution substrate.
+//!   and complete after one full cycle.
+//!
+//! The query engine's own intra-query parallelism (`sdss_query`'s morsel
+//! driver) is the single-node analog of the one-shot sweep.
 
-use crate::cluster::{RecordKind, SimCluster};
-use crate::pool::WorkerPool;
+use crate::cluster::SimCluster;
 use crate::DataflowError;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use sdss_catalog::{PhotoObj, TagObject};
-use sdss_query::compile::BatchScratch;
-use sdss_query::CompiledPredicate;
-use sdss_storage::{MorselQueue, TagView, BATCH_ROWS};
+use sdss_catalog::PhotoObj;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A user-supplied predicate over full objects.
 pub type ObjPredicate = Arc<dyn Fn(&PhotoObj) -> bool + Send + Sync>;
-
-/// A user-supplied predicate over zero-copy tag record views.
-pub type TagPredicate = Arc<dyn Fn(&TagView<'_>) -> bool + Send + Sync>;
 
 /// Result of a one-shot scan.
 #[derive(Debug, Clone)]
@@ -64,13 +55,8 @@ pub struct ScanMachine<'a> {
 }
 
 impl<'a> ScanMachine<'a> {
-    pub fn new(cluster: &'a SimCluster) -> Result<ScanMachine<'a>, DataflowError> {
-        if cluster.kind() != RecordKind::Full {
-            return Err(DataflowError::InvalidConfig(
-                "scan machine needs a full-object cluster".into(),
-            ));
-        }
-        Ok(ScanMachine { cluster })
+    pub fn new(cluster: &'a SimCluster) -> ScanMachine<'a> {
+        ScanMachine { cluster }
     }
 
     /// One-shot parallel sweep: every node scans its containers once;
@@ -130,155 +116,6 @@ impl<'a> ScanMachine<'a> {
     /// Start the continuous scan: returns a handle queries attach to.
     pub fn continuous(&self) -> ContinuousScan<'a> {
         ContinuousScan::start(self.cluster)
-    }
-}
-
-/// The scan machine over a tag-partition cluster: same parallel sweep,
-/// but rows are either viewed zero-copy or scanned columnar, and the
-/// containers drain morsel-driven through a [`WorkerPool`] instead of a
-/// static per-node split — a slow node's containers get stolen.
-pub struct TagScanMachine<'a> {
-    cluster: &'a SimCluster,
-    pool: WorkerPool,
-}
-
-impl<'a> TagScanMachine<'a> {
-    pub fn new(cluster: &'a SimCluster) -> Result<TagScanMachine<'a>, DataflowError> {
-        if cluster.kind() != RecordKind::Tag {
-            return Err(DataflowError::InvalidConfig(
-                "tag scan machine needs a tag cluster".into(),
-            ));
-        }
-        Ok(TagScanMachine {
-            cluster,
-            pool: WorkerPool::new(cluster.n_nodes()),
-        })
-    }
-
-    /// One-shot parallel sweep with a zero-copy view predicate: no
-    /// record is deserialized unless it matches.
-    pub fn run_query(
-        &self,
-        predicate: TagPredicate,
-        mut on_match: impl FnMut(TagObject),
-    ) -> Result<ScanReport, DataflowError> {
-        self.sweep(
-            move |container, send| {
-                let mut bytes = 0usize;
-                let mut objects = 0usize;
-                for i in 0..container.n_records() {
-                    let view = container.tag_view(i);
-                    objects += 1;
-                    if predicate(&view) && !send(view.to_tag()) {
-                        return None;
-                    }
-                }
-                bytes += container.payload.len();
-                Some((bytes, objects))
-            },
-            &mut on_match,
-        )
-    }
-
-    /// One-shot parallel sweep with a compiled columnar predicate from
-    /// the query engine: each node evaluates the bytecode over its
-    /// shipped column chunks in [`BATCH_ROWS`]-row batches and only
-    /// materializes matching rows.
-    pub fn run_compiled_query(
-        &self,
-        predicate: &CompiledPredicate,
-        mut on_match: impl FnMut(TagObject),
-    ) -> Result<ScanReport, DataflowError> {
-        self.sweep(
-            move |container, send| {
-                let chunk = container
-                    .columns
-                    .as_ref()
-                    .expect("tag clusters ship column chunks");
-                let mut scratch = BatchScratch::new();
-                for batch in chunk.batches(BATCH_ROWS) {
-                    let mask = predicate.eval(&batch, &mut scratch);
-                    for i in mask.iter_set() {
-                        if !send(chunk.row(batch.base + i)) {
-                            return None;
-                        }
-                    }
-                }
-                // Report record-image bytes like the view sweep, so the
-                // two modes' bytes/sec throughputs compare apples to
-                // apples (the SoA image has its own accounting in
-                // `ColumnChunk::bytes`).
-                Some((container.payload.len(), chunk.len()))
-            },
-            &mut on_match,
-        )
-    }
-
-    /// Shared morsel-driven sweep plumbing: every node's containers are
-    /// published as one byte-balanced [`MorselQueue`] and the worker
-    /// pool drains it (one worker per node, stealing across nodes).
-    /// `scan_container` returns `(bytes, objects)` per container, or
-    /// `None` when the collector hung up.
-    fn sweep(
-        &self,
-        scan_container: impl Fn(&crate::cluster::NodeContainer, &dyn Fn(TagObject) -> bool) -> Option<(usize, usize)>
-            + Send
-            + Sync,
-        on_match: &mut impl FnMut(TagObject),
-    ) -> Result<ScanReport, DataflowError> {
-        let n = self.cluster.n_nodes();
-        let flat: Vec<&crate::cluster::NodeContainer> = (0..n)
-            .flat_map(|node| self.cluster.node(node).iter())
-            .collect();
-        let sizes: Vec<usize> = flat.iter().map(|c| c.payload.len()).collect();
-        let queue = MorselQueue::build(&sizes, n);
-        let (tx, rx) = unbounded::<TagObject>();
-        let bytes = AtomicUsize::new(0);
-        let objects = AtomicUsize::new(0);
-        let start = Instant::now();
-        let mut matches = 0usize;
-
-        let pool_result = std::thread::scope(|scope| {
-            let pool = &self.pool;
-            let flat = &flat;
-            let queue = &queue;
-            let bytes = &bytes;
-            let objects = &objects;
-            let scan_container = &scan_container;
-            let drainer = scope.spawn(move || {
-                let send = |t: TagObject| tx.send(t).is_ok();
-                pool.run(
-                    "tag-sweep",
-                    crate::sched::JobClass::Interactive,
-                    0.0,
-                    queue,
-                    |_, m| {
-                        match scan_container(flat[m], &send) {
-                            Some((b, o)) => {
-                                bytes.fetch_add(b, Ordering::Relaxed);
-                                objects.fetch_add(o, Ordering::Relaxed);
-                                true
-                            }
-                            None => false, // collector hung up
-                        }
-                    },
-                )
-            });
-            for tag in rx.iter() {
-                matches += 1;
-                on_match(tag);
-            }
-            drainer.join().expect("pool drainer panicked")
-        });
-        pool_result?;
-
-        Ok(ScanReport {
-            nodes: n,
-            wall: start.elapsed(),
-            bytes: bytes.load(Ordering::Relaxed),
-            objects: objects.load(Ordering::Relaxed),
-            matches,
-        })
     }
 }
 
@@ -441,7 +278,7 @@ mod tests {
     #[test]
     fn one_shot_scan_finds_exactly_the_matches() {
         let (cluster, objs) = cluster(1, 4);
-        let machine = ScanMachine::new(&cluster).unwrap();
+        let machine = ScanMachine::new(&cluster);
         let pred: ObjPredicate = Arc::new(|o| o.class == ObjClass::Quasar && o.mag(2) < 21.0);
         let mut got = Vec::new();
         let report = machine
@@ -459,68 +296,9 @@ mod tests {
     }
 
     #[test]
-    fn scan_rejects_tag_cluster() {
-        let objs = SkyModel::small(2).generate().unwrap();
-        let mut s = ObjectStore::new(StoreConfig::default()).unwrap();
-        s.insert_batch(&objs).unwrap();
-        let tags = sdss_storage::TagStore::from_store(&s);
-        let tcluster = SimCluster::from_tags(&tags, 2).unwrap();
-        assert!(ScanMachine::new(&tcluster).is_err());
-        // And vice versa.
-        let fcluster = SimCluster::from_store(&s, 2).unwrap();
-        assert!(TagScanMachine::new(&fcluster).is_err());
-    }
-
-    #[test]
-    fn tag_scan_view_and_compiled_agree_with_brute_force() {
-        let objs = SkyModel::small(6).generate().unwrap();
-        let mut s = ObjectStore::new(StoreConfig::default()).unwrap();
-        s.insert_batch(&objs).unwrap();
-        let tags = sdss_storage::TagStore::from_store(&s);
-        let cluster = SimCluster::from_tags(&tags, 3).unwrap();
-        let machine = TagScanMachine::new(&cluster).unwrap();
-
-        // The E5-style popular-attribute predicate, three ways.
-        let mut want: Vec<u64> = objs
-            .iter()
-            .filter(|o| o.mag(2) < 20.0 && o.class == ObjClass::Galaxy)
-            .map(|o| o.obj_id)
-            .collect();
-        want.sort_unstable();
-
-        let pred: TagPredicate = Arc::new(|v| v.mag(2) < 20.0 && v.class() == ObjClass::Galaxy);
-        let mut got_view = Vec::new();
-        let report = machine
-            .run_query(pred, |t| got_view.push(t.obj_id))
-            .unwrap();
-        got_view.sort_unstable();
-        assert_eq!(got_view, want);
-        assert_eq!(report.objects, objs.len());
-
-        let sql_pred = {
-            let q = sdss_query::parser::parse(
-                "SELECT r FROM photoobj WHERE r < 20 AND class = 'GALAXY'",
-            )
-            .unwrap();
-            let sdss_query::ast::Query::Select(sel) = q else {
-                panic!()
-            };
-            sdss_query::compile_predicate(sel.predicate.as_ref().unwrap()).unwrap()
-        };
-        let mut got_compiled = Vec::new();
-        let creport = machine
-            .run_compiled_query(&sql_pred, |t| got_compiled.push(t.obj_id))
-            .unwrap();
-        got_compiled.sort_unstable();
-        assert_eq!(got_compiled, want);
-        assert_eq!(creport.objects, objs.len());
-        assert_eq!(creport.matches, want.len());
-    }
-
-    #[test]
     fn continuous_scan_queries_complete_within_a_cycle() {
         let (cluster, objs) = cluster(3, 3);
-        let machine = ScanMachine::new(&cluster).unwrap();
+        let machine = ScanMachine::new(&cluster);
         let scan = machine.continuous();
 
         // Attach two queries at different moments.
@@ -541,7 +319,7 @@ mod tests {
     #[test]
     fn continuous_scan_concurrent_queries() {
         let (cluster, objs) = cluster(4, 2);
-        let machine = ScanMachine::new(&cluster).unwrap();
+        let machine = ScanMachine::new(&cluster);
         let scan = machine.continuous();
         let rx_a = scan.attach(Arc::new(|o: &PhotoObj| o.class == ObjClass::Star));
         let rx_b = scan.attach(Arc::new(|o: &PhotoObj| o.class == ObjClass::Quasar));

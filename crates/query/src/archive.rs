@@ -27,14 +27,14 @@
 //!   a burst of full-sky sweeps cannot starve interactive cone searches.
 
 use crate::exec::{
-    compile_into_scan, drive_into_scan, launch, match_archive_footprint, match_builds_on_a,
-    plan_uses_columnar, BatchHandle, ExecEnv, ExecMode, ResultBatch, Row, ScanTotals, TicketCore,
+    compile_filter, launch, match_archive_footprint, match_builds_on_a, plan_uses_columnar,
+    run_into, BatchHandle, ExecEnv, ExecMode, ResultBatch, Row, ScanTotals, TicketCore,
 };
 use crate::parser::parse_statement;
 use crate::plan::{plan, MatchInput, PlanNode, QueryPlan, QuerySource};
 use crate::session::{Session, SessionConfig, SessionInfo, SessionShared};
 use crate::QueryError;
-use sdss_storage::{CostModel, MatchFootprint, ObjectStore, ResultSet, ResultSetBuilder, TagStore};
+use sdss_storage::{CostModel, MatchFootprint, ObjectStore, ResultSet, TagStore};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -555,6 +555,8 @@ impl Archive {
             heavy,
             match_probe_morsels,
             match_est_containers,
+            #[cfg(test)]
+            fault_at_claim: 0,
         })
     }
 
@@ -801,6 +803,10 @@ pub struct Prepared {
     /// (probe + build sides) — subtracted back out so co-existing
     /// columnar leaves keep their own parallelism surface.
     match_est_containers: usize,
+    /// Injected worker fault for this statement's executions (see
+    /// [`TicketCore`]'s `claims_until_fault`; 0 = off).
+    #[cfg(test)]
+    fault_at_claim: u64,
 }
 
 impl Prepared {
@@ -1007,7 +1013,7 @@ impl Prepared {
         // can only widen compilability — e.g. a parameter in a position
         // the static gate judged conservatively).
         let columnar = plan_uses_columnar(&root, inner.tags.is_some(), inner.config.mode);
-        let ticket = Arc::new(TicketCore::default());
+        let ticket = self.new_ticket();
         // The granted slots split across the plan's scan leaves (set
         // operations run several concurrently): `leaves * per_leaf <=
         // granted`, so the execution never runs more scan threads than
@@ -1017,14 +1023,7 @@ impl Prepared {
         // each leaf its mandatory single thread.)
         let workers_granted = slot.weight;
         let leaves = count_scan_leaves(&root).max(1);
-        let env = ExecEnv {
-            store: inner.store.clone(),
-            tags: inner.tags.clone(),
-            sets: self.sets.clone(),
-            cover_level: inner.config.cover_level,
-            mode: inner.config.mode,
-            workers: (workers_granted / leaves).max(1),
-        };
+        let env = self.exec_env((workers_granted / leaves).max(1));
         let started = Instant::now();
         let handle = launch(&env, root, &ticket);
         ResultStream {
@@ -1042,6 +1041,38 @@ impl Prepared {
             workspace: self.workspace.clone(),
             _slot: slot,
         }
+    }
+
+    /// The execution environment of one run with `workers` scan workers
+    /// per leaf.
+    fn exec_env(&self, workers: usize) -> ExecEnv {
+        let inner = &self.archive.inner;
+        ExecEnv {
+            store: inner.store.clone(),
+            tags: inner.tags.clone(),
+            sets: self.sets.clone(),
+            cover_level: inner.config.cover_level,
+            mode: inner.config.mode,
+            workers,
+        }
+    }
+
+    /// A fresh per-execution ticket (armed with the injected fault in
+    /// tests).
+    fn new_ticket(&self) -> Arc<TicketCore> {
+        let ticket = TicketCore::default();
+        #[cfg(test)]
+        ticket
+            .claims_until_fault
+            .store(self.fault_at_claim, Ordering::Relaxed);
+        Arc::new(ticket)
+    }
+
+    /// Make the worker that claims the `k`-th morsel of each of this
+    /// statement's executions panic (0 disarms).
+    #[cfg(test)]
+    pub(crate) fn inject_worker_panic(&mut self, k: u64) {
+        self.fault_at_claim = k;
     }
 
     /// Execute with no parameters and collect every row (or, for `INTO`
@@ -1085,42 +1116,30 @@ impl Prepared {
         let PlanNode::Scan(spec) = &root else {
             return Ok(None);
         };
-        let Some(pred) = compile_into_scan(spec, inner.tags.is_some(), inner.config.mode) else {
+        let Some(filter) = compile_filter(spec, inner.tags.is_some(), inner.config.mode) else {
             return Ok(None);
         };
-        // The fold is one serial driver — hold one worker slot. (The
-        // scan runs at memory bandwidth; the builder push is the
-        // bottleneck, not scan parallelism.)
+        // The fold is one worker — hold one worker slot. (The scan runs
+        // at memory bandwidth; the builder push is the bottleneck, not
+        // scan parallelism.)
         let queued_at = Instant::now();
         let slot = inner
             .slots
             .acquire(1, self.heavy, self.estimate.est_seconds);
         let queue_time = queued_at.elapsed();
         let started = Instant::now();
-        let ticket = Arc::new(TicketCore::default());
-        let mut builder = ResultSetBuilder::new(chunk_rows);
-        let result = drive_into_scan(
-            inner.tags.clone(),
-            &self.sets,
+        let ticket = self.new_ticket();
+        let result = run_into(
+            &self.exec_env(1),
             spec,
-            pred,
-            inner.config.cover_level,
+            filter,
             &ticket,
-            |tag, htm20| {
-                builder.push(tag, htm20);
-                if builder.bytes() as u64 > budget {
-                    return Err(QueryError::Exec(format!(
-                        "session byte quota exceeded materializing `{set_name}`: \
-                         {} bytes available, {} rows already folded",
-                        budget,
-                        builder.rows()
-                    )));
-                }
-                Ok(())
-            },
+            set_name,
+            chunk_rows,
+            budget,
         );
         drop(slot);
-        result?;
+        let set = result?;
         let worker_scans = ticket.worker_scans();
         let totals = ticket.totals();
         let stats = QueryStats {
@@ -1141,7 +1160,7 @@ impl Prepared {
             morsels: worker_scans.iter().map(|w| w.morsels).sum(),
             scan: totals,
         };
-        Ok(Some((builder.finish(), stats)))
+        Ok(Some((set, stats)))
     }
 }
 
@@ -1750,5 +1769,73 @@ mod tests {
             slow_pos <= 2,
             "starved waiter dispatched after {slow_pos} bypasses (bound is 2): {order:?}"
         );
+    }
+
+    /// A worker panic inside the morsel driver surfaces as `Err` on every
+    /// shape it drives, at 1 and 4 workers, whichever worker makes the
+    /// faulting claim (the coordinator or a spawned worker, the first
+    /// claim or a later one): never a truncated result, never a leaked
+    /// admission slot, and a failed INTO commits no set.
+    #[test]
+    fn injected_worker_panic_fails_every_driven_shape_cleanly() {
+        let objs = SkyModel::small(91).generate().unwrap();
+        let mut store = ObjectStore::new(StoreConfig::default()).unwrap();
+        store.insert_batch(&objs).unwrap();
+        let tags = Arc::new(TagStore::from_store(&store));
+        let store = Arc::new(store);
+        let shapes = [
+            "SELECT objid, r FROM photoobj WHERE r < 23",
+            "SELECT COUNT(*), AVG(r) FROM photoobj WHERE r < 23",
+            "SELECT a.objid, b.objid, sep_arcsec FROM MATCH(s, photoobj, 60)",
+            "SELECT COUNT(*) FROM MATCH(s, s, 600)",
+            "SELECT objid INTO t FROM photoobj WHERE r < 23",
+        ];
+        for workers in [1, 4] {
+            let config = ArchiveConfig {
+                admission: AdmissionConfig {
+                    max_worker_slots: 16,
+                    heavy_bytes: u64::MAX,
+                    max_heavy: 1,
+                    max_workers_per_query: workers,
+                    max_bypass: 4,
+                },
+                ..ArchiveConfig::default()
+            };
+            let archive = Archive::with_config(store.clone(), Some(tags.clone()), config);
+            // Small chunks give the stored set more probe morsels than
+            // workers (and at least three), so every faulting claim
+            // happens.
+            let session = archive.session_with(SessionConfig {
+                chunk_rows: 8,
+                ..SessionConfig::default()
+            });
+            session
+                .run("SELECT objid INTO s FROM photoobj WHERE r < 21")
+                .unwrap();
+            for sql in shapes {
+                let clean = session.run(sql).unwrap();
+                assert!(
+                    clean.stats.morsels > workers.max(2) as u64,
+                    "{sql}: {:?}",
+                    clean.stats
+                );
+                session.drop_set("t").ok();
+                for k in [1, 2, 3] {
+                    let mut stmt = session.prepare(sql).unwrap();
+                    stmt.inject_worker_panic(k);
+                    match stmt.run() {
+                        Err(QueryError::Exec(msg)) => {
+                            assert!(msg.contains("injected fault"), "{sql} k={k}: {msg}")
+                        }
+                        other => panic!(
+                            "{sql} at {workers} workers, k={k}: {:?} rows",
+                            other.map(|out| out.rows.len())
+                        ),
+                    }
+                    assert_eq!(archive.admission().running, 0, "{sql} k={k}");
+                    assert!(session.set_info("t").is_none(), "{sql} k={k}");
+                }
+            }
+        }
     }
 }

@@ -17,6 +17,11 @@
 //! [`ResultBatch::rows`]; row-at-a-time interpretation remains as the
 //! fallback for whatever the compiler can't express.
 //!
+//! Every columnar execution — projection, in-scan aggregate, MATCH
+//! probe, INTO fast path — runs through one morsel driver
+//! (`run_morsels`): the granted workers drain a byte-balanced queue of
+//! container-sized morsels, each feeding its own sink.
+//!
 //! Execution is owned, not scoped: stores travel as `Arc`s and node
 //! threads are detached, so a [`BatchHandle`] can outlive the call that
 //! launched it (the pull-based `ResultStream` of [`crate::archive`]).
@@ -308,12 +313,16 @@ pub struct TicketCore {
     exact_tests: AtomicU64,
     cover_hits: AtomicU64,
     cover_misses: AtomicU64,
-    /// One entry per scan worker that ran (parallel workers, the serial
-    /// columnar driver, and the row fallback each register here).
+    /// One entry per scan worker that ran (morsel workers and the row
+    /// fallback each register here).
     worker_scans: Mutex<Vec<WorkerScan>>,
     /// First node-thread panic, surfaced instead of silently truncating
     /// the result (detached threads have no join to propagate through).
     failure: std::sync::Mutex<Option<String>>,
+    /// Test fault injection, per execution: morsel claims left until the
+    /// claiming worker panics (0 = off).
+    #[cfg(test)]
+    pub(crate) claims_until_fault: AtomicU64,
 }
 
 /// What one scan worker did — the per-worker accounting behind
@@ -482,8 +491,8 @@ pub struct ExecEnv {
     pub cover_level: Option<u8>,
     pub mode: ExecMode,
     /// Scan workers each columnar scan leaf may use (≥ 1). The caller
-    /// holds this many admission slots per leaf — see `dataflow::pool`'s
-    /// module docs for the slot-accounting contract.
+    /// holds this many admission slots per leaf — see the morsel
+    /// driver (`run_morsels`) for the slot-accounting contract.
     pub workers: usize,
 }
 
@@ -501,26 +510,29 @@ fn columnar_source(spec: &ScanSpec, tags_available: bool) -> bool {
     match &spec.source {
         QuerySource::Tag => tags_available,
         QuerySource::Set(_) => true,
-        // MATCH joins run their own morsel-parallel pair path (the
-        // probe side streams column batches, pairs evaluate row-wise).
+        // MATCH joins drive only their probe side through the morsel
+        // driver; pairs evaluate row-wise.
         QuerySource::Full | QuerySource::Match(_) => false,
     }
 }
 
-/// Lower a scan for the columnar path: `Some` iff the mode allows it,
-/// the source is columnar-capable (tag store or stored set), and the
-/// predicate (when present) and projection both compile. The single
-/// decision point — the stats flag (`plan_uses_columnar`) and the
-/// executor both go through here, so the gate and the execution path
-/// cannot drift.
-fn compile_scan(
+/// The compiled row selection of a morsel-driven scan: the predicate
+/// (when present) and the deterministic sample filter, applied on top
+/// of the source's cover mask. Every worker of a drive shares it.
+pub(crate) struct RowFilter {
+    pred: Option<CompiledPredicate>,
+    sample: Option<f64>,
+}
+
+/// The one gate of every compiled scan shape: `Some` iff the mode allows
+/// the columnar path, the source is columnar-capable, and the predicate
+/// (when present) compiles. Projection and in-scan aggregates add what
+/// their sinks need; INTO needs nothing more (it takes whole records).
+pub(crate) fn compile_filter(
     spec: &ScanSpec,
     tags_available: bool,
     mode: ExecMode,
-) -> Option<(
-    Option<crate::compile::CompiledPredicate>,
-    crate::compile::CompiledProjection,
-)> {
+) -> Option<RowFilter> {
     if mode != ExecMode::Auto || !columnar_source(spec, tags_available) {
         return None;
     }
@@ -528,7 +540,23 @@ fn compile_scan(
         None => None,
         Some(p) => Some(compile_predicate(p)?),
     };
-    Some((pred, compile_projection(&spec.columns)?))
+    Some(RowFilter {
+        pred,
+        sample: spec.sample,
+    })
+}
+
+/// Lower a scan for the columnar projection path: the shared gate plus
+/// a compilable projection. The single decision point — the stats flag
+/// (`plan_uses_columnar`) and the executor both go through here, so the
+/// gate and the execution path cannot drift.
+fn compile_scan(
+    spec: &ScanSpec,
+    tags_available: bool,
+    mode: ExecMode,
+) -> Option<(RowFilter, CompiledProjection)> {
+    let filter = compile_filter(spec, tags_available, mode)?;
+    Some((filter, compile_projection(&spec.columns)?))
 }
 
 /// Would this scan run on the columnar compiled path?
@@ -562,16 +590,24 @@ pub fn launch(env: &ExecEnv, plan: PlanNode, ticket: &Arc<TicketCore>) -> BatchH
 /// detached threads have no scope join to propagate through, and a
 /// silently dead producer would read as a clean (truncated) result.
 fn spawn_guarded(ticket: Arc<TicketCore>, body: impl FnOnce() + Send + 'static) {
-    std::thread::spawn(move || {
-        if let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic payload".to_string());
-            ticket.record_failure(format!("execution thread panicked: {msg}"));
-        }
-    });
+    std::thread::spawn(move || guarded(&ticket, body));
+}
+
+/// Run `body`, recording a panic into the ticket instead of unwinding
+/// further: `None` means it panicked.
+fn guarded<T>(ticket: &TicketCore, body: impl FnOnce() -> T) -> Option<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(body))
+        .map_err(|panic| record_panic(ticket, panic))
+        .ok()
+}
+
+fn record_panic(ticket: &TicketCore, panic: Box<dyn std::any::Any + Send>) {
+    let msg = panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic payload".to_string());
+    ticket.record_failure(format!("execution thread panicked: {msg}"));
 }
 
 fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchHandle {
@@ -627,26 +663,10 @@ fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchH
             });
             BatchHandle { columns, rx }
         }
-        PlanNode::Aggregate { child, aggs } => {
-            // In-scan folding fast path: an aggregate directly over a
-            // compilable tag scan folds inside the scan workers — no
-            // `__agg_i` columns, no per-row channel traffic.
-            let child = *child;
-            if let PlanNode::Scan(spec) = child {
-                // MATCH pair-counts fold in-scan too: probe workers
-                // accumulate per-worker partials over the pairs they
-                // emit, merged at the edge — COUNT over a cross-match
-                // ships one row, never the pair stream.
-                if let QuerySource::Match(m) = spec.source.clone() {
-                    return spawn_match_agg_scan(env, spec, m, aggs, ticket);
-                }
-                return match compile_agg_scan(&spec, &aggs, env.tags.is_some(), env.mode) {
-                    Some((pred, inputs)) => spawn_agg_scan(env, spec, aggs, pred, inputs, ticket),
-                    None => spawn_aggregate_over(env, PlanNode::Scan(spec), aggs, ticket),
-                };
-            }
-            spawn_aggregate_over(env, child, aggs, ticket)
-        }
+        PlanNode::Aggregate { child, aggs } => match *child {
+            PlanNode::Scan(spec) => spawn_agg_scan(env, spec, aggs, ticket),
+            child => spawn_aggregate_over(env, child, aggs, ticket),
+        },
         PlanNode::Set { op, left, right } => {
             let lh = spawn_node(env, *left, ticket);
             let rh = spawn_node(env, *right, ticket);
@@ -729,7 +749,7 @@ fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchH
 /// The channel-path Aggregate node: drain the child's batches (which
 /// carry hidden `__agg_i` columns) and fold them into one row. The fused
 /// in-scan path ([`spawn_agg_scan`]) replaces this whenever the child is
-/// a compilable tag scan.
+/// a compilable scan or a MATCH.
 fn spawn_aggregate_over(
     env: &ExecEnv,
     child: PlanNode,
@@ -773,55 +793,41 @@ fn spawn_aggregate_over(
 }
 
 /// Lower a scan: project columns (plus hidden aggregate argument columns,
-/// handled by the planner caller) and stream matching batches. Tag scans
+/// handled by the planner caller) and stream matching batches. MATCH
+/// joins stream pair rows from the zone-index probe; tag and set scans
 /// take the columnar compiled path when the predicate and projection
 /// both lower to bytecode; everything else interprets row-at-a-time.
 fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchHandle {
-    // MATCH joins have their own morsel-parallel pair path.
-    if let QuerySource::Match(m) = spec.source.clone() {
-        return spawn_match_scan(env, spec, m, ticket);
-    }
     let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
     let columns: Arc<Vec<String>> = Arc::new(spec.columns.iter().map(|(n, _)| n.clone()).collect());
-    let cover_level = env.cover_level;
-    let ticket = ticket.clone();
-
-    // --- columnar fast path -------------------------------------------
-    // `compile_scan` is the same gate `plan_uses_columnar` reports
-    // through `QueryStats.columnar`; the programs compile exactly once.
-    // The scan is morsel-driven: the touched-container list becomes a
-    // byte-balanced work queue and `env.workers` worker threads drain it
-    // in parallel, each streaming into the same output channel (the
-    // channel is the per-worker stream merge).
-    if let Some((pred, proj)) = compile_scan(&spec, env.tags.is_some(), env.mode) {
-        let tags = env.tags.clone();
-        let sets = env.sets.clone();
-        let workers = env.workers.max(1);
-        spawn_guarded(ticket.clone(), move || {
-            let Some(source) = ScanSource::resolve(tags, &sets, &spec, cover_level, &ticket) else {
-                return;
-            };
-            if let Some(hit) = source.cover_cache_hit() {
-                ticket.note_cover(hit);
-            }
-            let n_workers = workers.min(source.n_morsels()).max(1);
-            let job = Arc::new(ColumnarScanJob {
-                pred,
-                proj,
-                sample: spec.sample,
-                queue: MorselQueue::build(&source.morsel_bytes(), n_workers),
-                source,
-                ticket: ticket.clone(),
-                tx,
-            });
-            for w in 1..n_workers {
-                let job = job.clone();
-                spawn_guarded(ticket.clone(), move || job.run_worker(w));
-            }
-            // The coordinator doubles as worker 0; the channel closes
-            // once the last worker drops its `job` clone.
-            job.run_worker(0);
-        });
+    let t = ticket.clone();
+    if let QuerySource::Match(m) = spec.source.clone() {
+        let exprs: Arc<Vec<Expr>> = Arc::new(spec.columns.iter().map(|(_, e)| e.clone()).collect());
+        let sink = move |join: &Arc<MatchJoin>| PairRows {
+            join: join.clone(),
+            exprs: exprs.clone(),
+            out: Vec::with_capacity(BATCH),
+            tx: tx.clone(),
+            ticket: t.clone(),
+            pairs: 0,
+        };
+        spawn_drive(env.workers, ticket, match_leaf(env, spec, m), sink, drop);
+        return BatchHandle { columns, rx };
+    }
+    // `compile_scan` is the gate `plan_uses_columnar` reports through
+    // `QueryStats.columnar`. Every worker streams into the one channel
+    // (the channel is the per-worker stream merge).
+    if let Some((filter, proj)) = compile_scan(&spec, env.tags.is_some(), env.mode) {
+        let (filter, proj) = (Arc::new(filter), Arc::new(proj));
+        let sink = move |_: &()| EmitSink {
+            rows: Selector::new(&filter),
+            proj: proj.clone(),
+            tx: tx.clone(),
+            ticket: t.clone(),
+            pending: None,
+            sent_any: false,
+        };
+        spawn_drive(env.workers, ticket, scan_leaf(env, spec), sink, drop);
         return BatchHandle { columns, rx };
     }
 
@@ -829,6 +835,8 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
     let store = env.store.clone();
     let tags = env.tags.clone();
     let sets = env.sets.clone();
+    let cover_level = env.cover_level;
+    let ticket = ticket.clone();
     spawn_guarded(ticket.clone(), move || {
         let mut out: Vec<Row> = Vec::with_capacity(BATCH);
         let mut alive = true;
@@ -862,16 +870,7 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
             }
             out.push(row);
             kept += 1;
-            if out.len() >= BATCH {
-                ticket.note_batch(out.len());
-                if tx
-                    .send(ResultBatch::Rows(std::mem::take(&mut out)))
-                    .is_err()
-                {
-                    return false;
-                }
-            }
-            true
+            out.len() < BATCH || ship(&ticket, tx, ResultBatch::Rows(std::mem::take(&mut out)))
         };
 
         match (&spec.source, &tags) {
@@ -945,8 +944,7 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
             },
         }
         if alive && !out.is_empty() {
-            ticket.note_batch(out.len());
-            let _ = tx.send(ResultBatch::Rows(out));
+            ship(&ticket, &tx, ResultBatch::Rows(out));
         }
         // The interpreted scan is a single serial worker; register it so
         // `workers_used` is truthful on every path.
@@ -959,38 +957,82 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
     BatchHandle { columns, rx }
 }
 
-/// The morsel workers' shared per-batch row selection: the cover mask
-/// ANDed with the compiled predicate (cover-rejected rows hinted away),
-/// then the deterministic sample filter. One rule for the projection
-/// and the aggregate paths — their equivalence is what the parallel
-/// tests assert.
-fn select_rows(
-    pred: &Option<CompiledPredicate>,
-    sample: Option<f64>,
-    batch: &ColumnBatch<'_>,
-    sel: &SelectionMask,
-    scratch: &mut BatchScratch,
-    keep_scratch: &mut Vec<usize>,
-) -> SelectionMask {
-    let mut keep = sel.clone();
-    if let Some(pred) = pred {
-        keep.and_with(pred.eval_hinted(batch, scratch, Some(sel)));
+/// Spawn an aggregate directly over a scan. A compilable scan or a MATCH
+/// folds **in-scan**: workers fold partial accumulators (no `__agg_i`
+/// columns, no per-row channel traffic) merged into the one result row.
+/// Anything else takes the channel path.
+fn spawn_agg_scan(
+    env: &ExecEnv,
+    spec: ScanSpec,
+    aggs: Vec<AggSpec>,
+    ticket: &Arc<TicketCore>,
+) -> BatchHandle {
+    let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
+    let columns = Arc::new(aggs.iter().map(|a| a.name.clone()).collect::<Vec<_>>());
+    let funcs: Vec<AggFn> = aggs.iter().map(|a| a.func).collect();
+    let t = ticket.clone();
+    let merge = {
+        let (funcs, t) = (funcs.clone(), t.clone());
+        move |partials: Vec<Vec<AggAcc>>| send_merged(partials, &funcs, &t, &tx)
+    };
+    if let QuerySource::Match(m) = spec.source.clone() {
+        let args: Arc<Vec<Option<Expr>>> = Arc::new(aggs.into_iter().map(|a| a.arg).collect());
+        let sink = move |join: &Arc<MatchJoin>| PairFold {
+            join: join.clone(),
+            args: args.clone(),
+            accs: new_accs(&funcs),
+            ticket: t.clone(),
+            pairs: 0,
+        };
+        spawn_drive(env.workers, ticket, match_leaf(env, spec, m), sink, merge);
+    } else {
+        let args: Vec<Option<&Expr>> = aggs.iter().map(|a| a.arg.as_ref()).collect();
+        let Some((filter, inputs)) = compile_filter(&spec, env.tags.is_some(), env.mode)
+            .and_then(|filter| Some((filter, compile_agg_inputs(&args)?)))
+        else {
+            return spawn_aggregate_over(env, PlanNode::Scan(spec), aggs, ticket);
+        };
+        let (filter, inputs) = (Arc::new(filter), Arc::new(inputs));
+        let sink = move |_: &()| FoldSink {
+            rows: Selector::new(&filter),
+            inputs: inputs.clone(),
+            accs: new_accs(&funcs),
+            ticket: t.clone(),
+        };
+        spawn_drive(env.workers, ticket, scan_leaf(env, spec), sink, merge);
     }
-    if let Some(f) = sample {
-        keep_scratch.clear();
-        keep_scratch.extend(
-            keep.iter_set()
-                .filter(|&i| !sample_hash_keep(batch.obj_id[i], f)),
-        );
-        for &i in keep_scratch.iter() {
-            keep.clear(i);
-        }
-    }
-    keep
+    BatchHandle { columns, rx }
 }
 
-/// Where a columnar scan's morsels come from — the substrate the worker
-/// pool drains. Tag scans resolve an HTM cover into a [`TagScanPlan`]
+/// The shared partial merge of the in-scan aggregates (scan and MATCH).
+/// A panicked worker left no partial; its failure is already on the
+/// ticket, so the consumer reports it instead of this row.
+fn send_merged(
+    partials: Vec<Vec<AggAcc>>,
+    funcs: &[AggFn],
+    ticket: &TicketCore,
+    tx: &Sender<ResultBatch>,
+) {
+    let mut acc = new_accs(funcs);
+    for partial in partials {
+        for (a, p) in acc.iter_mut().zip(partial) {
+            a.merge(p);
+        }
+    }
+    let row: Row = acc.into_iter().map(AggAcc::finish).collect();
+    ticket.note_emitted();
+    let _ = tx.send(ResultBatch::Rows(vec![row]));
+}
+
+/// Ship one batch into the fabric, counted at the batch edge; `false`
+/// when the consumer hung up.
+fn ship(ticket: &TicketCore, tx: &Sender<ResultBatch>, batch: ResultBatch) -> bool {
+    ticket.note_batch(batch.len());
+    tx.send(batch).is_ok()
+}
+
+/// Where a columnar scan's morsels come from — the substrate the morsel
+/// driver drains. Tag scans resolve an HTM cover into a [`TagScanPlan`]
 /// (one morsel per touched container); stored sets expose their SoA
 /// chunks directly (one morsel per chunk, every row pre-selected). The
 /// compiled predicate/projection machinery is identical above this seam,
@@ -1010,7 +1052,7 @@ impl ScanSource {
     /// error, or a stored set missing from the pinned snapshot — the
     /// latter indicates a prepare-time bug, since sessions pin sets).
     fn resolve(
-        tags: Option<Arc<TagStore>>,
+        tags: &Option<Arc<TagStore>>,
         sets: &HashMap<String, Arc<ResultSet>>,
         spec: &ScanSpec,
         cover_level: Option<u8>,
@@ -1027,7 +1069,7 @@ impl ScanSource {
                 }
             },
             _ => {
-                let store = tags.expect("columnar gate checked the tag store");
+                let store = tags.clone().expect("columnar gate checked the tag store");
                 match store.plan_batch_scan(spec.domain.as_ref(), cover_level) {
                     Ok(plan) => Some(ScanSource::Tag {
                         store,
@@ -1083,145 +1125,381 @@ impl ScanSource {
     }
 }
 
-/// One parallel columnar scan: compiled programs + the resolved morsel
-/// source, shared by every worker through an `Arc`. Workers claim
-/// morsels from the byte-balanced queue, evaluate the predicate, and
-/// push projected [`ColumnarBatch`]es into the shared channel — the
-/// channel fabric merges the per-worker streams.
-struct ColumnarScanJob {
-    pred: Option<CompiledPredicate>,
-    proj: CompiledProjection,
-    sample: Option<f64>,
+// ---------------------------------------------------------------------
+// The morsel driver
+// ---------------------------------------------------------------------
+
+/// What one morsel worker does with the batches it scans: [`EmitSink`],
+/// [`FoldSink`], the MATCH probe ([`PairRows`] / [`PairFold`]) and
+/// [`IntoSink`]. The driver is generic over its sink, so every worker
+/// loop monomorphizes — no dynamic call per row or pair.
+trait MorselSink {
+    /// What the worker hands back to the driver's caller.
+    type Partial: Send + 'static;
+
+    /// Consume one scanned batch; `sel` holds the rows the source
+    /// selected (the cover mask, or every row of a set chunk). `false`
+    /// stops every worker of the drive (consumer hang-up, quota overrun).
+    fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool;
+
+    /// Close the worker: the rows it kept (selected rows, folded rows or
+    /// pairs — its `WorkerScan::rows_selected`) and its partial.
+    fn finish(self) -> (u64, Self::Partial);
+}
+
+/// One drive's shared state, held by every worker through an `Arc`.
+struct Drive<F> {
     source: ScanSource,
     queue: MorselQueue,
+    make_sink: F,
     ticket: Arc<TicketCore>,
+    /// Raised by the first sink that stops; every worker halts at its
+    /// next batch.
+    stopped: AtomicBool,
+}
+
+/// The one morsel driver: projection, in-scan aggregate, MATCH probe and
+/// INTO all run through here, and only here knows the drive policy:
+///
+/// 1. note the source's plan-time cover-cache lookup;
+/// 2. cap the workers at `min(workers, morsels)`;
+/// 3. shard the morsels byte-balanced into a [`MorselQueue`]: a morsel is
+///    one container (or set chunk), a claim is one `fetch_add`, and a
+///    worker drains its spatially contiguous home shard before stealing
+///    from the fullest one, so a fat container delays only its worker;
+/// 4. run the calling thread as worker 0 and spawn and join the rest,
+///    recording every worker's panic (worker 0's too) on the ticket — a
+///    dead worker is a failure, never a truncated result;
+/// 5. stop at the next morsel and batch on cancel or once a sink stops;
+/// 6. record each worker's [`RegionScan`], morsels and kept rows.
+///
+/// **Slot accounting.** Admission counts worker threads, not queries: a
+/// query granted `W` workers holds `W` slots while it scans, so an
+/// 8-worker sweep weighs like 8 single-worker queries and the admission
+/// bound stays a true bound on scan threads. Hence never more than
+/// `workers` workers; callers pass their grant ([`ExecEnv::workers`]).
+///
+/// Returns once every worker is done, with the partials of those that
+/// finished; a panicked worker's failure is on the ticket by then.
+fn run_morsels<S, F>(
+    source: ScanSource,
+    workers: usize,
+    ticket: &Arc<TicketCore>,
+    make_sink: F,
+) -> Vec<S::Partial>
+where
+    S: MorselSink,
+    F: Fn() -> S + Send + Sync + 'static,
+{
+    if let Some(hit) = source.cover_cache_hit() {
+        ticket.note_cover(hit);
+    }
+    let n_workers = workers.min(source.n_morsels()).max(1);
+    let drive = Arc::new(Drive {
+        queue: MorselQueue::build(&source.morsel_bytes(), n_workers),
+        source,
+        make_sink,
+        ticket: ticket.clone(),
+        stopped: AtomicBool::new(false),
+    });
+    let handles: Vec<_> = (1..n_workers)
+        .map(|w| {
+            let drive = drive.clone();
+            std::thread::spawn(move || drive.run_worker(w))
+        })
+        .collect();
+    let mut partials: Vec<S::Partial> = guarded(ticket, || drive.run_worker(0))
+        .into_iter()
+        .collect();
+    // The drive (and any channel sender its sinks clone) outlives every
+    // join, so a consumer cannot see end-of-stream before a panic is on
+    // the ticket.
+    for handle in handles {
+        match handle.join() {
+            Ok(partial) => partials.push(partial),
+            Err(panic) => record_panic(ticket, panic),
+        }
+    }
+    partials
+}
+
+impl<F> Drive<F> {
+    fn halted(&self) -> bool {
+        self.stopped.load(Ordering::Relaxed) || self.ticket.is_cancelled()
+    }
+
+    fn run_worker<S: MorselSink>(&self, w: usize) -> S::Partial
+    where
+        F: Fn() -> S,
+    {
+        let mut sink = (self.make_sink)();
+        let mut local = RegionScan::default();
+        let mut morsels = 0u64;
+        while !self.halted() {
+            let Some(m) = self.queue.next(w) else { break };
+            morsels += 1;
+            #[cfg(test)]
+            if self.ticket.claims_until_fault.fetch_update(
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+                |k| k.checked_sub(1),
+            ) == Ok(1)
+            {
+                panic!("injected fault: worker {w} claimed the faulting morsel");
+            }
+            let (stats, _) = self.source.scan_morsel(m, |batch, sel| {
+                let more = !self.halted() && sink.consume(batch, sel);
+                if !more {
+                    self.stopped.store(true, Ordering::Relaxed);
+                }
+                more
+            });
+            local.merge(&stats);
+        }
+        let (rows, partial) = sink.finish();
+        self.ticket.note_worker(WorkerScan {
+            bytes_scanned: local.bytes_scanned as u64,
+            morsels,
+            rows_selected: rows,
+        });
+        self.ticket.absorb_scan(&local);
+        partial
+    }
+}
+
+/// Launch one morsel-driven leaf on a coordinator thread: `resolve`
+/// yields its source plus what its sinks share (the join, for a MATCH),
+/// `workers` workers drain it, and `finish` takes their partials.
+fn spawn_drive<X, S>(
+    workers: usize,
+    ticket: &Arc<TicketCore>,
+    resolve: impl FnOnce(&TicketCore) -> Option<(ScanSource, X)> + Send + 'static,
+    make_sink: impl Fn(&X) -> S + Send + Sync + 'static,
+    finish: impl FnOnce(Vec<S::Partial>) + Send + 'static,
+) where
+    X: Send + Sync + 'static,
+    S: MorselSink,
+{
+    let t = ticket.clone();
+    spawn_guarded(ticket.clone(), move || {
+        if let Some((source, shared)) = resolve(&t) {
+            finish(run_morsels(source, workers, &t, move || make_sink(&shared)));
+        }
+    });
+}
+
+/// A compiled tag/set scan leaf's resolution for [`spawn_drive`]. It
+/// captures only what the scan reads: a coordinator thread may outlive
+/// its stream by a moment and must not pin the full store.
+fn scan_leaf(
+    env: &ExecEnv,
+    spec: ScanSpec,
+) -> impl FnOnce(&TicketCore) -> Option<(ScanSource, ())> + Send + 'static {
+    let (tags, sets, level) = (env.tags.clone(), env.sets.clone(), env.cover_level);
+    move |t| Some((ScanSource::resolve(&tags, &sets, &spec, level, t)?, ()))
+}
+
+/// A MATCH leaf's resolution for [`spawn_drive`]: the probe source and
+/// the prepared join.
+fn match_leaf(
+    env: &ExecEnv,
+    spec: ScanSpec,
+    m: MatchSpec,
+) -> impl FnOnce(&TicketCore) -> Option<(ScanSource, Arc<MatchJoin>)> + Send + 'static {
+    let (tags, sets) = (env.tags.clone(), env.sets.clone());
+    move |t| MatchJoin::prepare(&tags, &sets, &spec, &m, t)
+}
+
+/// One worker's side of a [`RowFilter`], counting the rows it kept.
+struct Selector {
+    filter: Arc<RowFilter>,
+    scratch: BatchScratch,
+    sampled_out: Vec<usize>,
+    kept: u64,
+}
+
+impl Selector {
+    fn new(filter: &Arc<RowFilter>) -> Selector {
+        Selector {
+            filter: filter.clone(),
+            scratch: BatchScratch::new(),
+            sampled_out: Vec::new(),
+            kept: 0,
+        }
+    }
+
+    /// The batch rows this scan keeps: the cover mask ANDed with the
+    /// compiled predicate (cover-rejected rows hinted away), then the
+    /// sample filter. One rule for the projection, aggregate and INTO
+    /// sinks.
+    fn select(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> SelectionMask {
+        let mut keep = sel.clone();
+        if let Some(pred) = &self.filter.pred {
+            keep.and_with(pred.eval_hinted(batch, &mut self.scratch, Some(sel)));
+        }
+        if let Some(f) = self.filter.sample {
+            self.sampled_out.clear();
+            self.sampled_out.extend(
+                keep.iter_set()
+                    .filter(|&i| !sample_hash_keep(batch.obj_id[i], f)),
+            );
+            for &i in &self.sampled_out {
+                keep.clear(i);
+            }
+        }
+        self.kept += keep.count() as u64;
+        keep
+    }
+}
+
+/// The projection sink: kept rows project into [`ColumnarBatch`]es,
+/// coalesced up to [`COALESCE_ROWS`] per channel send — except a
+/// worker's first non-empty batch, which flushes immediately so
+/// coalescing never holds back the ASAP time-to-first-row.
+struct EmitSink {
+    rows: Selector,
+    proj: Arc<CompiledProjection>,
     tx: Sender<ResultBatch>,
+    ticket: Arc<TicketCore>,
+    pending: Option<ColumnarBatch>,
+    sent_any: bool,
 }
 
-impl ColumnarScanJob {
-    fn run_worker(&self, w: usize) {
-        let mut scratch = BatchScratch::new();
-        let mut keep_scratch: Vec<usize> = Vec::new();
-        // Coalesced output: selective predicates keep few rows per input
-        // chunk; accumulating up to COALESCE_ROWS before a send
-        // amortizes the channel round-trip. Each worker's FIRST
-        // non-empty batch flushes immediately — coalescing must not hold
-        // back the ASAP time-to-first-row property.
-        let mut pending: Option<ColumnarBatch> = None;
-        let mut sent_any = false;
-        let mut local = RegionScan::default();
-        let mut morsels = 0u64;
-        let mut selected = 0u64;
-        let mut alive = true;
-        while alive && !self.ticket.is_cancelled() {
-            let Some(m) = self.queue.next(w) else { break };
-            morsels += 1;
-            let (stats, _) = self.source.scan_morsel(m, |batch, sel| {
-                if self.ticket.is_cancelled() {
-                    return false;
-                }
-                let keep = select_rows(
-                    &self.pred,
-                    self.sample,
-                    batch,
-                    sel,
-                    &mut scratch,
-                    &mut keep_scratch,
-                );
-                if keep.any() {
-                    selected += keep.count() as u64;
-                    let out = self.proj.eval_batch(batch, &keep, &mut scratch);
-                    match &mut pending {
-                        None => pending = Some(out),
-                        Some(p) => p.append(out),
-                    }
-                    let threshold = if sent_any { COALESCE_ROWS } else { 1 };
-                    if pending.as_ref().is_some_and(|p| p.len() >= threshold) {
-                        let out = pending.take().expect("checked above");
-                        self.ticket.note_batch(out.len());
-                        sent_any = true;
-                        if self.tx.send(ResultBatch::Columnar(out)).is_err() {
-                            alive = false;
-                            return false; // consumer hung up
-                        }
-                    }
-                }
-                true
-            });
-            local.merge(&stats);
+impl MorselSink for EmitSink {
+    type Partial = ();
+
+    fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool {
+        let keep = self.rows.select(batch, sel);
+        if !keep.any() {
+            return true;
         }
-        if let Some(out) = pending {
-            self.ticket.note_batch(out.len());
-            let _ = self.tx.send(ResultBatch::Columnar(out));
+        let out = self.proj.eval_batch(batch, &keep, &mut self.rows.scratch);
+        match &mut self.pending {
+            Some(p) => p.append(out),
+            None => self.pending = Some(out),
         }
-        self.ticket.note_worker(WorkerScan {
-            bytes_scanned: local.bytes_scanned as u64,
-            morsels,
-            rows_selected: selected,
-        });
-        self.ticket.absorb_scan(&local);
+        let threshold = if self.sent_any { COALESCE_ROWS } else { 1 };
+        let Some(out) = self.pending.take_if(|p| p.len() >= threshold) else {
+            return true;
+        };
+        self.sent_any = true;
+        ship(&self.ticket, &self.tx, ResultBatch::Columnar(out))
+    }
+
+    fn finish(self) -> (u64, ()) {
+        if let Some(out) = self.pending {
+            ship(&self.ticket, &self.tx, ResultBatch::Columnar(out));
+        }
+        (self.rows.kept, ())
     }
 }
 
-/// One parallel aggregate scan with **in-scan folding**: workers fold
-/// `COUNT`/`SUM`/`MIN`/`MAX`/`AVG` partials directly inside the morsel
-/// loop — no hidden `__agg_i` columns ever enter the channel fabric.
-/// The coordinator merges per-worker partial accumulators at the edge
-/// and emits the single result row.
-struct AggScanJob {
-    pred: Option<CompiledPredicate>,
-    inputs: CompiledAggInputs,
-    funcs: Vec<AggFn>,
-    sample: Option<f64>,
-    source: ScanSource,
-    queue: MorselQueue,
+/// The in-scan aggregate sink: fold partials straight off the kept
+/// lanes (partial even when cancelled, like the channel path).
+struct FoldSink {
+    rows: Selector,
+    inputs: Arc<CompiledAggInputs>,
+    accs: Vec<AggAcc>,
     ticket: Arc<TicketCore>,
 }
 
-impl AggScanJob {
-    /// Drain morsels for worker `w`, returning its partial accumulators
-    /// (partial even when cancelled — the channel path emits a partial
-    /// aggregate on cancel too).
-    fn run_worker(&self, w: usize) -> Vec<AggAcc> {
-        let mut scratch = BatchScratch::new();
-        let mut keep_scratch: Vec<usize> = Vec::new();
-        let mut accs: Vec<AggAcc> = self.funcs.iter().map(|&f| AggAcc::new(f)).collect();
-        let mut local = RegionScan::default();
-        let mut morsels = 0u64;
-        let mut folded = 0u64;
-        while !self.ticket.is_cancelled() {
-            let Some(m) = self.queue.next(w) else { break };
-            morsels += 1;
-            let (stats, _) = self.source.scan_morsel(m, |batch, sel| {
-                if self.ticket.is_cancelled() {
-                    return false;
-                }
-                let keep = select_rows(
-                    &self.pred,
-                    self.sample,
-                    batch,
-                    sel,
-                    &mut scratch,
-                    &mut keep_scratch,
-                );
-                if keep.any() {
-                    folded += keep.count() as u64;
-                    self.inputs
-                        .fold(batch, &keep, &mut scratch, |i, v| accs[i].update(v));
-                }
-                true
-            });
-            local.merge(&stats);
+impl MorselSink for FoldSink {
+    type Partial = Vec<AggAcc>;
+
+    fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool {
+        let keep = self.rows.select(batch, sel);
+        if keep.any() {
+            let accs = &mut self.accs;
+            self.inputs
+                .fold(batch, &keep, &mut self.rows.scratch, |i, v| {
+                    accs[i].update(v)
+                });
         }
-        self.ticket.note_rows(folded);
-        self.ticket.note_worker(WorkerScan {
-            bytes_scanned: local.bytes_scanned as u64,
-            morsels,
-            rows_selected: folded,
-        });
-        self.ticket.absorb_scan(&local);
-        accs
+        true
     }
+
+    fn finish(self) -> (u64, Vec<AggAcc>) {
+        // Folded rows never ship as batches; count them into the scan
+        // totals here.
+        self.ticket.note_rows(self.rows.kept);
+        (self.rows.kept, self.accs)
+    }
+}
+
+/// The INTO sink: kept rows leave the column lanes as owned tag records
+/// plus `htm20`, straight into a [`ResultSetBuilder`] — no per-objid
+/// full-store fetch. The session byte budget is checked live per pushed
+/// row; the first row past it stops every worker.
+struct IntoSink {
+    rows: Selector,
+    builder: ResultSetBuilder,
+    budget: u64,
+    ticket: Arc<TicketCore>,
+}
+
+impl MorselSink for IntoSink {
+    type Partial = ResultSetBuilder;
+
+    fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool {
+        let keep = self.rows.select(batch, sel);
+        let kept = keep.count();
+        if kept > 0 {
+            self.ticket.note_batch(kept);
+        }
+        let within_budget = keep.iter_set().all(|i| {
+            self.builder.push(&batch.row(i), batch.htm20[i]);
+            self.builder.bytes() as u64 <= self.budget
+        });
+        within_budget
+    }
+
+    fn finish(self) -> (u64, ResultSetBuilder) {
+        (self.rows.kept, self.builder)
+    }
+}
+
+/// The direct columnar INTO fast path: drive a compiled tag/set scan
+/// into a new result set of `chunk_rows`-row chunks, failing once it
+/// outgrows `budget` bytes. Tag containers and stored sets both hold
+/// each object at most once, so the builder sees no duplicate object
+/// pointers (the property the slow path's dedup hash exists to
+/// establish for set-op streams). INTO holds one worker slot, so its
+/// one worker runs on the calling thread; a worker panic returns `Err`
+/// like a quota overrun, and neither builds a set.
+pub(crate) fn run_into(
+    env: &ExecEnv,
+    spec: &ScanSpec,
+    filter: RowFilter,
+    ticket: &Arc<TicketCore>,
+    set_name: &str,
+    chunk_rows: usize,
+    budget: u64,
+) -> Result<ResultSet, QueryError> {
+    let (filter, t) = (Arc::new(filter), ticket.clone());
+    let make_sink = move || IntoSink {
+        rows: Selector::new(&filter),
+        builder: ResultSetBuilder::new(chunk_rows),
+        budget,
+        ticket: t.clone(),
+    };
+    let mut partials =
+        match ScanSource::resolve(&env.tags, &env.sets, spec, env.cover_level, ticket) {
+            Some(source) => run_morsels(source, 1, ticket, make_sink),
+            None => Vec::new(),
+        };
+    // Resolution failures and worker panics are both on the ticket.
+    if let Some(msg) = ticket.failure() {
+        return Err(QueryError::Exec(msg));
+    }
+    let builder = partials.pop().expect("the INTO worker reported");
+    if builder.bytes() as u64 > budget {
+        return Err(QueryError::Exec(format!(
+            "session byte quota exceeded materializing `{set_name}`: \
+             {budget} bytes available, {} rows already folded",
+            builder.rows()
+        )));
+    }
+    Ok(builder.finish())
 }
 
 // ---------------------------------------------------------------------
@@ -1287,70 +1565,57 @@ pub(crate) fn match_builds_on_a(a_bytes: u64, b_bytes: u64) -> bool {
     a_bytes < b_bytes
 }
 
-/// The shared core of one MATCH execution: the resolved probe source
-/// (one morsel per chunk/container, drained through the byte-balanced
-/// [`MorselQueue`] exactly like a columnar scan), the collected build
-/// rows with their [`DecZoneIndex`], and the join parameters. Probe workers
-/// share it behind an `Arc`; the projection and aggregate variants both
-/// drain pairs through [`MatchJobCore::drain_worker`].
-struct MatchJobCore {
+/// The build half of one MATCH execution: the collected build rows with
+/// their [`DecZoneIndex`] and the join parameters, shared read-only by
+/// every probe worker. The probe side is a plain [`ScanSource`] that the
+/// morsel driver drains like any columnar scan.
+struct MatchJoin {
     predicate: Option<Expr>,
-    sample: Option<f64>,
+    /// The sample clause when it filters probe rows (`a` probes).
+    probe_sample: Option<f64>,
     radius_arcsec: f64,
     /// The build rows are input `a` and the probe rows input `b` (see
     /// [`match_builds_on_a`]); pairs are presented as `(a, b)` either way.
     build_is_a: bool,
     build: Vec<TagObject>,
     index: DecZoneIndex,
-    probe: ScanSource,
-    queue: MorselQueue,
-    ticket: Arc<TicketCore>,
 }
 
-impl MatchJobCore {
+impl MatchJoin {
     /// Resolve both join sides (the archive one restricted to the
-    /// footprint) and build the declination-zone index. Returns the
-    /// core plus the worker count (capped by probe morsels). Failures
-    /// are recorded on the ticket (the consumer sees a closed channel
-    /// plus the failure message, like every other resolution error).
+    /// footprint), collect the build side and index it; returns the probe
+    /// source and the join. Failures are recorded on the ticket.
     fn prepare(
         tags: &Option<Arc<TagStore>>,
         sets: &HashMap<String, Arc<ResultSet>>,
         spec: &ScanSpec,
-        m: MatchSpec,
-        workers: usize,
-        ticket: Arc<TicketCore>,
-    ) -> Option<(MatchJobCore, usize)> {
-        let footprint = match_archive_footprint(&m, sets);
-        let a = Self::resolve_input(&m.a, &footprint, tags, sets, &ticket)?;
-        let b = Self::resolve_input(&m.b, &footprint, tags, sets, &ticket)?;
+        m: &MatchSpec,
+        ticket: &TicketCore,
+    ) -> Option<(ScanSource, Arc<MatchJoin>)> {
+        let footprint = match_archive_footprint(m, sets);
+        let a = Self::resolve_input(&m.a, &footprint, tags, sets, ticket)?;
+        let b = Self::resolve_input(&m.b, &footprint, tags, sets, ticket)?;
         let build_is_a = match_builds_on_a(a.total_bytes(), b.total_bytes());
         let (probe, build_side) = if build_is_a { (b, a) } else { (a, b) };
+        // The driver notes the probe side's cover lookup; note the
+        // build side's here.
+        if let Some(hit) = build_side.cover_cache_hit() {
+            ticket.note_cover(hit);
+        }
         // The sample clause filters `a` rows: on the probe side when `a`
         // probes, here when it is the build side.
         let build_sample = spec.sample.filter(|_| build_is_a);
-        // Collect the build side once; its scan bytes are accounted to
-        // the execution totals (but not to any probe worker).
-        let (build, build_bytes, build_chunks) =
-            Self::collect_build(&build_side, build_sample, &ticket)?;
-        ticket.absorb_sweep(build_bytes, build_chunks);
+        let build = Self::collect_build(&build_side, build_sample, ticket)?;
         let index = DecZoneIndex::build(build.iter().map(TagObject::unit_vec), m.radius_arcsec);
-        let n_workers = workers.min(probe.n_morsels()).max(1);
-        let queue = MorselQueue::build(&probe.morsel_bytes(), n_workers);
-        Some((
-            MatchJobCore {
-                predicate: spec.predicate.clone(),
-                sample: spec.sample,
-                radius_arcsec: m.radius_arcsec,
-                build_is_a,
-                build,
-                index,
-                probe,
-                queue,
-                ticket,
-            },
-            n_workers,
-        ))
+        let join = MatchJoin {
+            predicate: spec.predicate.clone(),
+            probe_sample: spec.sample.filter(|_| !build_is_a),
+            radius_arcsec: m.radius_arcsec,
+            build_is_a,
+            build,
+            index,
+        };
+        Some((probe, Arc::new(join)))
     }
 
     /// One join input as a morsel source, delegated to the scan path's
@@ -1358,9 +1623,6 @@ impl MatchJobCore {
     /// chunks, the archive resolves to a tag scan plan over `footprint`
     /// (a cover of the other input's cap, or the whole sky), and an
     /// archive input facing an empty set resolves to no rows at all.
-    /// The probe side drains it in parallel; the build side drains it
-    /// serially in `collect_build`. Notes the archive scan's cover-cache
-    /// lookup on the ticket.
     fn resolve_input(
         input: &MatchInput,
         footprint: &MatchFootprint,
@@ -1382,26 +1644,21 @@ impl MatchJobCore {
             columns: Vec::new(),
             sample: None,
         };
-        let resolved = ScanSource::resolve(tags.clone(), sets, &spec, None, ticket)?;
-        if let Some(hit) = resolved.cover_cache_hit() {
-            ticket.note_cover(hit);
-        }
-        Some(resolved)
+        ScanSource::resolve(tags, sets, &spec, None, ticket)
     }
 
-    /// Materialize the build side as owned tag rows: every morsel's
+    /// Materialize the build side once as owned tag rows: every morsel's
     /// selected rows (a footprint-restricted archive scan clears the
     /// rows of bisected containers outside the cap), filtered by the
-    /// sample when it applies to this side. The drain goes through the
-    /// same [`ScanSource`] seam as the probe side; cancellation is
-    /// checked per morsel — a whole-archive build side is the most
-    /// expensive thing a cancelled MATCH could otherwise keep doing.
-    /// The zone index holds row indices into the returned vector.
+    /// sample when it applies to this side. Cancellation is checked per
+    /// morsel — a whole-archive build side is the most expensive thing
+    /// a cancelled MATCH could otherwise keep doing. Its bytes count
+    /// toward the execution totals but toward no probe worker.
     fn collect_build(
         source: &ScanSource,
         sample: Option<f64>,
         ticket: &TicketCore,
-    ) -> Option<(Vec<TagObject>, usize, usize)> {
+    ) -> Option<Vec<TagObject>> {
         let mut rows = Vec::new();
         let mut bytes = 0usize;
         let containers = source.n_morsels();
@@ -1419,412 +1676,143 @@ impl MatchJobCore {
             });
             bytes += stats.bytes_scanned;
         }
-        Some((rows, bytes, containers))
+        ticket.absorb_sweep(bytes, containers);
+        Some(rows)
     }
 
-    /// Drain probe morsels for worker `w`, streaming every surviving
-    /// pair (identity pairs excluded, sample applied to `a` rows,
-    /// predicate evaluated per pair). `on_pair` returns `false` to
-    /// abort (consumer hang-up). Registers the worker's accounting.
-    fn drain_worker(&self, w: usize, mut on_pair: impl FnMut(&PairSource<'_>) -> bool) {
-        let mut local = RegionScan::default();
-        let mut morsels = 0u64;
-        let mut pairs = 0u64;
+    /// Join the selected probe rows of one batch against the zone index
+    /// and hand every surviving pair to `on_pair`: identity pairs
+    /// excluded, the sample applied to `a` rows, the predicate evaluated
+    /// per pair. `false` from `on_pair` stops the probe and is returned.
+    fn probe(
+        &self,
+        batch: &ColumnBatch<'_>,
+        sel: &SelectionMask,
+        mut on_pair: impl FnMut(&PairSource<'_>) -> bool,
+    ) -> bool {
         let mut alive = true;
-        while alive && !self.ticket.is_cancelled() {
-            let Some(m) = self.queue.next(w) else { break };
-            morsels += 1;
-            let (stats, _) = self.probe.scan_morsel(m, |batch, sel| {
-                if self.ticket.is_cancelled() {
-                    return false;
-                }
-                for i in sel.iter_set() {
-                    let probe_id = batch.obj_id[i];
-                    if let Some(f) = self.sample.filter(|_| !self.build_is_a) {
-                        if !sample_hash_keep(probe_id, f) {
-                            continue;
+        for i in sel.iter_set() {
+            let probe_id = batch.obj_id[i];
+            if self
+                .probe_sample
+                .is_some_and(|f| !sample_hash_keep(probe_id, f))
+            {
+                continue;
+            }
+            // The probe row is only materialized once it pairs.
+            let mut probe_row: Option<TagObject> = None;
+            self.index
+                .neighbors_within(batch.unit_vec(i), self.radius_arcsec, |ri, sep| {
+                    if !alive {
+                        return;
+                    }
+                    let built = &self.build[ri as usize];
+                    // An object is not its own neighbor: the self-join
+                    // identity pair (sep = 0) carries no information.
+                    if built.obj_id == probe_id {
+                        return;
+                    }
+                    let probed = &*probe_row.get_or_insert_with(|| batch.row(i));
+                    let (a, b) = if self.build_is_a {
+                        (built, probed)
+                    } else {
+                        (probed, built)
+                    };
+                    let pair = PairSource {
+                        a,
+                        b,
+                        sep_arcsec: sep,
+                    };
+                    if let Some(pred) = &self.predicate {
+                        match eval(pred, &pair) {
+                            Ok(Value::Bool(true)) => {}
+                            // Type errors drop the pair, like the
+                            // row-wise scan fallback.
+                            Ok(_) | Err(_) => return,
                         }
                     }
-                    // The probe row is only materialized once it pairs.
-                    let mut probe_row: Option<TagObject> = None;
-                    self.index.neighbors_within(
-                        batch.unit_vec(i),
-                        self.radius_arcsec,
-                        |ri, sep| {
-                            if !alive {
-                                return;
-                            }
-                            let built = &self.build[ri as usize];
-                            // An object is not its own neighbor: the
-                            // self-join identity pair (sep = 0) carries
-                            // no information.
-                            if built.obj_id == probe_id {
-                                return;
-                            }
-                            let probed = &*probe_row.get_or_insert_with(|| batch.row(i));
-                            let (a, b) = if self.build_is_a {
-                                (built, probed)
-                            } else {
-                                (probed, built)
-                            };
-                            let pair = PairSource {
-                                a,
-                                b,
-                                sep_arcsec: sep,
-                            };
-                            if let Some(pred) = &self.predicate {
-                                match eval(pred, &pair) {
-                                    Ok(Value::Bool(true)) => {}
-                                    // Type errors drop the pair, like
-                                    // the row-wise scan fallback.
-                                    Ok(_) | Err(_) => return,
-                                }
-                            }
-                            pairs += 1;
-                            if !on_pair(&pair) {
-                                alive = false;
-                            }
-                        },
-                    );
-                    if !alive {
-                        return false;
-                    }
-                }
-                true
-            });
-            local.merge(&stats);
-        }
-        self.ticket.note_worker(WorkerScan {
-            bytes_scanned: local.bytes_scanned as u64,
-            morsels,
-            rows_selected: pairs,
-        });
-        self.ticket.absorb_scan(&local);
-    }
-}
-
-/// Spawn a MATCH projection scan: probe workers drain morsels from the
-/// byte-balanced queue, join each probe row against the declination-zone
-/// index, and stream projected pair rows into the shared channel.
-fn spawn_match_scan(
-    env: &ExecEnv,
-    spec: ScanSpec,
-    m: MatchSpec,
-    ticket: &Arc<TicketCore>,
-) -> BatchHandle {
-    let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-    let columns: Arc<Vec<String>> = Arc::new(spec.columns.iter().map(|(n, _)| n.clone()).collect());
-    let exprs: Arc<Vec<Expr>> = Arc::new(spec.columns.iter().map(|(_, e)| e.clone()).collect());
-    let tags = env.tags.clone();
-    let sets = env.sets.clone();
-    let workers = env.workers.max(1);
-    let ticket = ticket.clone();
-    spawn_guarded(ticket.clone(), move || {
-        let Some((core, n_workers)) =
-            MatchJobCore::prepare(&tags, &sets, &spec, m, workers, ticket.clone())
-        else {
-            return;
-        };
-        let core = Arc::new(core);
-        for w in 1..n_workers {
-            let core = core.clone();
-            let exprs = exprs.clone();
-            let tx = tx.clone();
-            spawn_guarded(core.ticket.clone(), move || {
-                run_match_scan_worker(&core, &exprs, &tx, w)
-            });
-        }
-        run_match_scan_worker(&core, &exprs, &tx, 0);
-    });
-    BatchHandle { columns, rx }
-}
-
-/// One MATCH projection worker: evaluate the output expressions per
-/// pair and ship row batches (pair rows are heterogeneous expression
-/// results — the row form of the fabric, like every non-compiled path).
-fn run_match_scan_worker(core: &MatchJobCore, exprs: &[Expr], tx: &Sender<ResultBatch>, w: usize) {
-    let mut out: Vec<Row> = Vec::with_capacity(BATCH);
-    let mut aborted = false;
-    core.drain_worker(w, |pair| {
-        let mut row: Row = Vec::with_capacity(exprs.len());
-        for expr in exprs {
-            row.push(eval(expr, pair).unwrap_or(Value::Null));
-        }
-        out.push(row);
-        if out.len() >= BATCH {
-            core.ticket.note_batch(out.len());
-            if tx
-                .send(ResultBatch::Rows(std::mem::take(&mut out)))
-                .is_err()
-            {
-                aborted = true;
+                    alive = on_pair(&pair);
+                });
+            if !alive {
                 return false;
             }
         }
         true
-    });
-    if !aborted && !out.is_empty() {
-        core.ticket.note_batch(out.len());
-        let _ = tx.send(ResultBatch::Rows(out));
     }
 }
 
-/// Spawn a MATCH aggregate with in-scan folding: probe workers fold
-/// per-worker partial accumulators over the pairs they produce (the
-/// `COUNT(*)` pair-count of the paper's neighbor queries never ships a
-/// pair stream), and the coordinator merges partials into one row.
-fn spawn_match_agg_scan(
-    env: &ExecEnv,
-    spec: ScanSpec,
-    m: MatchSpec,
-    aggs: Vec<AggSpec>,
-    ticket: &Arc<TicketCore>,
-) -> BatchHandle {
-    let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-    let columns = Arc::new(aggs.iter().map(|a| a.name.clone()).collect::<Vec<_>>());
-    let funcs: Vec<AggFn> = aggs.iter().map(|a| a.func).collect();
-    let args: Arc<Vec<Option<Expr>>> = Arc::new(aggs.into_iter().map(|a| a.arg).collect());
-    let tags = env.tags.clone();
-    let sets = env.sets.clone();
-    let workers = env.workers.max(1);
-    let ticket = ticket.clone();
-    spawn_guarded(ticket.clone(), move || {
-        let Some((core, n_workers)) =
-            MatchJobCore::prepare(&tags, &sets, &spec, m, workers, ticket.clone())
-        else {
-            return;
-        };
-        let core = Arc::new(core);
-        let (ptx, prx) = bounded::<Vec<AggAcc>>(n_workers);
-        for w in 1..n_workers {
-            let core = core.clone();
-            let args = args.clone();
-            let funcs = funcs.clone();
-            let ptx = ptx.clone();
-            spawn_guarded(core.ticket.clone(), move || {
-                let _ = ptx.send(run_match_agg_worker(&core, &args, &funcs, w));
-            });
-        }
-        let _ = ptx.send(run_match_agg_worker(&core, &args, &funcs, 0));
-        drop(ptx);
-        let mut acc: Vec<AggAcc> = funcs.iter().map(|&f| AggAcc::new(f)).collect();
-        for partial in prx.iter() {
-            for (a, p) in acc.iter_mut().zip(partial) {
-                a.merge(p);
-            }
-        }
-        let row: Row = acc.into_iter().map(AggAcc::finish).collect();
-        ticket.note_emitted();
-        let _ = tx.send(ResultBatch::Rows(vec![row]));
-    });
-    BatchHandle { columns, rx }
+/// The MATCH sink that emits pairs: probe, then evaluate the output
+/// expressions per pair and ship row batches (pair rows are
+/// heterogeneous expression results — the row form of the fabric, like
+/// every non-compiled path).
+struct PairRows {
+    join: Arc<MatchJoin>,
+    exprs: Arc<Vec<Expr>>,
+    out: Vec<Row>,
+    tx: Sender<ResultBatch>,
+    ticket: Arc<TicketCore>,
+    pairs: u64,
 }
 
-/// One MATCH aggregate worker: fold each surviving pair straight into
-/// the partial accumulators.
-fn run_match_agg_worker(
-    core: &MatchJobCore,
-    args: &[Option<Expr>],
-    funcs: &[AggFn],
-    w: usize,
-) -> Vec<AggAcc> {
-    let mut accs: Vec<AggAcc> = funcs.iter().map(|&f| AggAcc::new(f)).collect();
-    let mut folded = 0u64;
-    core.drain_worker(w, |pair| {
-        folded += 1;
-        for (acc, arg) in accs.iter_mut().zip(args) {
-            let v = arg
-                .as_ref()
-                .and_then(|e| eval(e, pair).ok())
-                .and_then(|v| v.as_num());
-            acc.update(v);
-        }
-        true
-    });
-    // Folded pairs never ship as batches; count them into the scan
-    // totals like the in-scan aggregate over a normal scan does, so
-    // `QueryStats.scan.rows_scanned` stays comparable across shapes.
-    core.ticket.note_rows(folded);
-    accs
-}
+impl MorselSink for PairRows {
+    type Partial = ();
 
-// ---------------------------------------------------------------------
-// The direct columnar INTO fast path
-// ---------------------------------------------------------------------
-
-/// Gate for the direct columnar INTO fast path: `Some(pred)` iff the
-/// scan reads a columnar source (tag partition or stored set) and its
-/// predicate (when present) compiles. The projection is irrelevant — an
-/// INTO materializes whole tag records, which the column lanes already
-/// carry.
-pub(crate) fn compile_into_scan(
-    spec: &ScanSpec,
-    tags_available: bool,
-    mode: ExecMode,
-) -> Option<Option<CompiledPredicate>> {
-    if mode != ExecMode::Auto || !columnar_source(spec, tags_available) {
-        return None;
+    fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool {
+        self.join.probe(batch, sel, |pair| {
+            self.pairs += 1;
+            let row = self
+                .exprs
+                .iter()
+                .map(|e| eval(e, pair).unwrap_or(Value::Null));
+            self.out.push(row.collect());
+            self.out.len() < BATCH
+                || ship(
+                    &self.ticket,
+                    &self.tx,
+                    ResultBatch::Rows(std::mem::take(&mut self.out)),
+                )
+        })
     }
-    match &spec.predicate {
-        None => Some(None),
-        Some(p) => compile_predicate(p).map(Some),
+
+    fn finish(self) -> (u64, ()) {
+        if !self.out.is_empty() {
+            ship(&self.ticket, &self.tx, ResultBatch::Rows(self.out));
+        }
+        (self.pairs, ())
     }
 }
 
-/// Drive a compiled tag/set scan straight into a materialization sink:
-/// selected rows leave the [`ColumnBatch`] lanes as owned tag records +
-/// `htm20`, with **no per-objid full-store fetch** — the direct columnar
-/// INTO fast path. The sink may error (quota enforcement) to abort the
-/// scan. Tag containers and stored sets both hold each object at most
-/// once, so the sink sees no duplicate object pointers (the property
-/// the slow path's dedup hash exists to establish for set-op streams).
-pub(crate) fn drive_into_scan(
-    tags: Option<Arc<TagStore>>,
-    sets: &HashMap<String, Arc<ResultSet>>,
-    spec: &ScanSpec,
-    pred: Option<CompiledPredicate>,
-    cover_level: Option<u8>,
-    ticket: &Arc<TicketCore>,
-    mut sink: impl FnMut(&TagObject, u64) -> Result<(), QueryError>,
-) -> Result<(), QueryError> {
-    let Some(source) = ScanSource::resolve(tags, sets, spec, cover_level, ticket) else {
-        return Err(QueryError::Exec(ticket.failure().unwrap_or_else(|| {
-            "INTO scan source resolution failed".to_string()
-        })));
-    };
-    if let Some(hit) = source.cover_cache_hit() {
-        ticket.note_cover(hit);
-    }
-    let mut scratch = BatchScratch::new();
-    let mut keep_scratch: Vec<usize> = Vec::new();
-    let mut local = RegionScan::default();
-    let mut selected = 0u64;
-    let mut morsels = 0u64;
-    let mut err: Option<QueryError> = None;
-    for m in 0..source.n_morsels() {
-        if ticket.is_cancelled() {
-            break;
-        }
-        morsels += 1;
-        let (stats, _) = source.scan_morsel(m, |batch, sel| {
-            let keep = select_rows(
-                &pred,
-                spec.sample,
-                batch,
-                sel,
-                &mut scratch,
-                &mut keep_scratch,
-            );
-            let kept = keep.count();
-            if kept > 0 {
-                selected += kept as u64;
-                ticket.note_batch(kept);
-                for i in keep.iter_set() {
-                    if let Err(e) = sink(&batch.row(i), batch.htm20[i]) {
-                        err = Some(e);
-                        return false;
-                    }
-                }
+/// The MATCH sink that folds pairs: probe, then fold each pair straight
+/// into partial accumulators.
+struct PairFold {
+    join: Arc<MatchJoin>,
+    args: Arc<Vec<Option<Expr>>>,
+    accs: Vec<AggAcc>,
+    ticket: Arc<TicketCore>,
+    pairs: u64,
+}
+
+impl MorselSink for PairFold {
+    type Partial = Vec<AggAcc>;
+
+    fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool {
+        self.join.probe(batch, sel, |pair| {
+            self.pairs += 1;
+            for (acc, arg) in self.accs.iter_mut().zip(self.args.iter()) {
+                let v = arg.as_ref().and_then(|e| eval(e, pair).ok());
+                acc.update(v.and_then(|v| v.as_num()));
             }
             true
-        });
-        local.merge(&stats);
-        if err.is_some() {
-            break;
-        }
+        })
     }
-    ticket.note_worker(WorkerScan {
-        bytes_scanned: local.bytes_scanned as u64,
-        morsels,
-        rows_selected: selected,
-    });
-    ticket.absorb_scan(&local);
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
 
-/// Lower `Aggregate(Scan)` for in-scan folding: `Some` iff the scan
-/// itself compiles and every aggregate argument lowers to a numeric
-/// program. The fallback is the channel path (scan projects `__agg_i`
-/// columns, the Aggregate node folds them).
-fn compile_agg_scan(
-    spec: &ScanSpec,
-    aggs: &[AggSpec],
-    tags_available: bool,
-    mode: ExecMode,
-) -> Option<(Option<CompiledPredicate>, CompiledAggInputs)> {
-    if mode != ExecMode::Auto || !columnar_source(spec, tags_available) {
-        return None;
+    fn finish(self) -> (u64, Vec<AggAcc>) {
+        // Folded pairs never ship as batches; count them into the scan
+        // totals like the in-scan aggregate over a normal scan does, so
+        // `QueryStats.scan.rows_scanned` stays comparable across shapes.
+        self.ticket.note_rows(self.pairs);
+        (self.pairs, self.accs)
     }
-    let pred = match &spec.predicate {
-        None => None,
-        Some(p) => Some(compile_predicate(p)?),
-    };
-    let args: Vec<Option<&crate::ast::Expr>> = aggs.iter().map(|a| a.arg.as_ref()).collect();
-    Some((pred, compile_agg_inputs(&args)?))
-}
-
-/// Spawn the fused aggregate scan: morsel workers fold partials, the
-/// coordinator merges them and emits one row.
-fn spawn_agg_scan(
-    env: &ExecEnv,
-    spec: ScanSpec,
-    aggs: Vec<AggSpec>,
-    pred: Option<CompiledPredicate>,
-    inputs: CompiledAggInputs,
-    ticket: &Arc<TicketCore>,
-) -> BatchHandle {
-    let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-    let columns = Arc::new(aggs.iter().map(|a| a.name.clone()).collect::<Vec<_>>());
-    let funcs: Vec<AggFn> = aggs.iter().map(|a| a.func).collect();
-    let tags = env.tags.clone();
-    let sets = env.sets.clone();
-    let cover_level = env.cover_level;
-    let workers = env.workers.max(1);
-    let ticket = ticket.clone();
-    spawn_guarded(ticket.clone(), move || {
-        let Some(source) = ScanSource::resolve(tags, &sets, &spec, cover_level, &ticket) else {
-            return;
-        };
-        if let Some(hit) = source.cover_cache_hit() {
-            ticket.note_cover(hit);
-        }
-        let n_workers = workers.min(source.n_morsels()).max(1);
-        let job = Arc::new(AggScanJob {
-            pred,
-            inputs,
-            funcs: funcs.clone(),
-            sample: spec.sample,
-            queue: MorselQueue::build(&source.morsel_bytes(), n_workers),
-            source,
-            ticket: ticket.clone(),
-        });
-        let (ptx, prx) = bounded::<Vec<AggAcc>>(n_workers);
-        for w in 1..n_workers {
-            let job = job.clone();
-            let ptx = ptx.clone();
-            spawn_guarded(ticket.clone(), move || {
-                let _ = ptx.send(job.run_worker(w));
-            });
-        }
-        let _ = ptx.send(job.run_worker(0));
-        drop(ptx);
-        // Merge partials at the edge. A panicked worker drops its sender
-        // without a partial; its failure is already on the ticket and
-        // the merge proceeds over what arrived.
-        let mut acc: Vec<AggAcc> = funcs.iter().map(|&f| AggAcc::new(f)).collect();
-        for partial in prx.iter() {
-            for (a, p) in acc.iter_mut().zip(partial) {
-                a.merge(p);
-            }
-        }
-        let row: Row = acc.into_iter().map(AggAcc::finish).collect();
-        ticket.note_emitted();
-        let _ = tx.send(ResultBatch::Rows(vec![row]));
-    });
-    BatchHandle { columns, rx }
 }
 
 /// Wrapper so `&dyn AttrSource` satisfies the generic eval bound.
@@ -1858,6 +1846,11 @@ pub fn compare_values(a: &Value, b: &Value) -> std::cmp::Ordering {
         (Value::Bool(_), _) => Less,
         (_, Value::Bool(_)) => Greater,
     }
+}
+
+/// Fresh accumulators, one per aggregate function.
+fn new_accs(funcs: &[AggFn]) -> Vec<AggAcc> {
+    funcs.iter().map(|&f| AggAcc::new(f)).collect()
 }
 
 /// Aggregate accumulator.

@@ -103,6 +103,22 @@
 //! # Ok::<(), sdss_query::QueryError>(())
 //! ```
 //!
+//! ## The result contract
+//!
+//! Parallel execution fixes only what the query asks for:
+//!
+//! * Without `ORDER BY`, a result is a **multiset**: scan workers merge
+//!   their streams in whatever order they finish morsels, so compare
+//!   results as sorted multisets, never by position.
+//! * With `ORDER BY`, only the key order is fixed; rows with equal keys
+//!   may come in any order.
+//! * Parallel aggregates (`SUM`, `AVG`) merge per-worker partials, so
+//!   they agree with a serial run within float-merge tolerance, not
+//!   bit for bit. `COUNT`, `MIN` and `MAX` agree exactly.
+//! * A failed execution returns an error, never a truncated result: a
+//!   scan worker panic or a quota overrun surfaces as `Err`, and its
+//!   admission slots return to the pool.
+//!
 //! Module map:
 //!
 //! * [`ast`] / [`lexer`] / [`parser`] — a small SQL-ish surface language

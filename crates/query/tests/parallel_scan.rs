@@ -249,7 +249,8 @@ fn parallel_sweep_holds_one_slot_per_worker() {
     let mut stream = prepared.stream().unwrap();
     assert!(stream.next_batch().is_some());
     // Mid-flight, the execution holds one admission slot per granted
-    // worker — the contract dataflow::pool documents.
+    // worker — the slot-accounting contract of the engine's morsel
+    // driver (`exec::run_morsels`).
     assert_eq!(parallel.admission().running, 4);
     while stream.next_batch().is_some() {}
     let stats = stream.finish();

@@ -31,7 +31,7 @@ use std::sync::Arc;
 /// Default rows per chunk (= per scan morsel) of a materialized set.
 /// Large enough to amortize per-morsel overhead, small enough that a
 /// few-thousand-row workspace still yields several morsels for the
-/// worker pool.
+/// scan workers.
 pub const RESULT_SET_CHUNK_ROWS: usize = 4096;
 
 /// A named server-side result set: tag objects materialized columnar.

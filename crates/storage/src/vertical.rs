@@ -475,7 +475,7 @@ impl TagStore {
     ///
     /// This is the serial driver over [`TagStore::plan_batch_scan`] +
     /// [`TagStore::scan_morsel`] — the query engine's parallel scan
-    /// drains the same morsels from a worker pool instead.
+    /// drains the same morsels with its morsel driver instead.
     ///
     /// The callback may return `false` to stop early. `objects_yielded`
     /// counts selected rows.

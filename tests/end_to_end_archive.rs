@@ -69,7 +69,7 @@ fn all_access_paths_agree() {
 
     // Path 3: the scan machine over a 4-node cluster.
     let cluster = SimCluster::from_store(&store, 4).unwrap();
-    let machine = ScanMachine::new(&cluster).unwrap();
+    let machine = ScanMachine::new(&cluster);
     let dom = domain.clone();
     let pred: ObjPredicate = Arc::new(move |o| dom.contains(o.unit_vec()) && o.mag(2) < 21.0);
     let mut p3 = Vec::new();

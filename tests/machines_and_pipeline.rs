@@ -1,12 +1,10 @@
-//! Integration: continuous scan + batch scheduler + river + archive
-//! replication working together, and the data pump accounting.
+//! Integration: continuous scan + river + archive replication working
+//! together, and the data pump accounting.
 
 use sdss::archive::{ArchiveNetwork, DataPump};
 use sdss::catalog::{ObjClass, SkyModel, TagObject};
-use sdss::dataflow::{
-    BatchScheduler, JobClass, JobState, ObjPredicate, RiverGraph, ScanMachine, SimCluster,
-};
-use sdss::storage::{CostModel, ObjectStore, StoreConfig, TagStore};
+use sdss::dataflow::{ObjPredicate, RiverGraph, ScanMachine, SimCluster};
+use sdss::storage::{ObjectStore, StoreConfig, TagStore};
 use std::sync::Arc;
 
 #[test]
@@ -15,7 +13,7 @@ fn continuous_scan_serves_overlapping_queries() {
     let mut store = ObjectStore::new(StoreConfig::default()).unwrap();
     store.insert_batch(&objs).unwrap();
     let cluster = SimCluster::from_store(&store, 3).unwrap();
-    let machine = ScanMachine::new(&cluster).unwrap();
+    let machine = ScanMachine::new(&cluster);
     let scan = machine.continuous();
 
     let preds: Vec<(ObjPredicate, usize)> = vec![
@@ -41,28 +39,12 @@ fn continuous_scan_serves_overlapping_queries() {
 }
 
 #[test]
-fn scheduler_drives_machine_jobs() {
+fn river_filters_and_sorts_tag_partition() {
     let objs = SkyModel::small(302).generate().unwrap();
     let mut store = ObjectStore::new(StoreConfig::default()).unwrap();
     store.insert_batch(&objs).unwrap();
 
-    // Cost model feeds the scheduler's estimates.
-    let model = CostModel::default();
-    let domain = sdss::htm::Region::circle(185.0, 15.0, 2.0).unwrap();
-    let est = model.estimate(&store, &domain).unwrap();
-
-    let mut sched = BatchScheduler::new(1);
-    let lens_job = sched.submit("lens pairs", JobClass::Batch, est.est_seconds);
-    let cone_job = sched.submit("cone query", JobClass::Interactive, est.est_seconds);
-
-    // Interactive dispatches first even though it was submitted later.
-    let first = sched.dispatch().unwrap().id;
-    assert_eq!(first, cone_job);
-    sched.complete(cone_job);
-    let second = sched.dispatch().unwrap().id;
-    assert_eq!(second, lens_job);
-
-    // Run the batch job for real: a river over the tag partition.
+    // A river over the tag partition: filter to galaxies, sort by r.
     let tags_store = TagStore::from_store(&store);
     let mut all_tags: Vec<TagObject> = Vec::new();
     tags_store.scan_all(|t| all_tags.push(*t));
@@ -72,9 +54,10 @@ fn scheduler_drives_machine_jobs() {
         .sort_by(|t| t.mags[2] as f64);
     let (sorted, report) = river.run(&all_tags).unwrap();
     assert_eq!(report.records_in, all_tags.len());
+    let galaxies = all_tags.iter().filter(|t| t.class == ObjClass::Galaxy);
+    assert_eq!(sorted.len(), galaxies.count());
+    assert!(sorted.iter().all(|t| t.class == ObjClass::Galaxy));
     assert!(sorted.windows(2).all(|w| w[0].mags[2] <= w[1].mags[2]));
-    sched.complete(lens_job);
-    assert_eq!(sched.state_of(lens_job), Some(JobState::Done));
 }
 
 #[test]
