@@ -15,8 +15,9 @@
 //! domain (string ordering, non-literal `DIST` targets, full-object
 //! attributes) returns `None` and the scan falls back to the row
 //! interpreter. Compiled semantics match the interpreter bit-for-bit:
-//! f32 colors subtract in f32 before widening, `ra`/`dec` derive through
-//! the same `SkyPos` code path, and boolean lanes are **three-valued**
+//! f32 colors subtract in f32 before widening, `ra`/`dec` load the
+//! chunk lanes derived through the same `SkyPos` code path as the
+//! interpreter, and boolean lanes are **three-valued**
 //! (true / false / error) because the interpreter turns a NaN comparison
 //! into a row-level error that short-circuits through AND/OR exactly
 //! like an exception — `NOT (NaN != x)` keeps no rows even though a
@@ -48,7 +49,8 @@ enum NumSrc {
     /// (identical rounding to `TagObject::color_*() as f64`).
     Color(u8, u8),
     Size,
-    /// Derived per row through `SkyPos::from_unit_vec`.
+    /// The chunk's derived `ra`/`dec` lanes (filled once per row at
+    /// push time through `SkyPos::from_unit_vec`), copied like `X`.
     Ra,
     Dec,
 }
@@ -275,13 +277,8 @@ fn exec_inst(
                         *x = s as f64;
                     }
                 }
-                NumSrc::Ra | NumSrc::Dec => {
-                    let want_ra = matches!(src, NumSrc::Ra);
-                    each_row(rows, hint, |i| {
-                        let pos = SkyPos::from_unit_vec(batch.unit_vec(i));
-                        lane[i] = if want_ra { pos.ra_deg() } else { pos.dec_deg() };
-                    });
-                }
+                NumSrc::Ra => lane.copy_from_slice(batch.ra),
+                NumSrc::Dec => lane.copy_from_slice(batch.dec),
             }
         }
         Inst::Arith { op, a, b, dst } => {

@@ -1426,10 +1426,10 @@ impl MorselSink for FoldSink {
     }
 }
 
-/// The INTO sink: kept rows leave the column lanes as owned tag records
-/// plus `htm20`, straight into a [`ResultSetBuilder`] — no per-objid
-/// full-store fetch. The session byte budget is checked live per pushed
-/// row; the first row past it stops every worker.
+/// The INTO sink: kept rows copy their column lanes (`ra`/`dec` and
+/// `htm20` included) straight into a [`ResultSetBuilder`] — no per-objid
+/// full-store fetch, no record rebuilt. The session byte budget is
+/// checked live per pushed row; the first row past it stops every worker.
 struct IntoSink {
     rows: Selector,
     builder: ResultSetBuilder,
@@ -1447,7 +1447,7 @@ impl MorselSink for IntoSink {
             self.ticket.note_batch(kept);
         }
         let within_budget = keep.iter_set().all(|i| {
-            self.builder.push(&batch.row(i), batch.htm20[i]);
+            self.builder.push_from(batch, i);
             self.builder.bytes() as u64 <= self.budget
         });
         within_budget

@@ -10,6 +10,18 @@
 //! engine's compiled predicates with a [`SelectionMask`] carrying which
 //! rows survive (the cover test, the predicate, sampling).
 //!
+//! Besides the ten stored attributes a chunk keeps two **derived lanes**,
+//! `ra` and `dec`. The tag record stores position as the unit vector
+//! (x, y, z) only, so every query that projects or filters on `ra`/`dec`
+//! would otherwise run `atan2`/`asin` per selected row. The chunk derives
+//! them once, when a row is pushed, through `SkyPos::from_unit_vec` —
+//! the same call `TagObject::pos` makes — so the lanes are bit-identical
+//! to what the row interpreter computes (SkyServer keeps `ra, dec` next
+//! to `cx, cy, cz` for the same reason). A chunk therefore costs
+//! 8 + 24 + 16 + 20 + 4 + 1 + 8 = 81 heap bytes per row
+//! ([`ColumnChunk::bytes`]), 16 more than the 65 bytes of the stored
+//! attributes and the HTM key.
+//!
 //! [`TagView`] is the row-wise little sibling: a zero-copy view over one
 //! serialized 64-byte tag record that decodes single fields on demand,
 //! for paths that still walk records (boundary-trixel exact tests, the
@@ -29,12 +41,21 @@ pub const BATCH_ROWS: usize = 1024;
 /// record bytes; the record bytes remain the durable format, the chunk is
 /// the scan-optimized image of the same rows (insertion order matches
 /// record slot order).
+///
+/// `ra` and `dec` are derived lanes: [`ColumnChunk::push`] fills them
+/// from x, y, z through `SkyPos::from_unit_vec`, never from a stored
+/// catalog angle, so `ra[i]`/`dec[i]` equal the bits of `row(i).pos()`.
+/// [`ColumnChunk::bytes`] counts them: 81 bytes per row.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnChunk {
     pub obj_id: Vec<u64>,
     pub x: Vec<f64>,
     pub y: Vec<f64>,
     pub z: Vec<f64>,
+    /// Right ascension in degrees, `[0, 360)`, derived from x, y, z.
+    pub ra: Vec<f64>,
+    /// Declination in degrees, derived from x, y, z.
+    pub dec: Vec<f64>,
     /// One column per band: u, g, r, i, z.
     pub mags: [Vec<f32>; 5],
     pub size: Vec<f32>,
@@ -49,6 +70,23 @@ impl ColumnChunk {
         ColumnChunk::default()
     }
 
+    /// An empty chunk with room for `rows` rows in every lane, so a build
+    /// of known size allocates each lane once instead of regrowing it.
+    pub fn with_capacity(rows: usize) -> ColumnChunk {
+        ColumnChunk {
+            obj_id: Vec::with_capacity(rows),
+            x: Vec::with_capacity(rows),
+            y: Vec::with_capacity(rows),
+            z: Vec::with_capacity(rows),
+            ra: Vec::with_capacity(rows),
+            dec: Vec::with_capacity(rows),
+            mags: std::array::from_fn(|_| Vec::with_capacity(rows)),
+            size: Vec::with_capacity(rows),
+            class: Vec::with_capacity(rows),
+            htm20: Vec::with_capacity(rows),
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.obj_id.len()
     }
@@ -57,23 +95,45 @@ impl ColumnChunk {
         self.obj_id.is_empty()
     }
 
-    /// Heap bytes held by the columns (the SoA cost accounting).
+    /// Heap bytes held by the columns (the SoA cost accounting): id,
+    /// x/y/z, the derived ra/dec, five magnitudes, size, class and the
+    /// HTM key — 81 bytes per row.
     pub fn bytes(&self) -> usize {
-        self.len() * (8 + 24 + 20 + 4 + 1 + 8)
+        self.len() * (8 + 24 + 16 + 20 + 4 + 1 + 8)
     }
 
-    /// Append one row.
+    /// Append one row, deriving its `ra`/`dec` lanes from x, y, z.
     pub fn push(&mut self, tag: &TagObject, htm20: u64) {
+        let pos = tag.pos();
         self.obj_id.push(tag.obj_id);
         self.x.push(tag.x);
         self.y.push(tag.y);
         self.z.push(tag.z);
+        self.ra.push(pos.ra_deg());
+        self.dec.push(pos.dec_deg());
         for (col, &m) in self.mags.iter_mut().zip(tag.mags.iter()) {
             col.push(m);
         }
         self.size.push(tag.size);
         self.class.push(tag.class as u8);
         self.htm20.push(htm20);
+    }
+
+    /// Append row `i` of `batch` by copying every lane, the derived
+    /// `ra`/`dec` and `htm20` included — no record rebuilt, no trig.
+    pub fn push_from(&mut self, batch: &ColumnBatch<'_>, i: usize) {
+        self.obj_id.push(batch.obj_id[i]);
+        self.x.push(batch.x[i]);
+        self.y.push(batch.y[i]);
+        self.z.push(batch.z[i]);
+        self.ra.push(batch.ra[i]);
+        self.dec.push(batch.dec[i]);
+        for (col, lane) in self.mags.iter_mut().zip(batch.mags.iter()) {
+            col.push(lane[i]);
+        }
+        self.size.push(batch.size[i]);
+        self.class.push(batch.class[i]);
+        self.htm20.push(batch.htm20[i]);
     }
 
     /// Rebuild row `i` as an owned record (the inverse projection).
@@ -108,6 +168,8 @@ impl ColumnChunk {
                 x: &self.x[lo..hi],
                 y: &self.y[lo..hi],
                 z: &self.z[lo..hi],
+                ra: &self.ra[lo..hi],
+                dec: &self.dec[lo..hi],
                 mags: [
                     &self.mags[0][lo..hi],
                     &self.mags[1][lo..hi],
@@ -132,6 +194,9 @@ pub struct ColumnBatch<'a> {
     pub x: &'a [f64],
     pub y: &'a [f64],
     pub z: &'a [f64],
+    /// The chunk's derived `ra`/`dec` lanes, windowed like the rest.
+    pub ra: &'a [f64],
+    pub dec: &'a [f64],
     pub mags: [&'a [f32]; 5],
     pub size: &'a [f32],
     pub class: &'a [u8],
@@ -381,8 +446,10 @@ impl SelectionMask {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdss_catalog::SkyModel;
+    use crate::{ObjectStore, ResultSetBuilder, StoreConfig, TagStore};
+    use sdss_catalog::{PhotoObj, SkyModel};
     use sdss_htm::HtmId;
+    use sdss_skycoords::SkyPos;
 
     fn chunk_from_sky(n_take: usize) -> (ColumnChunk, Vec<TagObject>) {
         let objs = SkyModel::small(11).generate().unwrap();
@@ -418,10 +485,107 @@ mod tests {
             for i in 0..batch.len() {
                 assert_eq!(batch.obj_id[i], tags[seen + i].obj_id);
                 assert_eq!(batch.mags[2][i], tags[seen + i].mags[2]);
+                assert_eq!(batch.ra[i], chunk.ra[seen + i]);
+                assert_eq!(batch.dec[i], chunk.dec[seen + i]);
             }
             seen += batch.len();
         }
         assert_eq!(seen, tags.len());
+    }
+
+    /// A sky plus the edge cases of the ra/dec derivation: both poles
+    /// (x = y = 0, so ra is 0.0 by convention), a near-pole point, and
+    /// positions either side of ra = 0/360 — including the `-0.0` and
+    /// `360.0` that `wrap_deg_360` returns for y = -0.0 and a tiny
+    /// negative y. Returns the objects and the edge objects' ids.
+    fn sky_with_edge_positions(seed: u64) -> (Vec<PhotoObj>, Vec<u64>) {
+        let mut objs = SkyModel::small(seed).generate().unwrap();
+        let next_id = objs.iter().map(|o| o.obj_id).max().unwrap() + 1;
+        let by_angle = |ra: f64, dec: f64| {
+            let v = SkyPos::new(ra, dec).unwrap().unit_vec();
+            (v.x(), v.y(), v.z())
+        };
+        let edges = [
+            (0.0, 0.0, 1.0),
+            (0.0, 0.0, -1.0),
+            (1e-9, -1e-9, 1.0),
+            (0.6, -0.0, 0.8),
+            (1.0, -1e-300, 0.0),
+            by_angle(359.9999, 12.0),
+            by_angle(0.0, -7.5),
+            by_angle(0.0001, 33.0),
+        ];
+        let mut ids = Vec::new();
+        for (k, &(x, y, z)) in edges.iter().enumerate() {
+            let mut o = objs[k].clone();
+            o.obj_id = next_id + k as u64;
+            (o.x, o.y, o.z) = (x, y, z);
+            let pos = SkyPos::from_unit_vec(o.unit_vec());
+            (o.ra_deg, o.dec_deg) = (pos.ra_deg(), pos.dec_deg());
+            o.htm20 = sdss_htm::lookup_id(o.unit_vec(), 20).unwrap().raw();
+            ids.push(o.obj_id);
+            objs.push(o);
+        }
+        (objs, ids)
+    }
+
+    #[test]
+    fn derived_ra_dec_lanes_are_bit_identical_to_row_pos() {
+        let (objs, edge_ids) = sky_with_edge_positions(17);
+        let mut store = ObjectStore::new(StoreConfig::default()).unwrap();
+        store.insert_batch(&objs).unwrap();
+        let tags = TagStore::from_store(&store);
+
+        // A stored set built both ways: from rebuilt records (the fetch
+        // path's push) and by copying lanes (the INTO fast path's push).
+        let (mut pushed, mut copied) = (ResultSetBuilder::new(300), ResultSetBuilder::new(300));
+        for (_, chunk) in tags.column_chunks() {
+            for batch in chunk.batches(BATCH_ROWS) {
+                for i in 0..batch.len() {
+                    pushed.push(&batch.row(i), batch.htm20[i]);
+                    copied.push_from(&batch, i);
+                }
+            }
+        }
+        let (pushed, copied) = (pushed.finish(), copied.finish());
+        assert_eq!(pushed.rows(), objs.len());
+        assert_eq!(copied.rows(), objs.len());
+        assert_eq!(copied.bytes(), objs.len() * 81);
+
+        let chunks = tags.column_chunks().map(|(_, c)| c);
+        let chunks = chunks.chain(pushed.chunks()).chain(copied.chunks());
+        let (mut edges_seen, mut poles, mut below_360, mut above_0) = (0, 0, 0, 0);
+        for chunk in chunks {
+            for i in 0..chunk.len() {
+                let pos = chunk.row(i).pos();
+                let (ra, dec) = (chunk.ra[i], chunk.dec[i]);
+                assert_eq!(
+                    ra.to_bits(),
+                    pos.ra_deg().to_bits(),
+                    "ra of {:#x}",
+                    chunk.obj_id[i]
+                );
+                assert_eq!(
+                    dec.to_bits(),
+                    pos.dec_deg().to_bits(),
+                    "dec of {:#x}",
+                    chunk.obj_id[i]
+                );
+                if edge_ids.contains(&chunk.obj_id[i]) {
+                    edges_seen += 1;
+                    poles += usize::from(chunk.x[i] == 0.0 && chunk.y[i] == 0.0);
+                    below_360 += usize::from(ra > 359.0);
+                    above_0 += usize::from(ra < 1.0 && dec.abs() < 89.0);
+                }
+            }
+        }
+        // Three chunk sources, each holding every edge object once.
+        assert_eq!(edges_seen, 3 * edge_ids.len());
+        assert_eq!(poles, 3 * 2, "both poles in every source");
+        assert!(
+            below_360 >= 3 * 2 && above_0 >= 3 * 3,
+            "{below_360} {above_0}"
+        );
     }
 
     #[test]

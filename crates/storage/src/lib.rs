@@ -17,9 +17,10 @@
 //!   driven by HTM covers
 //! * [`vertical`] — the tag-object vertical partition (paper §Desktop
 //!   Data Analysis)
-//! * [`column`] — struct-of-arrays tag columns per container, batch
-//!   views with selection bitmaps, and the zero-copy `TagView` (the E5
-//!   scan path's memory-bandwidth substrate)
+//! * [`column`](mod@column) — struct-of-arrays tag columns per
+//!   container (plus `ra`/`dec` lanes derived once at push), batch views
+//!   with selection bitmaps, and the zero-copy `TagView` (the E5 scan
+//!   path's memory-bandwidth substrate)
 //! * [`cover_cache`] — memoized HTM covers keyed by
 //!   `(domain fingerprint, level)` for repeated region queries
 //! * [`resultset`] — server-side result sets (session workspaces):

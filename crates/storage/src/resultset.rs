@@ -130,8 +130,21 @@ impl ResultSetBuilder {
 
     /// Append one tag row (with its level-20 HTM id, kept for future
     /// cross-match support; stored-set scans never consult it today).
+    /// The chunk derives the row's `ra`/`dec` lanes from x, y, z.
     pub fn push(&mut self, tag: &TagObject, htm20: u64) {
         self.current.push(tag, htm20);
+        self.row_pushed();
+    }
+
+    /// Append row `i` of a scan batch by copying its lanes, `ra`/`dec`
+    /// and `htm20` included (the direct columnar INTO path).
+    pub fn push_from(&mut self, batch: &ColumnBatch<'_>, i: usize) {
+        self.current.push_from(batch, i);
+        self.row_pushed();
+    }
+
+    /// Count the row just appended and seal the open chunk once full.
+    fn row_pushed(&mut self) {
         self.rows += 1;
         if self.current.len() >= self.chunk_rows {
             self.done_bytes += self.current.bytes();

@@ -110,7 +110,11 @@ impl TagStore {
             scratch: Vec::with_capacity(TagObject::SERIALIZED_LEN),
             cover_cache: CoverCache::new(),
         };
-        for container in store.containers() {
+        for container in store.containers().filter(|c| !c.is_empty()) {
+            // The tag container holds exactly the store container's rows:
+            // size every lane once instead of regrowing it row by row.
+            let chunk = ColumnChunk::with_capacity(container.len());
+            out.columns.insert(container.id().raw(), Arc::new(chunk));
             for mut rec in container.iter_records() {
                 let obj = PhotoObj::read_from(&mut rec).expect("valid store record");
                 out.insert(&obj).expect("projection of a valid object");
@@ -543,6 +547,9 @@ mod tests {
                 .find(|c| c.id().raw() == raw)
                 .expect("chunk has a container");
             assert_eq!(chunk.len(), container.len());
+            // Built at its final size: no lane carries regrowth slack.
+            assert_eq!(chunk.ra.capacity(), chunk.len());
+            assert_eq!(chunk.htm20.capacity(), chunk.len());
         }
     }
 
