@@ -34,7 +34,7 @@ use crate::parser::parse_statement;
 use crate::plan::{plan, MatchInput, PlanNode, QueryPlan, QuerySource};
 use crate::session::{Session, SessionConfig, SessionInfo, SessionShared};
 use crate::QueryError;
-use sdss_storage::{CostModel, MatchFootprint, ObjectStore, ResultSet, TagStore};
+use sdss_storage::{ContainerSize, CostModel, MatchFootprint, ObjectStore, ResultSet, TagStore};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -77,14 +77,15 @@ pub struct QueryStats {
     /// Worker-thread slots this execution held (= scan workers granted
     /// at admission).
     pub workers_granted: usize,
-    /// Scan workers that actually ran (morsel workers, serial drivers
-    /// and interpreted fallbacks all register).
+    /// Scan workers that actually ran (morsel workers and the full
+    /// store's serial row scan all register).
     pub workers_used: usize,
     /// Bytes scanned per worker, in worker completion order — the
     /// balance check for the parallel-efficiency numbers.
     pub worker_bytes: Vec<u64>,
-    /// Container morsels dispatched across all scan workers (0 when no
-    /// morsel queue was involved, e.g. interpreted fallbacks).
+    /// Container morsels dispatched across all scan workers. Tag and
+    /// stored-set scans run on morsels whether compiled or interpreted;
+    /// only the full store's serial row scan reports 0.
     pub morsels: u64,
     /// Scan-side totals: bytes/containers touched, exact geometry
     /// tests, and cover-cache hit/miss counts.
@@ -639,7 +640,7 @@ impl Archive {
                                     }
                                     MatchFootprint::Whole => {
                                         est.full_sweep = true;
-                                        model.estimate_sweep(tags.containers())
+                                        model.estimate_sweep(tags.container_sizes())
                                     }
                                 };
                                 (
@@ -704,11 +705,11 @@ impl Archive {
                     (None, true) => {
                         est.full_sweep = true;
                         let tags = self.inner.tags.as_ref().expect("tag_route checked");
-                        model.estimate_sweep(tags.containers())
+                        model.estimate_sweep(tags.container_sizes())
                     }
                     (None, false) => {
                         est.full_sweep = true;
-                        model.estimate_sweep(self.inner.store.containers())
+                        model.estimate_sweep(self.inner.store.containers().map(ContainerSize::from))
                     }
                 };
                 est.est_rows += leaf.est_rows;

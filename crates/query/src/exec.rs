@@ -17,10 +17,12 @@
 //! [`ResultBatch::rows`]; row-at-a-time interpretation remains as the
 //! fallback for whatever the compiler can't express.
 //!
-//! Every columnar execution — projection, in-scan aggregate, MATCH
-//! probe, INTO fast path — runs through one morsel driver
-//! (`run_morsels`): the granted workers drain a byte-balanced queue of
-//! container-sized morsels, each feeding its own sink.
+//! Every tag or stored-set execution — projection, in-scan aggregate,
+//! MATCH probe, INTO fast path and the row interpreter — runs through
+//! one morsel driver (`run_morsels`): the granted workers drain a
+//! byte-balanced queue of container-sized morsels, each feeding its own
+//! sink. Only the full store, which has no column image, keeps a serial
+//! row scan.
 //!
 //! Execution is owned, not scoped: stores travel as `Arc`s and node
 //! threads are detached, so a [`BatchHandle`] can outlive the call that
@@ -28,7 +30,7 @@
 //! Producers observe consumer disappearance through channel send errors
 //! and cooperative cancellation through the shared [`TicketCore`].
 
-use crate::ast::{AggFn, Expr, Value};
+use crate::ast::{AggFn, Expr, SetOp, Value};
 use crate::compile::{
     compile_agg_inputs, compile_predicate, compile_projection, BatchScratch, CompiledAggInputs,
     CompiledPredicate, CompiledProjection,
@@ -272,6 +274,14 @@ impl ResultBatch {
         }
     }
 
+    /// Materialize one row.
+    fn row(&self, row: usize) -> Row {
+        match self {
+            ResultBatch::Columnar(b) => b.columns.iter().map(|c| c.value_at(row)).collect(),
+            ResultBatch::Rows(r) => r[row].clone(),
+        }
+    }
+
     /// Numeric view of `(col, row)` without materializing.
     pub fn num_at(&self, col: usize, row: usize) -> Option<f64> {
         match self {
@@ -313,8 +323,8 @@ pub struct TicketCore {
     exact_tests: AtomicU64,
     cover_hits: AtomicU64,
     cover_misses: AtomicU64,
-    /// One entry per scan worker that ran (morsel workers and the row
-    /// fallback each register here).
+    /// One entry per scan worker that ran (morsel workers and the full
+    /// store's serial row scan each register here).
     worker_scans: Mutex<Vec<WorkerScan>>,
     /// First node-thread panic, surfaced instead of silently truncating
     /// the result (detached threads have no join to propagate through).
@@ -332,7 +342,7 @@ pub struct WorkerScan {
     /// Bytes this worker read.
     pub bytes_scanned: u64,
     /// Container morsels this worker claimed from the queue (0 on the
-    /// row-interpreted fallback, which has no morsel queue).
+    /// full store's serial row scan, which has no morsel queue).
     pub morsels: u64,
     /// Rows that survived selection in this worker.
     pub rows_selected: u64,
@@ -672,25 +682,30 @@ fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchH
             let rh = spawn_node(env, *right, ticket);
             let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
             let columns = lh.columns.clone();
-            let n_columns = columns.len();
             let objid_idx = columns
                 .iter()
                 .position(|c| c == "objid")
                 .expect("planner enforced objid for set ops");
             spawn_guarded(ticket.clone(), move || {
-                // Blocking on the right side: build the key set (ids
-                // only — no row materialization).
+                // Blocking on the right side. INTERSECT and EXCEPT need
+                // only its ids; UNION keeps its batches (unmaterialized)
+                // to emit the right-only rows whole after the left side.
                 let mut right_ids: HashSet<u64> = HashSet::new();
+                let mut right: Vec<ResultBatch> = Vec::new();
                 for batch in rh.rx.iter() {
-                    for r in 0..batch.len() {
-                        if let Some(id) = batch.id_at(objid_idx, r) {
-                            right_ids.insert(id);
-                        }
+                    if op == SetOp::Union {
+                        right.push(batch);
+                        continue;
                     }
+                    right_ids.extend((0..batch.len()).filter_map(|r| batch.id_at(objid_idx, r)));
                 }
                 // Stream the left side against it.
                 let mut seen: HashSet<u64> = HashSet::new();
                 let mut out = Vec::with_capacity(BATCH);
+                let push = |row: Row, out: &mut Vec<Row>| {
+                    out.push(row);
+                    out.len() < BATCH || tx.send(ResultBatch::Rows(std::mem::take(out))).is_ok()
+                };
                 for batch in lh.rx.iter() {
                     for row in batch.rows() {
                         let Some(id) = row[objid_idx].as_id() else {
@@ -700,40 +715,27 @@ fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchH
                             continue; // set semantics: dedupe left
                         }
                         let keep = match op {
-                            crate::ast::SetOp::Union => true,
-                            crate::ast::SetOp::Intersect => right_ids.contains(&id),
-                            crate::ast::SetOp::Except => !right_ids.contains(&id),
+                            SetOp::Union => true,
+                            SetOp::Intersect => right_ids.contains(&id),
+                            SetOp::Except => !right_ids.contains(&id),
                         };
                         if keep {
                             seen.insert(id);
-                            out.push(row);
-                            if out.len() >= BATCH
-                                && tx
-                                    .send(ResultBatch::Rows(std::mem::take(&mut out)))
-                                    .is_err()
-                            {
+                            if !push(row, &mut out) {
                                 return;
                             }
                         }
                     }
                 }
-                // Union also emits right-only rows.
-                if op == crate::ast::SetOp::Union {
-                    for &id in right_ids.iter() {
-                        if !seen.contains(&id) {
-                            // We only kept ids, not rows, for the right
-                            // side; emit a minimal row with objid and NULLs
-                            // — documented bag-of-pointers semantics.
-                            let mut row: Row = vec![Value::Null; n_columns];
-                            row[objid_idx] = Value::Id(id);
-                            out.push(row);
-                            if out.len() >= BATCH
-                                && tx
-                                    .send(ResultBatch::Rows(std::mem::take(&mut out)))
-                                    .is_err()
-                            {
-                                return;
-                            }
+                // Union then emits each right-only object once, in
+                // arrival order, materializing only those rows.
+                for batch in &right {
+                    for r in 0..batch.len() {
+                        let Some(id) = batch.id_at(objid_idx, r) else {
+                            continue;
+                        };
+                        if seen.insert(id) && !push(batch.row(r), &mut out) {
+                            return;
                         }
                     }
                 }
@@ -796,7 +798,8 @@ fn spawn_aggregate_over(
 /// handled by the planner caller) and stream matching batches. MATCH
 /// joins stream pair rows from the zone-index probe; tag and set scans
 /// take the columnar compiled path when the predicate and projection
-/// both lower to bytecode; everything else interprets row-at-a-time.
+/// both lower to bytecode, and otherwise interpret row-at-a-time over
+/// the same morsels; the full store interprets its records serially.
 fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchHandle {
     let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
     let columns: Arc<Vec<String>> = Arc::new(spec.columns.iter().map(|(n, _)| n.clone()).collect());
@@ -831,130 +834,118 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
         return BatchHandle { columns, rx };
     }
 
-    // --- row-at-a-time fallback ---------------------------------------
-    let store = env.store.clone();
-    let tags = env.tags.clone();
-    let sets = env.sets.clone();
-    let cover_level = env.cover_level;
-    let ticket = ticket.clone();
+    // --- row-at-a-time interpretation ----------------------------------
+    let spec = Arc::new(spec);
+    let make_rows = {
+        let spec = spec.clone();
+        move || RowSink {
+            spec: spec.clone(),
+            out: Vec::with_capacity(BATCH),
+            tx: tx.clone(),
+            ticket: t.clone(),
+            kept: 0,
+        }
+    };
+    // Tag and set sources interpret through the morsel driver like every
+    // columnar shape, each selected row rebuilt from the lanes.
+    if columnar_source(&spec, env.tags.is_some()) {
+        let leaf = scan_leaf(env, (*spec).clone());
+        spawn_drive(env.workers, ticket, leaf, move |_: &()| make_rows(), drop);
+        return BatchHandle { columns, rx };
+    }
+    // The full store has no column image: one serial worker walks its
+    // records.
+    let (store, cover_level, ticket) = (env.store.clone(), env.cover_level, ticket.clone());
     spawn_guarded(ticket.clone(), move || {
-        let mut out: Vec<Row> = Vec::with_capacity(BATCH);
-        let mut alive = true;
-        let mut kept: u64 = 0;
-        let mut worker_bytes: u64 = 0;
-
-        // The row pipeline, generic over record type.
-        let mut emit = |src: &dyn AttrSource, tx: &Sender<ResultBatch>| -> bool {
-            if ticket.is_cancelled() {
-                return false;
-            }
-            if let Some(f) = spec.sample {
-                let id = src.attr("objid").and_then(|v| v.as_id()).unwrap_or(0);
-                if !sample_hash_keep(id, f) {
-                    return true;
+        let mut rows = make_rows();
+        let bytes = match &spec.domain {
+            Some(domain) => match store.scan_region_until(domain, cover_level, |o| rows.emit(o)) {
+                Ok(stats) => {
+                    ticket.absorb_scan(&stats);
+                    stats.bytes_scanned
                 }
-            }
-            if let Some(pred) = &spec.predicate {
-                match eval(pred, &SourceRef(src)) {
-                    Ok(Value::Bool(true)) => {}
-                    Ok(_) => return true,
-                    Err(_) => return true, // row-level type errors drop the row
+                Err(e) => {
+                    ticket.record_failure(format!("scan planning failed: {e}"));
+                    0
                 }
+            },
+            None => {
+                let (bytes, containers) = store.scan_all_until(|o| rows.emit(o));
+                ticket.absorb_sweep(bytes, containers);
+                bytes
             }
-            let mut row: Row = Vec::with_capacity(spec.columns.len());
-            for (_, expr) in &spec.columns {
-                match eval(expr, &SourceRef(src)) {
-                    Ok(v) => row.push(v),
-                    Err(_) => row.push(Value::Null),
-                }
-            }
-            out.push(row);
-            kept += 1;
-            out.len() < BATCH || ship(&ticket, tx, ResultBatch::Rows(std::mem::take(&mut out)))
         };
-
-        match (&spec.source, &tags) {
-            // Stored sets interpret row-wise by rebuilding each chunk
-            // row as a `TagObject` (sets are tag-shaped; the planner
-            // kept any spatial factor in the predicate, so geometry
-            // evaluates per row here).
-            (QuerySource::Set(name), _) => match sets.get(name) {
-                Some(set) => {
-                    let mut bytes = 0usize;
-                    let mut containers = 0usize;
-                    'chunks: for chunk in set.chunks() {
-                        bytes += chunk.bytes();
-                        containers += 1;
-                        for i in 0..chunk.len() {
-                            if !emit(&chunk.row(i), &tx) {
-                                alive = false;
-                                break 'chunks;
-                            }
-                        }
-                    }
-                    worker_bytes = bytes as u64;
-                    ticket.absorb_sweep(bytes, containers);
-                }
-                None => ticket.record_failure(format!(
-                    "stored set `{name}` was not pinned at prepare time"
-                )),
-            },
-            (QuerySource::Match(_), _) => {
-                unreachable!("MATCH scans spawn their own join path")
-            }
-            (QuerySource::Tag, Some(tag_store)) => match &spec.domain {
-                Some(domain) => {
-                    if let Ok(stats) = tag_store.scan_region_until(domain, cover_level, |t| {
-                        alive = emit(t, &tx);
-                        alive
-                    }) {
-                        worker_bytes = stats.bytes_scanned as u64;
-                        ticket.absorb_scan(&stats);
-                    }
-                }
-                None => {
-                    // Full tag scan (no spatial restriction); stops
-                    // between records on cancel / consumer hang-up.
-                    let (bytes, containers) = tag_store.scan_all_until(|t| {
-                        alive = emit(t, &tx);
-                        alive
-                    });
-                    worker_bytes = bytes as u64;
-                    ticket.absorb_sweep(bytes, containers);
-                }
-            },
-            _ => match &spec.domain {
-                Some(domain) => {
-                    if let Ok(stats) = store.scan_region_until(domain, cover_level, |o| {
-                        alive = emit(o, &tx);
-                        alive
-                    }) {
-                        worker_bytes = stats.bytes_scanned as u64;
-                        ticket.absorb_scan(&stats);
-                    }
-                }
-                None => {
-                    let (bytes, containers) = store.scan_all_until(|o| {
-                        alive = emit(o, &tx);
-                        alive
-                    });
-                    worker_bytes = bytes as u64;
-                    ticket.absorb_sweep(bytes, containers);
-                }
-            },
-        }
-        if alive && !out.is_empty() {
-            ship(&ticket, &tx, ResultBatch::Rows(out));
-        }
-        // The interpreted scan is a single serial worker; register it so
-        // `workers_used` is truthful on every path.
+        let (kept, ()) = rows.finish();
         ticket.note_worker(WorkerScan {
-            bytes_scanned: worker_bytes,
+            bytes_scanned: bytes as u64,
             morsels: 0,
             rows_selected: kept,
         });
     });
     BatchHandle { columns, rx }
+}
+
+/// The row interpreter: the sample, predicate and projection evaluated
+/// one record at a time — the fallback for what the compiler cannot
+/// express, and the oracle the compiled sinks are tested against. As a
+/// morsel sink it rebuilds each selected row of a tag or set batch as a
+/// [`TagObject`]; the full store's serial scan feeds it records directly.
+struct RowSink {
+    spec: Arc<ScanSpec>,
+    out: Vec<Row>,
+    tx: Sender<ResultBatch>,
+    ticket: Arc<TicketCore>,
+    kept: u64,
+}
+
+impl RowSink {
+    /// Interpret one record; `false` on cancel or consumer hang-up.
+    fn emit<S: AttrSource>(&mut self, src: &S) -> bool {
+        if self.ticket.is_cancelled() {
+            return false;
+        }
+        if let Some(f) = self.spec.sample {
+            let id = src.attr("objid").and_then(|v| v.as_id()).unwrap_or(0);
+            if !sample_hash_keep(id, f) {
+                return true;
+            }
+        }
+        if let Some(pred) = &self.spec.predicate {
+            match eval(pred, src) {
+                Ok(Value::Bool(true)) => {}
+                Ok(_) => return true,
+                Err(_) => return true, // row-level type errors drop the row
+            }
+        }
+        let row = self
+            .spec
+            .columns
+            .iter()
+            .map(|(_, expr)| eval(expr, src).unwrap_or(Value::Null));
+        self.out.push(row.collect());
+        self.kept += 1;
+        self.out.len() < BATCH
+            || ship(
+                &self.ticket,
+                &self.tx,
+                ResultBatch::Rows(std::mem::take(&mut self.out)),
+            )
+    }
+}
+
+impl MorselSink for RowSink {
+    type Partial = ();
+
+    fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool {
+        sel.iter_set().all(|i| self.emit(&batch.row(i)))
+    }
+
+    fn finish(self) -> (u64, ()) {
+        if !self.out.is_empty() {
+            ship(&self.ticket, &self.tx, ResultBatch::Rows(self.out));
+        }
+        (self.kept, ())
+    }
 }
 
 /// Spawn an aggregate directly over a scan. A compilable scan or a MATCH
@@ -1130,8 +1121,8 @@ impl ScanSource {
 // ---------------------------------------------------------------------
 
 /// What one morsel worker does with the batches it scans: [`EmitSink`],
-/// [`FoldSink`], the MATCH probe ([`PairRows`] / [`PairFold`]) and
-/// [`IntoSink`]. The driver is generic over its sink, so every worker
+/// [`FoldSink`], the MATCH probe ([`PairRows`] / [`PairFold`]),
+/// [`IntoSink`] and the row interpreter ([`RowSink`]). The driver is generic over its sink, so every worker
 /// loop monomorphizes — no dynamic call per row or pair.
 trait MorselSink {
     /// What the worker hands back to the driver's caller.
@@ -1158,8 +1149,8 @@ struct Drive<F> {
     stopped: AtomicBool,
 }
 
-/// The one morsel driver: projection, in-scan aggregate, MATCH probe and
-/// INTO all run through here, and only here knows the drive policy:
+/// The one morsel driver: projection, in-scan aggregate, MATCH probe,
+/// INTO and the row interpreter all run through here, and only here knows the drive policy:
 ///
 /// 1. note the source's plan-time cover-cache lookup;
 /// 2. cap the workers at `min(workers, morsels)`;
@@ -1812,19 +1803,6 @@ impl MorselSink for PairFold {
         // `QueryStats.scan.rows_scanned` stays comparable across shapes.
         self.ticket.note_rows(self.pairs);
         (self.pairs, self.accs)
-    }
-}
-
-/// Wrapper so `&dyn AttrSource` satisfies the generic eval bound.
-struct SourceRef<'a>(&'a dyn AttrSource);
-
-impl AttrSource for SourceRef<'_> {
-    fn attr(&self, name: &str) -> Option<Value> {
-        self.0.attr(name)
-    }
-
-    fn position(&self) -> sdss_skycoords::UnitVec3 {
-        self.0.position()
     }
 }
 

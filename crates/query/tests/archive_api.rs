@@ -137,7 +137,7 @@ fn cancellation_stops_batches_early() {
 fn cancellation_stops_interpreted_sweeps_too() {
     // DIST with a per-row target is not compilable, and there is no
     // spatial domain — this drives the interpreted full-sweep fallback,
-    // which must also honor the cancel token (scan_all_until).
+    // which must also honor the cancel token (checked per row).
     let archive = build_archive(98, 9000);
     let prepared = archive
         .prepare("SELECT objid FROM photoobj WHERE DIST(ra, 15) < 5")

@@ -21,11 +21,6 @@
 //! 8 + 24 + 16 + 20 + 4 + 1 + 8 = 81 heap bytes per row
 //! ([`ColumnChunk::bytes`]), 16 more than the 65 bytes of the stored
 //! attributes and the HTM key.
-//!
-//! [`TagView`] is the row-wise little sibling: a zero-copy view over one
-//! serialized 64-byte tag record that decodes single fields on demand,
-//! for paths that still walk records (boundary-trixel exact tests, the
-//! dataflow machines' shipped page images).
 
 use sdss_catalog::{ObjClass, TagObject};
 use sdss_skycoords::UnitVec3;
@@ -37,10 +32,10 @@ pub const BATCH_ROWS: usize = 1024;
 
 /// Struct-of-arrays projection of one container's tag records.
 ///
-/// Built incrementally at insert/projection time next to the serialized
-/// record bytes; the record bytes remain the durable format, the chunk is
-/// the scan-optimized image of the same rows (insertion order matches
-/// record slot order).
+/// Built incrementally at insert/projection time, rows in push order. A
+/// chunk is the tag store's only image of its container's rows (and a
+/// stored result set's image of one of its chunks); row `i` rebuilds as
+/// a record through [`ColumnChunk::row`].
 ///
 /// `ra` and `dec` are derived lanes: [`ColumnChunk::push`] fills them
 /// from x, y, z through `SkyPos::from_unit_vec`, never from a stored
@@ -236,85 +231,6 @@ impl ColumnBatch<'_> {
             size: self.size[i],
             class: ObjClass::from_u8(self.class[i]).expect("batch holds valid class bytes"),
         }
-    }
-}
-
-/// Zero-copy view over one serialized 64-byte tag record: decodes single
-/// fields straight out of container bytes, no `TagObject` materialized.
-#[derive(Debug, Clone, Copy)]
-pub struct TagView<'a> {
-    rec: &'a [u8],
-}
-
-impl<'a> TagView<'a> {
-    /// Wrap a record slice (must be exactly the serialized tag width).
-    #[inline]
-    pub fn new(rec: &'a [u8]) -> TagView<'a> {
-        debug_assert_eq!(rec.len(), TagObject::SERIALIZED_LEN);
-        TagView { rec }
-    }
-
-    #[inline]
-    fn f64_at(&self, off: usize) -> f64 {
-        f64::from_le_bytes(self.rec[off..off + 8].try_into().unwrap())
-    }
-
-    #[inline]
-    fn f32_at(&self, off: usize) -> f32 {
-        f32::from_le_bytes(self.rec[off..off + 4].try_into().unwrap())
-    }
-
-    #[inline]
-    pub fn obj_id(&self) -> u64 {
-        u64::from_le_bytes(self.rec[0..8].try_into().unwrap())
-    }
-
-    #[inline]
-    pub fn x(&self) -> f64 {
-        self.f64_at(8)
-    }
-
-    #[inline]
-    pub fn y(&self) -> f64 {
-        self.f64_at(16)
-    }
-
-    #[inline]
-    pub fn z(&self) -> f64 {
-        self.f64_at(24)
-    }
-
-    /// Band magnitude `b` (0 = u .. 4 = z).
-    #[inline]
-    pub fn mag(&self, b: usize) -> f32 {
-        debug_assert!(b < 5);
-        self.f32_at(32 + 4 * b)
-    }
-
-    #[inline]
-    pub fn size(&self) -> f32 {
-        self.f32_at(52)
-    }
-
-    #[inline]
-    pub fn class_byte(&self) -> u8 {
-        self.rec[56]
-    }
-
-    #[inline]
-    pub fn class(&self) -> ObjClass {
-        ObjClass::from_u8(self.class_byte()).expect("valid stored class")
-    }
-
-    #[inline]
-    pub fn unit_vec(&self) -> UnitVec3 {
-        UnitVec3::new_unchecked(self.x(), self.y(), self.z())
-    }
-
-    /// Materialize the full record (the slow path this view avoids).
-    pub fn to_tag(&self) -> TagObject {
-        let mut slice = self.rec;
-        TagObject::read_from(&mut slice).expect("valid tag record")
     }
 }
 
@@ -589,26 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn tag_view_reads_every_field() {
-        let (_, tags) = chunk_from_sky(64);
-        for t in &tags {
-            let mut buf = Vec::new();
-            t.write_to(&mut buf);
-            let v = TagView::new(&buf);
-            assert_eq!(v.obj_id(), t.obj_id);
-            assert_eq!(v.x(), t.x);
-            assert_eq!(v.y(), t.y);
-            assert_eq!(v.z(), t.z);
-            for b in 0..5 {
-                assert_eq!(v.mag(b), t.mags[b]);
-            }
-            assert_eq!(v.size(), t.size);
-            assert_eq!(v.class(), t.class);
-            assert_eq!(v.to_tag(), *t);
-        }
-    }
-
-    #[test]
     fn selection_mask_ops() {
         let mut m = SelectionMask::all_set(130);
         assert_eq!(m.count(), 130);
@@ -630,8 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn chunk_row_order_matches_container_slots() {
-        // The chunk must stay slot-parallel with the serialized records.
+    fn chunk_rows_keep_push_order() {
         let objs = SkyModel::small(13).generate().unwrap();
         let mut chunk = ColumnChunk::new();
         for o in objs.iter().take(100) {

@@ -19,8 +19,28 @@ use crate::store::ObjectStore;
 use crate::vertical::TagStore;
 use crate::StorageError;
 use sdss_htm::cover::{classify_trixel_domain, Classification};
-use sdss_htm::{Cover, Domain, Trixel};
+use sdss_htm::{Cover, Domain, HtmId, Trixel};
 use std::sync::Arc;
+
+/// What the estimator reads of one container: its trixel, its row count
+/// and the bytes a scan of it is charged. Both stores describe their
+/// containers this way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ContainerSize {
+    pub id: HtmId,
+    pub rows: u64,
+    pub bytes: u64,
+}
+
+impl From<&Container> for ContainerSize {
+    fn from(c: &Container) -> ContainerSize {
+        ContainerSize {
+            id: c.id(),
+            rows: c.stats().count,
+            bytes: c.bytes() as u64,
+        }
+    }
+}
 
 /// Calibration constants for the estimator.
 #[derive(Debug, Clone, Copy)]
@@ -74,7 +94,7 @@ impl CostModel {
         domain: &Domain,
     ) -> Result<QueryEstimate, StorageError> {
         self.estimate_containers(
-            store.containers(),
+            store.containers().map(ContainerSize::from),
             store.config().container_level,
             domain,
             Some(store.cover_cache()),
@@ -90,7 +110,7 @@ impl CostModel {
         domain: &Domain,
     ) -> Result<QueryEstimate, StorageError> {
         self.estimate_containers(
-            tags.containers(),
+            tags.container_sizes(),
             tags.container_level(),
             domain,
             Some(tags.cover_cache()),
@@ -99,10 +119,7 @@ impl CostModel {
 
     /// Exact prediction for an unrestricted sweep: every container is
     /// read whole.
-    pub fn estimate_sweep<'a>(
-        &self,
-        containers: impl Iterator<Item = &'a Container>,
-    ) -> QueryEstimate {
+    pub fn estimate_sweep(&self, containers: impl Iterator<Item = ContainerSize>) -> QueryEstimate {
         let mut est = QueryEstimate {
             est_rows: 0.0,
             est_bytes: 0,
@@ -112,8 +129,8 @@ impl CostModel {
         };
         for container in containers {
             est.containers_full += 1;
-            est.est_rows += container.stats().count as f64;
-            est.est_bytes += container.bytes() as u64;
+            est.est_rows += container.rows as f64;
+            est.est_bytes += container.bytes;
         }
         est.est_seconds = est.est_bytes as f64 / self.scan_bandwidth_bps;
         est
@@ -122,9 +139,9 @@ impl CostModel {
     /// The shared estimator core: classify an arbitrary container set
     /// against the query region. `cache` (when given) memoizes the deep
     /// overlap cover so repeated prepares of the same region are free.
-    pub fn estimate_containers<'a>(
+    pub fn estimate_containers(
         &self,
-        containers: impl Iterator<Item = &'a Container>,
+        containers: impl Iterator<Item = ContainerSize>,
         container_level: u8,
         domain: &Domain,
         cache: Option<&CoverCache>,
@@ -146,25 +163,25 @@ impl CostModel {
         let partial = cover.partial_ranges();
 
         for container in containers {
-            let t = Trixel::from_id(container.id());
+            let t = Trixel::from_id(container.id);
             match classify_trixel_domain(&t, domain) {
                 Classification::Inside => {
                     est.containers_full += 1;
-                    est.est_rows += container.stats().count as f64;
-                    est.est_bytes += container.bytes() as u64;
+                    est.est_rows += container.rows as f64;
+                    est.est_bytes += container.bytes;
                 }
                 Classification::Outside => {}
                 Classification::Partial => {
                     est.containers_partial += 1;
-                    est.est_bytes += container.bytes() as u64;
+                    est.est_bytes += container.bytes;
                     // Overlap fraction from deep trixel counts under this
                     // container: full deep trixels count 1, partial ½.
-                    let (lo, hi) = container.id().deep_range(level);
+                    let (lo, hi) = container.id.deep_range(level);
                     let total = (hi - lo) as f64;
                     let n_full = full.intersect(&range_set(lo, hi)).count() as f64;
                     let n_part = partial.intersect(&range_set(lo, hi)).count() as f64;
                     let frac = ((n_full + 0.5 * n_part) / total).clamp(0.0, 1.0);
-                    est.est_rows += container.stats().count as f64 * frac;
+                    est.est_rows += container.rows as f64 * frac;
                 }
             }
         }

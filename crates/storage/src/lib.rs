@@ -16,11 +16,11 @@
 //! * [`store`] — the object store: bulk insert, id lookup, region scans
 //!   driven by HTM covers
 //! * [`vertical`] — the tag-object vertical partition (paper §Desktop
-//!   Data Analysis)
+//!   Data Analysis), kept as one image: a column chunk per container
 //! * [`column`](mod@column) — struct-of-arrays tag columns per
-//!   container (plus `ra`/`dec` lanes derived once at push), batch views
-//!   with selection bitmaps, and the zero-copy `TagView` (the E5 scan
-//!   path's memory-bandwidth substrate)
+//!   container (plus `ra`/`dec` lanes derived once at push) and batch
+//!   views with selection bitmaps (the E5 scan path's memory-bandwidth
+//!   substrate)
 //! * [`cover_cache`] — memoized HTM covers keyed by
 //!   `(domain fingerprint, level)` for repeated region queries
 //! * [`resultset`] — server-side result sets (session workspaces):
@@ -47,10 +47,10 @@ pub mod store;
 pub mod vertical;
 pub mod zone;
 
-pub use column::{ColumnBatch, ColumnChunk, SelectionMask, TagView, BATCH_ROWS};
+pub use column::{ColumnBatch, ColumnChunk, SelectionMask, BATCH_ROWS};
 pub use container::{Container, ContainerStats};
 pub use cover_cache::CoverCache;
-pub use estimate::{CostModel, QueryEstimate};
+pub use estimate::{ContainerSize, CostModel, QueryEstimate};
 pub use morsel::MorselQueue;
 pub use page::{Page, PageIter, PAGE_SIZE};
 pub use partition::PartitionMap;

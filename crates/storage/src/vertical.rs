@@ -1,38 +1,38 @@
 //! The tag store: the paper's vertical partition of popular attributes.
 //!
-//! A parallel, container-clustered store of 64-byte [`TagObject`] records
-//! projected from the full store. Queries that touch only the ten popular
+//! The ten popular attributes of every object, clustered in the same
+//! HTM containers as the full store. Queries that touch only these
 //! attributes run here and read ~19× fewer bytes (experiment E5); the
 //! pointer (`obj_id`) fetches the full object on demand.
 //!
-//! Each container additionally keeps a struct-of-arrays [`ColumnChunk`]
-//! image of its rows, built at projection time. [`TagStore::scan_batches`]
-//! streams those chunks as [`ColumnBatch`]es with a [`SelectionMask`]
-//! pre-filled from the HTM cover (full trixels set, boundary trixels
-//! exact-tested, everything else cleared) — the substrate the query
-//! engine's compiled predicates run on at memory bandwidth.
+//! The store keeps one image of its rows: a struct-of-arrays
+//! [`ColumnChunk`] per container. [`TagStore::scan_batches`] streams those
+//! chunks as [`ColumnBatch`]es with a [`SelectionMask`] pre-filled from the
+//! HTM cover (full trixels set, boundary trixels exact-tested, everything
+//! else cleared) — the substrate the query engine's compiled predicates
+//! run on at memory bandwidth, and the one its row interpreter reads
+//! through [`ColumnBatch::row`]. Scans are charged the 64-byte serialized
+//! tag record per row ([`TagStore::bytes`]), the unit the paper's byte
+//! comparisons and the cost model speak in.
 
 use crate::column::{ColumnBatch, ColumnChunk, SelectionMask, BATCH_ROWS};
-use crate::container::Container;
 use crate::cover_cache::CoverCache;
+use crate::estimate::ContainerSize;
 use crate::store::{ObjectStore, RegionScan};
 use crate::StorageError;
 use sdss_catalog::{PhotoObj, TagObject};
-use sdss_htm::{Cover, Domain, HtmId, HtmRangeSet};
+use sdss_htm::{Cover, Domain, HtmId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Precomputed cover machinery for one region scan, shared by the row
-/// and batch scan paths.
-struct CoverWalk {
-    cover: Arc<Cover>,
-    /// Touched deep ranges coarsened to the container level.
-    touched: HtmRangeSet,
-    level: u8,
-    /// Bit shift from level-20 ids down to the cover level.
-    shift: u64,
-    /// Did the cover come from the cache?
-    cache_hit: bool,
+/// The scan charge of `rows` tag rows: one serialized record each.
+fn charge(rows: usize) -> usize {
+    rows * TagObject::SERIALIZED_LEN
+}
+
+/// The id of a stored container (keys are valid by construction).
+fn container_id(raw: u64) -> HtmId {
+    HtmId::from_raw(raw).expect("tag containers have valid HTM ids")
 }
 
 /// One unit of parallel scan work: a single touched container of a
@@ -43,8 +43,8 @@ pub struct TagMorsel {
     pub container: u64,
     /// Wholly inside the cover: every row selected without geometry.
     pub full: bool,
-    /// Serialized payload bytes — the byte-balancing weight for
-    /// [`crate::MorselQueue`] sharding.
+    /// Scan charge in bytes (64 per row, see [`TagStore::bytes`]) — the
+    /// byte-balancing weight for [`crate::MorselQueue`] sharding.
     pub bytes: usize,
 }
 
@@ -89,12 +89,10 @@ impl TagScanPlan {
 pub struct TagStore {
     container_level: u8,
     scan_cover_level: u8,
-    containers: BTreeMap<u64, Container>,
-    /// Slot-parallel SoA image of each container (`Arc` so simulated
-    /// cluster nodes can ship chunks without copying the columns).
-    columns: BTreeMap<u64, Arc<ColumnChunk>>,
-    /// Serialization scratch reused across inserts.
-    scratch: Vec<u8>,
+    /// Each container's rows, keyed by raw container id (`Arc` so
+    /// simulated cluster nodes can ship chunks without copying the
+    /// columns).
+    chunks: BTreeMap<u64, Arc<ColumnChunk>>,
     /// Memoized region covers for repeated queries.
     cover_cache: CoverCache,
 }
@@ -105,16 +103,14 @@ impl TagStore {
         let mut out = TagStore {
             container_level: store.config().container_level,
             scan_cover_level: store.config().scan_cover_level,
-            containers: BTreeMap::new(),
-            columns: BTreeMap::new(),
-            scratch: Vec::with_capacity(TagObject::SERIALIZED_LEN),
+            chunks: BTreeMap::new(),
             cover_cache: CoverCache::new(),
         };
         for container in store.containers().filter(|c| !c.is_empty()) {
             // The tag container holds exactly the store container's rows:
             // size every lane once instead of regrowing it row by row.
             let chunk = ColumnChunk::with_capacity(container.len());
-            out.columns.insert(container.id().raw(), Arc::new(chunk));
+            out.chunks.insert(container.id().raw(), Arc::new(chunk));
             for mut rec in container.iter_records() {
                 let obj = PhotoObj::read_from(&mut rec).expect("valid store record");
                 out.insert(&obj).expect("projection of a valid object");
@@ -123,51 +119,52 @@ impl TagStore {
         out
     }
 
-    /// Insert the tag projection of one object (row bytes + columns).
+    /// Insert the tag projection of one object into its container.
     pub fn insert(&mut self, obj: &PhotoObj) -> Result<(), StorageError> {
-        let tag = TagObject::from_photo(obj);
-        let deep = HtmId::from_raw(obj.htm20)?;
-        let cid = deep.ancestor_at(self.container_level);
-        let container = self
-            .containers
-            .entry(cid.raw())
-            .or_insert_with(|| Container::new(cid, TagObject::SERIALIZED_LEN));
-        self.scratch.clear();
-        tag.write_to(&mut self.scratch);
-        container.push_record(&self.scratch, tag.mag(2), tag.class)?;
-        let chunk = self.columns.entry(cid.raw()).or_default();
-        Arc::make_mut(chunk).push(&tag, obj.htm20);
+        let cid = HtmId::from_raw(obj.htm20)?.ancestor_at(self.container_level);
+        let chunk = self.chunks.entry(cid.raw()).or_default();
+        Arc::make_mut(chunk).push(&TagObject::from_photo(obj), obj.htm20);
         Ok(())
     }
 
     pub fn len(&self) -> usize {
-        self.containers.values().map(Container::len).sum()
+        self.chunks.values().map(|c| c.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Total payload bytes — the "much less space" of the paper.
+    /// The scan charge of the whole store: 64 bytes (one serialized
+    /// [`TagObject`]) per row — the "much less space" of the paper, and
+    /// the unit every tag scan's `bytes_scanned`, morsel weight and cost
+    /// estimate is counted in. It is not resident memory: the column
+    /// lanes hold [`ColumnChunk::bytes`] (81 bytes per row).
     pub fn bytes(&self) -> usize {
-        self.containers.values().map(Container::bytes).sum()
+        charge(self.len())
     }
 
     pub fn num_containers(&self) -> usize {
-        self.containers.len()
+        self.chunks.len()
     }
 
-    pub fn containers(&self) -> impl Iterator<Item = &Container> {
-        self.containers.values()
+    /// Each container's id, rows and scan charge, in id order — all the
+    /// cost model reads of a store.
+    pub fn container_sizes(&self) -> impl Iterator<Item = ContainerSize> + '_ {
+        self.chunks.iter().map(|(&raw, c)| ContainerSize {
+            id: container_id(raw),
+            rows: c.len() as u64,
+            bytes: charge(c.len()) as u64,
+        })
     }
 
     /// The SoA chunks, keyed by raw container id.
     pub fn column_chunks(&self) -> impl Iterator<Item = (u64, &Arc<ColumnChunk>)> {
-        self.columns.iter().map(|(&raw, c)| (raw, c))
+        self.chunks.iter().map(|(&raw, c)| (raw, c))
     }
 
     pub fn column_chunk(&self, raw: u64) -> Option<&Arc<ColumnChunk>> {
-        self.columns.get(&raw)
+        self.chunks.get(&raw)
     }
 
     /// Cover-cache (hits, misses) — observability for repeated queries.
@@ -185,189 +182,6 @@ impl TagStore {
         self.container_level
     }
 
-    /// Full scan of all tags.
-    pub fn scan_all(&self, mut f: impl FnMut(&TagObject)) -> usize {
-        self.scan_all_until(|tag| {
-            f(tag);
-            true
-        })
-        .0
-    }
-
-    /// Like [`TagStore::scan_all`] but the callback may return `false`
-    /// to stop early (cancelled queries). Returns
-    /// `(bytes_scanned, containers_read)` for the containers actually
-    /// opened.
-    pub fn scan_all_until(&self, mut f: impl FnMut(&TagObject) -> bool) -> (usize, usize) {
-        let mut bytes = 0;
-        let mut containers = 0;
-        'outer: for c in self.containers.values() {
-            bytes += c.bytes();
-            containers += 1;
-            for mut rec in c.iter_records() {
-                let tag = TagObject::read_from(&mut rec).expect("valid tag record");
-                if !f(&tag) {
-                    break 'outer;
-                }
-            }
-        }
-        (bytes, containers)
-    }
-
-    fn check_level(&self, cover_level: Option<u8>) -> Result<u8, StorageError> {
-        let level = cover_level.unwrap_or(self.scan_cover_level);
-        if level < self.container_level || level > 20 {
-            return Err(StorageError::InvalidConfig(format!(
-                "cover level {level} outside [{}, 20]",
-                self.container_level
-            )));
-        }
-        Ok(level)
-    }
-
-    /// Resolve the cover machinery for one region scan (shared by the
-    /// row and batch paths so the cover logic exists exactly once).
-    fn cover_walk(
-        &self,
-        domain: &Domain,
-        cover_level: Option<u8>,
-    ) -> Result<CoverWalk, StorageError> {
-        let level = self.check_level(cover_level)?;
-        let (cover, cache_hit) = self.cover_cache.get_or_compute_traced(domain, level)?;
-        let touched = cover.touched_ranges().coarsen(level, self.container_level);
-        Ok(CoverWalk {
-            cover,
-            touched,
-            level,
-            shift: 2 * (20 - level) as u64,
-            cache_hit,
-        })
-    }
-
-    /// Record one cover lookup into scan stats.
-    fn record_cover(walk: &CoverWalk, stats: &mut RegionScan) {
-        if walk.cache_hit {
-            stats.cover_cache_hits += 1;
-        } else {
-            stats.cover_cache_misses += 1;
-        }
-    }
-
-    /// Walk every touched container of a cover, classifying each as
-    /// wholly inside the full cover or bisected — the single
-    /// classification rule shared by the row scan, the batch scan plan,
-    /// and anything else that shards by container.
-    fn touched_containers<'a>(
-        &'a self,
-        walk: &'a CoverWalk,
-    ) -> impl Iterator<Item = (u64, &'a Container, bool)> + 'a {
-        let full = walk.cover.full_ranges();
-        walk.touched.ranges().iter().flat_map(move |&(lo, hi)| {
-            self.containers.range(lo..hi).map(move |(&raw, container)| {
-                let (clo, chi) = container.id().deep_range(walk.level);
-                (raw, container, full.contains_range(clo, chi))
-            })
-        })
-    }
-
-    /// [`TagStore::touched_containers`] plus the common byte/container
-    /// stats accounting. `f` returns `false` to stop early.
-    fn for_each_touched_container(
-        &self,
-        walk: &CoverWalk,
-        stats: &mut RegionScan,
-        mut f: impl FnMut(&u64, &Container, bool, &mut RegionScan) -> bool,
-    ) {
-        for (raw, container, container_full) in self.touched_containers(walk) {
-            stats.bytes_scanned += container.bytes();
-            if container_full {
-                stats.containers_full += 1;
-            } else {
-                stats.containers_partial += 1;
-            }
-            if !f(&raw, container, container_full, stats) {
-                return;
-            }
-        }
-    }
-
-    /// Region scan over tags, same cover logic as the full store.
-    pub fn scan_region(
-        &self,
-        domain: &Domain,
-        cover_level: Option<u8>,
-        mut f: impl FnMut(&TagObject),
-    ) -> Result<RegionScan, StorageError> {
-        self.scan_region_until(domain, cover_level, |t| {
-            f(t);
-            true
-        })
-    }
-
-    /// Like [`TagStore::scan_region`] but the callback may return `false`
-    /// to stop early.
-    pub fn scan_region_until(
-        &self,
-        domain: &Domain,
-        cover_level: Option<u8>,
-        mut f: impl FnMut(&TagObject) -> bool,
-    ) -> Result<RegionScan, StorageError> {
-        let walk = self.cover_walk(domain, cover_level)?;
-        let (full, partial) = (walk.cover.full_ranges(), walk.cover.partial_ranges());
-
-        let mut stats = RegionScan::default();
-        Self::record_cover(&walk, &mut stats);
-        let mut err: Option<StorageError> = None;
-        self.for_each_touched_container(
-            &walk,
-            &mut stats,
-            |raw, container, container_full, stats| {
-                let mut read = |mut rec: &[u8]| match TagObject::read_from(&mut rec) {
-                    Ok(tag) => Some(tag),
-                    Err(e) => {
-                        err = Some(e.into());
-                        None
-                    }
-                };
-                if container_full {
-                    for rec in container.iter_records() {
-                        let Some(tag) = read(rec) else { return false };
-                        stats.objects_yielded += 1;
-                        if !f(&tag) {
-                            return false;
-                        }
-                    }
-                    return true;
-                }
-                let deep_ids = &self.columns[raw].htm20;
-                for (slot, rec) in container.iter_records().enumerate() {
-                    let deep_id = deep_ids[slot] >> walk.shift;
-                    if full.contains(deep_id) {
-                        let Some(tag) = read(rec) else { return false };
-                        stats.objects_yielded += 1;
-                        if !f(&tag) {
-                            return false;
-                        }
-                    } else if partial.contains(deep_id) {
-                        let Some(tag) = read(rec) else { return false };
-                        stats.objects_exact_tested += 1;
-                        if domain.contains(tag.unit_vec()) {
-                            stats.objects_yielded += 1;
-                            if !f(&tag) {
-                                return false;
-                            }
-                        }
-                    }
-                }
-                true
-            },
-        );
-        match err {
-            Some(e) => Err(e),
-            None => Ok(stats),
-        }
-    }
-
     /// Resolve a columnar scan into a [`TagScanPlan`]: the cover decided
     /// exactly once, and every touched container listed as one morsel
     /// with its classification (wholly inside the cover vs bisected) and
@@ -382,12 +196,12 @@ impl TagStore {
     ) -> Result<TagScanPlan, StorageError> {
         let Some(domain) = domain else {
             let morsels = self
-                .containers
+                .chunks
                 .iter()
                 .map(|(&raw, c)| TagMorsel {
                     container: raw,
                     full: true,
-                    bytes: c.bytes(),
+                    bytes: charge(c.len()),
                 })
                 .collect();
             return Ok(TagScanPlan {
@@ -399,21 +213,37 @@ impl TagStore {
             });
         };
 
-        let walk = self.cover_walk(domain, cover_level)?;
-        let morsels = self
-            .touched_containers(&walk)
-            .map(|(raw, container, full)| TagMorsel {
-                container: raw,
-                full,
-                bytes: container.bytes(),
+        let level = cover_level.unwrap_or(self.scan_cover_level);
+        if level < self.container_level || level > 20 {
+            return Err(StorageError::InvalidConfig(format!(
+                "cover level {level} outside [{}, 20]",
+                self.container_level
+            )));
+        }
+        let (cover, cache_hit) = self.cover_cache.get_or_compute_traced(domain, level)?;
+        // Touched deep ranges coarsened to the container level; a
+        // container is a full morsel when the full cover holds it whole.
+        let touched = cover.touched_ranges().coarsen(level, self.container_level);
+        let full = cover.full_ranges();
+        let morsels = touched
+            .ranges()
+            .iter()
+            .flat_map(|&(lo, hi)| self.chunks.range(lo..hi))
+            .map(|(&raw, c)| {
+                let (clo, chi) = container_id(raw).deep_range(level);
+                TagMorsel {
+                    container: raw,
+                    full: full.contains_range(clo, chi),
+                    bytes: charge(c.len()),
+                }
             })
             .collect();
         Ok(TagScanPlan {
             morsels,
-            cover: Some(walk.cover),
+            cover: Some(cover),
             domain: Some(domain.clone()),
-            shift: walk.shift,
-            cache_hit: walk.cache_hit,
+            shift: 2 * (20 - level) as u64,
+            cache_hit,
         })
     }
 
@@ -430,9 +260,8 @@ impl TagStore {
     ) -> (RegionScan, bool) {
         let m = &plan.morsels[idx];
         let mut stats = RegionScan::default();
-        let container = &self.containers[&m.container];
-        let chunk = &self.columns[&m.container];
-        stats.bytes_scanned += container.bytes();
+        let chunk = &self.chunks[&m.container];
+        stats.bytes_scanned += m.bytes;
         if m.full {
             stats.containers_full += 1;
         } else {
@@ -508,6 +337,20 @@ impl TagStore {
         Ok(stats)
     }
 
+    /// Region scan over tags, one owned record per selected row: an
+    /// adapter over [`TagStore::scan_batches`] for callers that want rows.
+    pub fn scan_region(
+        &self,
+        domain: &Domain,
+        cover_level: Option<u8>,
+        mut f: impl FnMut(&TagObject),
+    ) -> Result<RegionScan, StorageError> {
+        self.scan_batches(Some(domain), cover_level, |batch, sel| {
+            sel.iter_set().for_each(|i| f(&batch.row(i)));
+            true
+        })
+    }
+
     /// Collect a region scan.
     pub fn query_region(
         &self,
@@ -540,12 +383,8 @@ mod tests {
         let (store, tags, objs) = stores(1);
         assert_eq!(tags.len(), objs.len());
         assert_eq!(tags.num_containers(), store.num_containers());
-        // Chunks are slot-parallel with the record containers.
         for (raw, chunk) in tags.column_chunks() {
-            let container = tags
-                .containers()
-                .find(|c| c.id().raw() == raw)
-                .expect("chunk has a container");
+            let container = store.container(raw).expect("chunk has a store container");
             assert_eq!(chunk.len(), container.len());
             // Built at its final size: no lane carries regrowth slack.
             assert_eq!(chunk.ra.capacity(), chunk.len());
@@ -592,20 +431,25 @@ mod tests {
         }
     }
 
+    /// The tag batch scan's cover selection against the full store's
+    /// independent row scan: same rows, same exact tests, same
+    /// containers, and the 64-byte charge per touched tag row.
     #[test]
     fn batch_scan_selects_same_rows_as_row_scan() {
-        let (_, tags, _) = stores(5);
+        let (store, tags, _) = stores(5);
         for radius in [0.4, 1.5, 3.0] {
             let domain = Region::circle(185.0, 15.0, radius).unwrap();
-            let (rows, row_stats) = tags.query_region(&domain, None).unwrap();
+            let (rows, row_stats) = store.query_region(&domain, None).unwrap();
             let mut batch_ids: Vec<u64> = Vec::new();
+            let mut touched_rows = 0usize;
             let batch_stats = tags
                 .scan_batches(Some(&domain), None, |batch, sel| {
                     batch_ids.extend(sel.iter_set().map(|i| batch.obj_id[i]));
+                    touched_rows += batch.len();
                     true
                 })
                 .unwrap();
-            let mut row_ids: Vec<u64> = rows.iter().map(|t| t.obj_id).collect();
+            let mut row_ids: Vec<u64> = rows.iter().map(|o| o.obj_id).collect();
             row_ids.sort_unstable();
             batch_ids.sort_unstable();
             assert_eq!(row_ids, batch_ids, "radius {radius}");
@@ -614,7 +458,12 @@ mod tests {
                 batch_stats.objects_exact_tested,
                 row_stats.objects_exact_tested
             );
-            assert_eq!(batch_stats.bytes_scanned, row_stats.bytes_scanned);
+            assert_eq!(batch_stats.containers_full, row_stats.containers_full);
+            assert_eq!(batch_stats.containers_partial, row_stats.containers_partial);
+            assert_eq!(
+                batch_stats.bytes_scanned,
+                touched_rows * TagObject::SERIALIZED_LEN
+            );
         }
     }
 

@@ -46,8 +46,10 @@ fn river_filters_and_sorts_tag_partition() {
 
     // A river over the tag partition: filter to galaxies, sort by r.
     let tags_store = TagStore::from_store(&store);
-    let mut all_tags: Vec<TagObject> = Vec::new();
-    tags_store.scan_all(|t| all_tags.push(*t));
+    let all_tags: Vec<TagObject> = tags_store
+        .column_chunks()
+        .flat_map(|(_, chunk)| (0..chunk.len()).map(|i| chunk.row(i)))
+        .collect();
     let river = RiverGraph::new(3)
         .unwrap()
         .filter(|t| t.class == ObjClass::Galaxy)

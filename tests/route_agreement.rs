@@ -1,0 +1,224 @@
+//! The fast route check: every query below runs on three execution
+//! routes — the row interpreter, and the compiled engine at exactly one
+//! and exactly two scan workers per query — and every route must return
+//! the same rows as a bitwise multiset and charge the same scan bytes.
+//!
+//! Worker counts are explicit, never the host default, so the check
+//! means the same thing on one core and on many. The full randomized
+//! equivalence suites live with the query crate; this slice is small
+//! enough for the root test run.
+
+use sdss::catalog::SkyModel;
+use sdss::query::{AdmissionConfig, Archive, ArchiveConfig, ExecMode, QueryOutput, Row, Value};
+use sdss::storage::{ObjectStore, StoreConfig, TagStore};
+use std::cmp::Ordering;
+use std::sync::Arc;
+
+/// The sky spans many containers, so two-worker scans really split.
+fn stores() -> (Arc<ObjectStore>, Arc<TagStore>) {
+    let model = SkyModel {
+        n_galaxies: 2400,
+        n_stars: 900,
+        n_quasars: 150,
+        ..SkyModel::small(1313)
+    };
+    let objs = model.generate().expect("valid model");
+    let mut store = ObjectStore::new(StoreConfig::default()).expect("store");
+    store.insert_batch(&objs).expect("insert");
+    let tags = TagStore::from_store(&store);
+    (Arc::new(store), Arc::new(tags))
+}
+
+/// The route matrix: a name and an archive handle per route, all over
+/// the same stores.
+fn routes(store: &Arc<ObjectStore>, tags: &Arc<TagStore>) -> Vec<(&'static str, Archive)> {
+    let archive = |mode, workers| {
+        let config = ArchiveConfig {
+            mode,
+            admission: AdmissionConfig {
+                max_worker_slots: 8,
+                max_workers_per_query: workers,
+                ..AdmissionConfig::default()
+            },
+            ..ArchiveConfig::default()
+        };
+        Archive::with_config(store.clone(), Some(tags.clone()), config)
+    };
+    vec![
+        ("interpreted", archive(ExecMode::Interpreted, 1)),
+        ("auto/1", archive(ExecMode::Auto, 1)),
+        ("auto/2", archive(ExecMode::Auto, 2)),
+    ]
+}
+
+/// A total order that is equal exactly on bitwise-identical values
+/// (`total_cmp` separates NaN payloads and the signs of zero).
+fn value_order(a: &Value, b: &Value) -> Ordering {
+    fn rank(v: &Value) -> u8 {
+        match v {
+            Value::Num(_) => 0,
+            Value::Id(_) => 1,
+            Value::Str(_) => 2,
+            Value::Bool(_) => 3,
+            Value::Null => 4,
+        }
+    }
+    match (a, b) {
+        (Value::Num(x), Value::Num(y)) => x.total_cmp(y),
+        (Value::Id(x), Value::Id(y)) => x.cmp(y),
+        (Value::Str(x), Value::Str(y)) => x.cmp(y),
+        (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
+        _ => rank(a).cmp(&rank(b)),
+    }
+}
+
+fn row_order(a: &Row, b: &Row) -> Ordering {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| value_order(x, y))
+        .find(|o| o.is_ne())
+        .unwrap_or_else(|| a.len().cmp(&b.len()))
+}
+
+/// The rows as a canonically sorted multiset (no query here has ORDER
+/// BY, so only the multiset is part of the result contract).
+fn canonical(rows: &[Row]) -> Vec<Row> {
+    let mut rows = rows.to_vec();
+    rows.sort_by(row_order);
+    rows
+}
+
+fn assert_same_rows(want: &[Row], got: &[Row], context: &str) {
+    assert_eq!(want.len(), got.len(), "{context}: row count");
+    for (i, (w, g)) in canonical(want).iter().zip(&canonical(got)).enumerate() {
+        assert_eq!(
+            row_order(w, g),
+            Ordering::Equal,
+            "{context}: sorted row {i}: {w:?} != {g:?}"
+        );
+    }
+}
+
+/// Run `sql` on every route, check each against the interpreter's rows
+/// and scan bytes, and return the interpreter's output.
+fn agree(routes: &[(&str, Archive)], sql: &str) -> QueryOutput {
+    let mut outs = routes.iter().map(|(name, archive)| {
+        let out = archive
+            .run(sql)
+            .unwrap_or_else(|e| panic!("{name}: {sql}: {e}"));
+        (*name, out)
+    });
+    let (_, oracle) = outs.next().expect("the interpreted route comes first");
+    for (name, out) in outs {
+        let context = format!("{name}: {sql}");
+        assert_eq!(out.columns, oracle.columns, "{context}");
+        assert_same_rows(&oracle.rows, &out.rows, &context);
+        let (want, got) = (&oracle.stats.scan, &out.stats.scan);
+        assert_eq!(got.bytes_scanned, want.bytes_scanned, "{context}: bytes");
+        assert_eq!(got.containers_full, want.containers_full, "{context}");
+        assert_eq!(got.containers_partial, want.containers_partial, "{context}");
+        assert_eq!(
+            got.objects_exact_tested, want.objects_exact_tested,
+            "{context}"
+        );
+    }
+    oracle
+}
+
+#[test]
+fn tag_cones_and_sweeps_agree_across_routes() {
+    let (store, tags) = stores();
+    let routes = routes(&store, &tags);
+    for sql in [
+        "SELECT objid, ra, dec, r, gr, class FROM photoobj WHERE CIRCLE(185, 15, 1.5) AND r < 22",
+        "SELECT objid, r, ug FROM photoobj WHERE CIRCLE(185.5, 14.5, 0.4)",
+        "SELECT objid, ra, dec, r, gr, ri FROM photoobj WHERE gr BETWEEN 0.2 AND 0.9",
+        "SELECT objid, size, class FROM photoobj WHERE class = 'QSO' OR r < 19.5",
+        "SELECT objid, r FROM photoobj SAMPLE 0.3",
+    ] {
+        let out = agree(&routes, sql);
+        assert!(!out.rows.is_empty(), "{sql} must select rows");
+        assert!(!out.stats.columnar, "the oracle route interprets");
+    }
+    // The two-worker route really splits a sweep.
+    let (_, auto2) = &routes[2];
+    let sweep = auto2
+        .run("SELECT objid FROM photoobj WHERE r < 30")
+        .unwrap();
+    assert_eq!(sweep.stats.workers_used, 2);
+}
+
+#[test]
+fn non_compilable_predicate_agrees_across_routes() {
+    let (store, tags) = stores();
+    let routes = routes(&store, &tags);
+    // String ordering on `class` stays on the interpreter, on every route.
+    let sql = "SELECT objid, ra, r, class FROM photoobj WHERE class >= 'QSO' AND r < 22";
+    let out = agree(&routes, sql);
+    assert!(!out.rows.is_empty(), "{sql} must select rows");
+    for (name, archive) in &routes {
+        let stats = archive.run(sql).unwrap().stats;
+        assert!(!stats.columnar, "{name}: the predicate must not compile");
+        assert!(
+            stats.morsels > 0,
+            "{name}: interpreted tag scans run on morsels"
+        );
+    }
+}
+
+#[test]
+fn into_then_from_agrees_across_routes() {
+    let (store, tags) = stores();
+    let routes = routes(&store, &tags);
+    let from_t = "SELECT objid, ra, dec, r, gr, class FROM t WHERE gr > 0.3";
+    let mut outs = Vec::new();
+    for (name, archive) in &routes {
+        let session = archive.session();
+        session
+            .run("SELECT objid INTO t FROM photoobj WHERE CIRCLE(185, 15, 2) AND r < 22")
+            .unwrap_or_else(|e| panic!("{name}: INTO: {e}"));
+        let out = session
+            .run(from_t)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        outs.push((*name, out));
+    }
+    let (_, oracle) = &outs[0];
+    assert!(!oracle.rows.is_empty());
+    for (name, out) in &outs[1..] {
+        let context = format!("{name}: {from_t}");
+        assert_same_rows(&oracle.rows, &out.rows, &context);
+        assert_eq!(
+            out.stats.scan.bytes_scanned, oracle.stats.scan.bytes_scanned,
+            "{context}"
+        );
+    }
+}
+
+/// UNION keeps every column of a right-only row: the expected rows are
+/// the two sides run alone, merged by `objid`.
+#[test]
+fn union_keeps_right_only_values() {
+    let (store, tags) = stores();
+    let routes = routes(&store, &tags);
+    let left = "SELECT objid, r FROM photoobj WHERE r < 19";
+    let right = "SELECT objid, r FROM photoobj WHERE class = 'GALAXY'";
+    let union = format!("({left}) UNION ({right})");
+    let out = agree(&routes, &union);
+
+    let (_, interp) = &routes[0];
+    let mut want = interp.run(left).unwrap().rows;
+    let right_only: Vec<Row> = interp
+        .run(right)
+        .unwrap()
+        .rows
+        .into_iter()
+        .filter(|row| !want.iter().any(|l| l[0] == row[0]))
+        .collect();
+    assert!(
+        !right_only.is_empty(),
+        "the query must have right-only rows"
+    );
+    want.extend(right_only);
+    assert_same_rows(&want, &out.rows, &union);
+    assert!(out.rows.iter().all(|row| matches!(row[1], Value::Num(_))));
+}
