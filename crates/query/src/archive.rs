@@ -16,7 +16,8 @@
 //! * [`ResultStream`] — a pull-based stream of [`ResultBatch`]es; the
 //!   columnar scan path delivers struct-of-arrays batches end to end and
 //!   rows materialize only when the consumer asks
-//!   ([`ResultBatch::rows`]).
+//!   ([`ResultBatch::rows`], one row-major [`RowBlock`](crate::RowBlock)
+//!   per batch).
 //! * [`QueryTicket`] — every execution's cancel token + live progress
 //!   counters; [`QueryStats`] summarizes the run once the stream
 //!   finishes.

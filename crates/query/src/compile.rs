@@ -535,7 +535,8 @@ impl CompiledProjection {
     /// [`ColumnarBatch`](crate::exec::ColumnarBatch): typed column
     /// vectors, no per-row `Vec<Value>` and no string materialization —
     /// the batch-native form the channel fabric ships. Rows materialize
-    /// only at the consumer edge via `ResultBatch::rows`.
+    /// only at the consumer edge, one row-major `RowBlock` per batch via
+    /// `ResultBatch::rows`.
     pub fn eval_batch(
         &self,
         batch: &ColumnBatch<'_>,

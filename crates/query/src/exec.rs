@@ -14,8 +14,10 @@
 //! each batch into a selection bitmap, and ships the projected columns
 //! onward as a [`ColumnarBatch`] — typed column vectors, **not**
 //! `Vec<Row>`. Rows materialize only at the edge, when a consumer calls
-//! [`ResultBatch::rows`]; row-at-a-time interpretation remains as the
-//! fallback for whatever the compiler can't express.
+//! [`ResultBatch::rows`], which builds every value of the batch eagerly
+//! into one row-major [`RowBlock`] (one allocation per batch, not per
+//! row); row-at-a-time interpretation remains as the fallback for
+//! whatever the compiler can't express.
 //!
 //! Every tag or stored-set execution — projection, in-scan aggregate,
 //! MATCH probe, INTO fast path and the row interpreter — runs through
@@ -97,16 +99,14 @@ impl ColumnData {
     }
 
     /// The value of row `i`, materialized.
+    // Inlined into the edge's per-cell loop; the class arm's string
+    // build stays out of line in `class_value`.
+    #[inline]
     pub fn value_at(&self, i: usize) -> Value {
         match self {
             ColumnData::Num(v) => Value::Num(v[i]),
             ColumnData::Id(v) => Value::Id(v[i]),
-            ColumnData::Class(v) => Value::Str(
-                ObjClass::from_u8(v[i])
-                    .expect("valid stored class")
-                    .as_str()
-                    .to_string(),
-            ),
+            ColumnData::Class(v) => class_value(v[i]),
         }
     }
 
@@ -130,6 +130,16 @@ impl ColumnData {
             ColumnData::Class(_) => None,
         }
     }
+}
+
+/// A stored class byte as its edge value, the class name.
+fn class_value(b: u8) -> Value {
+    Value::Str(
+        ObjClass::from_u8(b)
+            .expect("valid stored class")
+            .as_str()
+            .to_string(),
+    )
 }
 
 /// A batch of projected results in struct-of-arrays form — what the
@@ -183,14 +193,22 @@ impl ColumnarBatch {
         self.len += other.len;
     }
 
-    /// Materialize every row — the edge adapter. Column-major fill: one
-    /// dispatch per column, not per cell.
-    pub fn rows(&self) -> Vec<Row> {
-        let mut rows: Vec<Row> = (0..self.len)
-            .map(|_| Vec::with_capacity(self.columns.len()))
-            .collect();
-        self.append_columns(&mut rows);
-        rows
+    /// Materialize every row into one row-major [`RowBlock`] — the edge
+    /// adapter. One allocation per batch; every `Value` is built before
+    /// this returns.
+    pub fn rows(&self) -> RowBlock {
+        let width = self.columns.len();
+        let mut values = Vec::with_capacity(self.len * width);
+        for i in 0..self.len {
+            for col in &self.columns {
+                values.push(col.value_at(i));
+            }
+        }
+        RowBlock {
+            values,
+            width,
+            len: self.len,
+        }
     }
 
     fn append_columns(&self, rows: &mut [Row]) {
@@ -208,16 +226,56 @@ impl ColumnarBatch {
                 }
                 ColumnData::Class(v) => {
                     for (row, &b) in rows.iter_mut().zip(v) {
-                        row.push(Value::Str(
-                            ObjClass::from_u8(b)
-                                .expect("valid stored class")
-                                .as_str()
-                                .to_string(),
-                        ));
+                        row.push(class_value(b));
                     }
                 }
             }
         }
+    }
+}
+
+/// A batch of materialized rows at the client edge: one row-major
+/// `Vec<Value>` slab (`width` values per row), so a batch costs one
+/// allocation instead of one per row. Eager: every `Value` is fully built
+/// when [`ResultBatch::rows`] returns. Index or iterate it as `&[Value]`
+/// rows; [`RowBlock::into_rows`] moves the values out as owned rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RowBlock {
+    values: Vec<Value>,
+    width: usize,
+    len: usize,
+}
+
+impl RowBlock {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The rows in order, each as a `&[Value]` of `width` values.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Value]> + '_ {
+        (0..self.len).map(move |i| &self[i])
+    }
+
+    /// Owned rows, moving every value out of the slab (no clones).
+    pub fn into_rows(self) -> Vec<Row> {
+        let mut values = self.values.into_iter();
+        (0..self.len)
+            .map(|_| values.by_ref().take(self.width).collect())
+            .collect()
+    }
+}
+
+impl std::ops::Index<usize> for RowBlock {
+    type Output = [Value];
+
+    fn index(&self, row: usize) -> &[Value] {
+        assert!(row < self.len, "row {row} out of {} rows", self.len);
+        &self.values[row * self.width..(row + 1) * self.width]
     }
 }
 
@@ -253,12 +311,23 @@ impl ResultBatch {
         matches!(self, ResultBatch::Columnar(_))
     }
 
-    /// Materialize into rows — the edge adapter. Columnar batches decode
-    /// here and nowhere earlier.
-    pub fn rows(self) -> Vec<Row> {
+    /// Materialize into one row-major [`RowBlock`] — the edge adapter.
+    /// One allocation per batch, and eager: columnar batches decode here
+    /// and nowhere earlier, and row batches move their values into the
+    /// slab without cloning.
+    pub fn rows(self) -> RowBlock {
         match self {
             ResultBatch::Columnar(b) => b.rows(),
-            ResultBatch::Rows(r) => r,
+            ResultBatch::Rows(r) => {
+                let len = r.len();
+                let width = r.first().map_or(0, Vec::len);
+                let mut values = Vec::with_capacity(len * width);
+                for row in r {
+                    assert_eq!(row.len(), width, "one node emits one row width");
+                    values.extend(row);
+                }
+                RowBlock { values, width, len }
+            }
         }
     }
 
@@ -707,7 +776,9 @@ fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchH
                     out.len() < BATCH || tx.send(ResultBatch::Rows(std::mem::take(out))).is_ok()
                 };
                 for batch in lh.rx.iter() {
-                    for row in batch.rows() {
+                    // Borrow each row; only the kept ones are copied out,
+                    // so duplicates and dropped rows cost no allocation.
+                    for row in batch.rows().iter() {
                         let Some(id) = row[objid_idx].as_id() else {
                             continue;
                         };
@@ -721,7 +792,7 @@ fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchH
                         };
                         if keep {
                             seen.insert(id);
-                            if !push(row, &mut out) {
+                            if !push(row.to_vec(), &mut out) {
                                 return;
                             }
                         }
@@ -1965,17 +2036,91 @@ mod tests {
         );
         assert_eq!(b.len(), 3);
         let rows = b.rows();
+        assert_eq!(rows.len(), 3);
         assert_eq!(rows[0][0], Value::Id(1));
         assert_eq!(rows[1][1], Value::Num(2.5));
         assert_eq!(rows[2][2], Value::Str("QSO".to_string()));
+        assert_eq!(rows[1].len(), 3);
+        // `iter` yields the same rows as `Index`, in order.
+        assert_eq!(rows.iter().len(), 3);
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row, &rows[i]);
+        }
+        // `into_rows` is bitwise the `append_rows` materialization.
+        let mut appended = Vec::new();
+        ResultBatch::Columnar(b.clone()).append_rows(&mut appended);
+        assert_eq!(bitwise(&rows.clone().into_rows()), bitwise(&appended));
+        assert_eq!(ResultBatch::Columnar(b.clone()).rows(), rows);
         b.truncate(1);
         assert_eq!(b.len(), 1);
-        assert_eq!(b.rows().len(), 1);
+        let truncated = b.rows();
+        assert_eq!(truncated.len(), 1);
+        assert_eq!(truncated.iter().count(), 1);
+        assert_eq!(truncated.into_rows(), vec![appended[0].clone()]);
         // num_at / id_at agree with the materialized values.
         assert_eq!(b.columns()[0].num_at(0), Some(1.0));
         assert_eq!(b.columns()[1].num_at(0), Some(1.5));
         assert_eq!(b.columns()[2].num_at(0), None);
         assert_eq!(b.columns()[0].id_at(0), Some(1));
+    }
+
+    /// Each value's variant and exact bits, so NaN payloads and signed
+    /// zeros compare as themselves.
+    fn bitwise(rows: &[Row]) -> Vec<Vec<String>> {
+        rows.iter()
+            .map(|row| {
+                row.iter()
+                    .map(|v| match v {
+                        Value::Num(x) => format!("Num({:#x})", x.to_bits()),
+                        other => format!("{other:?}"),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn row_blocks_from_row_batches_and_empty_batches() {
+        let rows: Vec<Row> = vec![
+            vec![Value::Id(7), Value::Num(-0.0), Value::Str("STAR".into())],
+            vec![Value::Id(8), Value::Num(f64::NAN), Value::Null],
+        ];
+        let mut appended = Vec::new();
+        ResultBatch::Rows(rows.clone()).append_rows(&mut appended);
+        let block = ResultBatch::Rows(rows.clone()).rows();
+        assert_eq!(block.len(), 2);
+        assert!(!block.is_empty());
+        assert_eq!(block[1][0], Value::Id(8));
+        assert_eq!(block[0][2], Value::Str("STAR".into()));
+        assert_eq!(block.iter().map(<[Value]>::len).collect::<Vec<_>>(), [3, 3]);
+        assert_eq!(bitwise(&block.into_rows()), bitwise(&appended));
+
+        let mut truncated = ResultBatch::Rows(rows);
+        truncated.truncate(1);
+        let block = truncated.rows();
+        assert_eq!(block.len(), 1);
+        assert_eq!(block.into_rows(), vec![appended[0].clone()]);
+
+        for empty in [
+            ResultBatch::Rows(Vec::new()),
+            ResultBatch::Columnar(ColumnarBatch::new(
+                vec![ColumnData::Id(vec![]), ColumnData::Num(vec![])],
+                0,
+            )),
+        ] {
+            let block = empty.rows();
+            assert!(block.is_empty());
+            assert_eq!(block.len(), 0);
+            assert_eq!(block.iter().count(), 0);
+            assert!(block.into_rows().is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of 1 rows")]
+    fn row_block_index_past_the_end_panics() {
+        let block = ResultBatch::Rows(vec![vec![Value::Id(1)]]).rows();
+        let _ = &block[1];
     }
 
     #[test]

@@ -49,7 +49,9 @@
 //! * [`Prepared::stream`] → [`ResultStream`] — pull-based
 //!   [`ResultBatch`]es; the compiled scan path ships struct-of-arrays
 //!   [`ColumnarBatch`]es through the whole channel fabric and rows
-//!   materialize only at the edge ([`ResultBatch::rows`]).
+//!   materialize only at the edge: [`ResultBatch::rows`] builds each
+//!   batch eagerly into one row-major [`RowBlock`], one allocation per
+//!   batch.
 //! * [`QueryTicket`] — per-execution cancellation + live progress;
 //!   [`QueryStats`] closes the loop with timing, routing, scan-byte,
 //!   worker and cover-cache counters (including `rows_emitted`, the
@@ -170,7 +172,9 @@ pub use compile::{
     compile_agg_inputs, compile_predicate, compile_projection, BatchScratch, CompiledAggInputs,
     CompiledPredicate, CompiledProjection,
 };
-pub use exec::{ColumnData, ColumnarBatch, ExecMode, ResultBatch, Row, ScanTotals, WorkerScan};
+pub use exec::{
+    ColumnData, ColumnarBatch, ExecMode, ResultBatch, Row, RowBlock, ScanTotals, WorkerScan,
+};
 pub use plan::{plans_built, MatchInput, MatchSpec, PlanNode, QueryPlan, QuerySource};
 pub use session::{Session, SessionConfig, SessionInfo, SessionStats, StoredSetInfo};
 

@@ -258,6 +258,11 @@ impl MatchFootprint {
     /// set's largest distance from that centroid plus the match radius.
     /// Cheap enough to call at prepare time and again at execution: one
     /// pass for the centroid, one for the largest chord.
+    ///
+    /// The cap depends only on which objects the set holds, not on their
+    /// row order, so sets with the same objects share cover-cache
+    /// entries: the centroid is summed in fixed point (exact, so
+    /// associative) and the largest chord is a maximum.
     pub fn of_set(set: &ResultSet, radius_arcsec: f64) -> MatchFootprint {
         if set.is_empty() {
             return MatchFootprint::Empty;
@@ -267,10 +272,15 @@ impl MatchFootprint {
                 .iter()
                 .flat_map(|c| (0..c.len()).map(move |i| (c.x[i], c.y[i], c.z[i])))
         };
-        let (sx, sy, sz) = rows().fold((0.0, 0.0, 0.0), |(sx, sy, sz), (x, y, z)| {
-            (sx + x, sy + y, sz + z)
+        // Unit-vector components lie in [-1, 1], so each scaled term fits
+        // in 63 bits and the i128 sum cannot overflow.
+        const SCALE: f64 = (1u64 << 62) as f64;
+        let fixed = |v: f64| (v * SCALE) as i128;
+        let (sx, sy, sz) = rows().fold((0i128, 0i128, 0i128), |(sx, sy, sz), (x, y, z)| {
+            (sx + fixed(x), sy + fixed(y), sz + fixed(z))
         });
-        let Ok(center) = Vec3::new(sx, sy, sz).normalized() else {
+        let unfixed = |s: i128| s as f64 / SCALE;
+        let Ok(center) = Vec3::new(unfixed(sx), unfixed(sy), unfixed(sz)).normalized() else {
             return MatchFootprint::Whole;
         };
         // The chord is well conditioned at small angles, unlike acos(dot).
@@ -563,6 +573,32 @@ mod tests {
             MatchFootprint::of_set(&set_of(&spread), radius),
             MatchFootprint::Whole
         );
+    }
+
+    #[test]
+    fn match_footprint_ignores_row_order() {
+        // Coordinates with many significant bits, where an f64 sum in
+        // row order would round differently forwards and backwards.
+        let points: Vec<UnitVec3> = (0..500)
+            .map(|i| {
+                let t = i as f64;
+                SkyPos::new(
+                    (17.0 + t * 0.731_219_4).rem_euclid(40.0),
+                    -20.0 + (t * 0.377_77).rem_euclid(35.0),
+                )
+                .unwrap()
+                .unit_vec()
+            })
+            .collect();
+        let reversed: Vec<UnitVec3> = points.iter().rev().copied().collect();
+        let forward = MatchFootprint::of_set(&set_of(&points), 20.0);
+        let backward = MatchFootprint::of_set(&set_of(&reversed), 20.0);
+        let (Some(f), Some(b)) = (forward.domain(), backward.domain()) else {
+            panic!("a 40-degree patch restricts: {forward:?}");
+        };
+        // Bit-identical caps, not merely close ones.
+        assert_eq!(format!("{f:?}"), format!("{b:?}"));
+        assert_eq!(forward, backward);
     }
 
     #[test]

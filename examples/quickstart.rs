@@ -6,7 +6,7 @@
 
 use sdss::catalog::SkyModel;
 use sdss::coords::angle::{format_dms, format_hms};
-use sdss::query::Archive;
+use sdss::query::{Archive, Value};
 use sdss::storage::{ObjectStore, StoreConfig, TagStore};
 use std::sync::Arc;
 
@@ -83,6 +83,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nwithin 2.5 deg of field center: {} objects, r in [{:.2}, {:.2}], mean {:.2}",
         row[0], row[2], row[3], row[1]
+    );
+
+    // 5. Stream a larger result batch by batch, as it is found. Each
+    //    batch materializes into one row-major `RowBlock` (one
+    //    allocation per batch) whose rows are `&[Value]` slices.
+    let mut stream = archive
+        .prepare("SELECT objid, r, class FROM photoobj WHERE gr BETWEEN 0.2 AND 0.9")?
+        .stream()?;
+    let (mut rows, mut quasars, mut faintest) = (0usize, 0usize, f64::MIN);
+    while let Some(batch) = stream.next_batch() {
+        let block = batch.rows();
+        rows += block.len();
+        for row in block.iter() {
+            faintest = faintest.max(row[1].as_num().unwrap_or(f64::MIN));
+            quasars += matches!(&row[2], Value::Str(c) if c == "QSO") as usize;
+        }
+    }
+    if let Some(msg) = stream.failure() {
+        return Err(msg.into());
+    }
+    let stats = stream.finish();
+    println!(
+        "streamed {rows} objects with 0.2 <= g-r <= 0.9 in {} batches \
+         ({quasars} quasars, faintest r = {faintest:.2})",
+        stats.batches
     );
     Ok(())
 }

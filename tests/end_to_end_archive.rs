@@ -167,3 +167,62 @@ fn proximity_join_quasar_query() {
     let brute = sdss::dataflow::brute_force_pairs(&tags, radius, &pred);
     assert_eq!(pairs, brute);
 }
+
+/// A set-vs-archive MATCH reads one footprint whatever the set's row
+/// order: a set and its row-reversed copy share a cover-cache entry, and
+/// both return exactly the brute-force pairs.
+#[test]
+fn set_row_order_changes_neither_match_footprint_nor_pairs() {
+    let (store, tags, objs) = build_archive(106);
+    let archive = Archive::new(store, Some(tags));
+    let session = archive.session();
+    let pick = "FROM photoobj WHERE CIRCLE(185, 15, 1.5) AND r < 22";
+    session
+        .run(&format!("SELECT objid INTO up {pick} ORDER BY objid"))
+        .unwrap();
+    session
+        .run(&format!(
+            "SELECT objid INTO down {pick} ORDER BY objid DESC"
+        ))
+        .unwrap();
+    let members: std::collections::HashSet<u64> = archive
+        .run(&format!("SELECT objid {pick}"))
+        .unwrap()
+        .rows
+        .iter()
+        .map(|row| row[0].as_id().unwrap())
+        .collect();
+    assert!(members.len() > 20, "{} members", members.len());
+
+    let radius_arcsec = 120.0;
+    let tags: Vec<TagObject> = objs.iter().map(TagObject::from_photo).collect();
+    let in_set: sdss::dataflow::PairPredicate = {
+        let members = members.clone();
+        Arc::new(move |a, b| members.contains(&a.obj_id) || members.contains(&b.obj_id))
+    };
+    // MATCH yields ordered pairs with the set member first.
+    let mut want: Vec<(u64, u64)> = Vec::new();
+    for p in sdss::dataflow::brute_force_pairs(&tags, radius_arcsec / 3600.0, &in_set) {
+        if members.contains(&p.a) {
+            want.push((p.a, p.b));
+        }
+        if members.contains(&p.b) {
+            want.push((p.b, p.a));
+        }
+    }
+    want.sort_unstable();
+    assert!(!want.is_empty());
+
+    for (set, cover_misses) in [("up", 1), ("down", 0)] {
+        let sql = format!("SELECT a.objid, b.objid FROM MATCH({set}, photoobj, {radius_arcsec})");
+        let out = session.run(&sql).unwrap();
+        let mut got: Vec<(u64, u64)> = out
+            .rows
+            .iter()
+            .map(|row| (row[0].as_id().unwrap(), row[1].as_id().unwrap()))
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, want, "{sql}");
+        assert_eq!(out.stats.scan.cover_cache_misses, cover_misses, "{sql}");
+    }
+}

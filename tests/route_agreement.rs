@@ -222,3 +222,48 @@ fn union_keeps_right_only_values() {
     assert_same_rows(&want, &out.rows, &union);
     assert!(out.rows.iter().all(|row| matches!(row[1], Value::Num(_))));
 }
+
+/// The streaming edge: draining `stream()` batch by batch through
+/// `ResultBatch::rows` yields, on every route, the same rows as a
+/// bitwise multiset as `collect_output` — for columnar projections
+/// (with a class column), Sort's row batches, the UNION node and an
+/// aggregate.
+#[test]
+fn streamed_row_blocks_match_collected_output() {
+    let (store, tags) = stores();
+    let routes = routes(&store, &tags);
+    for sql in [
+        "SELECT objid, ra, dec, r, gr, class FROM photoobj WHERE CIRCLE(185, 15, 1.5) AND r < 22",
+        "SELECT objid, r, class FROM photoobj WHERE gr > 0.4 ORDER BY r DESC",
+        "(SELECT objid, r FROM photoobj WHERE r < 19) UNION \
+         (SELECT objid, r FROM photoobj WHERE class = 'GALAXY')",
+        "SELECT COUNT(*), AVG(r), MIN(gr), MAX(gr) FROM photoobj WHERE gr BETWEEN 0.2 AND 0.9",
+    ] {
+        for (name, archive) in &routes {
+            let context = format!("{name}: {sql}");
+            let prepared = archive.prepare(sql).unwrap();
+            let want = prepared.stream().unwrap().collect_output().unwrap().rows;
+            let mut stream = prepared.stream().unwrap();
+            let width = stream.columns().len();
+            let mut streamed: Vec<Row> = Vec::new();
+            while let Some(batch) = stream.next_batch() {
+                let block = batch.rows();
+                let borrowed: Vec<Row> = block.iter().map(<[Value]>::to_vec).collect();
+                assert!(borrowed.iter().all(|row| row.len() == width), "{context}");
+                let owned = block.into_rows();
+                assert_same_rows(&borrowed, &owned, &context);
+                streamed.extend(owned);
+            }
+            assert!(stream.failure().is_none(), "{context}");
+            assert!(!want.is_empty(), "{context}: must select rows");
+            assert_same_rows(&want, &streamed, &context);
+            if sql.contains("ORDER BY") {
+                let r: Vec<f64> = streamed
+                    .iter()
+                    .map(|row| row[1].as_num().unwrap())
+                    .collect();
+                assert!(r.windows(2).all(|w| w[0] >= w[1]), "{context}: order");
+            }
+        }
+    }
+}
