@@ -8,7 +8,7 @@
 //!   (`r < 30` keeps every row), the single-query analog of the paper's
 //!   20-node scan-machine sweep;
 //! * **aggregate** — `COUNT/AVG/MIN/MAX` over a color cut, folded inside
-//!   the scan workers (no `__agg_i` columns through the channel fabric).
+//!   the scan workers (one result row through the channel fabric).
 //!
 //! Each runs at 1/2/4/8 workers per query; the emitted
 //! `BENCH_parallel_scan.json` carries wall-clock speedups vs the serial

@@ -6,7 +6,7 @@
 
 use sdss_bench::{build_stores, fmt_bytes, standard_sky};
 use sdss_catalog::{PhotoObj, TagObject};
-use sdss_query::Archive;
+use sdss_query::{Archive, Row, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -74,10 +74,15 @@ fn main() {
             let t = Instant::now();
             let out = with_tags.run(sql).unwrap();
             assert_eq!(out.stats.route, sdss_query::RouteChoice::TagOnly);
+            assert_eq!(out.rows.len(), rows);
             tag_ms = tag_ms.min(t.elapsed().as_secs_f64() * 1e3);
             let t = Instant::now();
-            let out = full_only.run(sql).unwrap();
-            assert_eq!(out.rows.len(), rows, "routes must agree");
+            let full = full_only.run(sql).unwrap();
+            assert_eq!(
+                bitwise_by_objid(&full.rows),
+                bitwise_by_objid(&out.rows),
+                "{name}: the tag and full routes must return bitwise the same rows"
+            );
             full_ms = full_ms.min(t.elapsed().as_secs_f64() * 1e3);
         }
         println!(
@@ -96,4 +101,21 @@ fn main() {
         fmt_bytes(tags.bytes() as f64),
         store.bytes() as f64 / tags.bytes() as f64
     );
+}
+
+/// Rows sorted by their `objid` (first) column, each value written as
+/// its variant and exact bits, so two routes compare bitwise.
+fn bitwise_by_objid(rows: &[Row]) -> Vec<Vec<String>> {
+    let mut rows: Vec<&Row> = rows.iter().collect();
+    rows.sort_by_key(|row| row.first().and_then(Value::as_id));
+    rows.iter()
+        .map(|row| {
+            row.iter()
+                .map(|v| match v {
+                    Value::Num(x) => format!("Num({:#x})", x.to_bits()),
+                    other => format!("{other:?}"),
+                })
+                .collect()
+        })
+        .collect()
 }

@@ -27,7 +27,7 @@ pub mod tag;
 
 pub use chart::FindingChart;
 pub use gen::{GenRegion, SkyModel};
-pub use photoobj::{BandPhot, ObjClass, PhotoObj, BAND_NAMES, N_BANDS};
+pub use photoobj::{BandPhot, ObjClass, PhotoObj, PhotoRecord, BAND_NAMES, N_BANDS};
 pub use spectro::{SpecClass, SpectralLine, SpectroObj};
 pub use tag::TagObject;
 

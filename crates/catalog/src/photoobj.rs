@@ -333,7 +333,8 @@ impl PhotoObj {
         self.bands[2].petro_rad
     }
 
-    /// Serialize into a fixed-width little-endian record.
+    /// Serialize into a fixed-width little-endian record (field offsets
+    /// in [`offset`]).
     pub fn write_to(&self, buf: &mut impl BufMut) {
         buf.put_u64_le(self.obj_id);
         buf.put_u16_le(self.run);
@@ -424,6 +425,189 @@ impl PhotoObj {
             bands,
             extra,
         })
+    }
+}
+
+/// Byte offsets of the fields [`PhotoObj::write_to`] lays out, so a
+/// scan can read one field of a stored record in place.
+pub mod offset {
+    use super::{BandPhot, PhotoObj, N_BANDS, N_EXTRA_ATTRS};
+
+    pub const OBJ_ID: usize = 0;
+    pub const RUN: usize = 8;
+    pub const CAMCOL: usize = 11;
+    pub const FIELD: usize = 12;
+    pub const X: usize = 32;
+    pub const Y: usize = 40;
+    pub const Z: usize = 48;
+    pub const RA_ERR: usize = 56;
+    pub const DEC_ERR: usize = 60;
+    pub const CLASS: usize = 64;
+    pub const SPECTRO_TARGET: usize = 65;
+    pub const HTM20: usize = 78;
+    pub const MJD: usize = 86;
+    pub const PARENT_ID: usize = 94;
+    /// Start of the first band's [`BandPhot`] block; band `b` starts
+    /// `b * BandPhot::SERIALIZED_LEN` bytes later.
+    pub const BANDS: usize = 102;
+
+    /// Offsets inside one [`BandPhot`] block.
+    pub const PSF_MAG: usize = 0;
+    pub const MODEL_MAG: usize = 16;
+    pub const PETRO_RAD: usize = 32;
+    pub const PETRO_R50: usize = 40;
+    pub const SURFACE_BRIGHTNESS: usize = 60;
+    pub const EXTINCTION: usize = 80;
+
+    /// Offset of field `field` (one of the in-band offsets) of band `b`.
+    pub const fn band(b: usize, field: usize) -> usize {
+        BANDS + b * BandPhot::SERIALIZED_LEN + field
+    }
+
+    // The bands and the extension block fill the record to its end.
+    const _: () = assert!(
+        band(N_BANDS, 0) + N_EXTRA_ATTRS * 4 == PhotoObj::SERIALIZED_LEN,
+        "offsets must follow PhotoObj::write_to"
+    );
+}
+
+/// One stored [`PhotoObj`] record, read in place: each accessor reads its
+/// field at the fixed [`offset`], so a scan tests a record's `htm20`
+/// and reads the attributes a query names without decoding the ~1.16 KB
+/// record whole. Accessors return exactly what the decoded field holds.
+#[derive(Debug, Clone, Copy)]
+pub struct PhotoRecord<'a> {
+    bytes: &'a [u8; PhotoObj::SERIALIZED_LEN],
+}
+
+impl<'a> PhotoRecord<'a> {
+    /// View a record written by [`PhotoObj::write_to`]. Makes the checks
+    /// [`PhotoObj::read_from`] makes — the length and the class byte — so
+    /// every read after it is infallible.
+    pub fn new(bytes: &'a [u8]) -> Result<PhotoRecord<'a>, CatalogError> {
+        let bytes: &[u8; PhotoObj::SERIALIZED_LEN] = bytes
+            .get(..PhotoObj::SERIALIZED_LEN)
+            .and_then(|b| b.try_into().ok())
+            .ok_or_else(|| {
+                CatalogError::Corrupt(format!(
+                    "need {} bytes for PhotoObj, have {}",
+                    PhotoObj::SERIALIZED_LEN,
+                    bytes.len()
+                ))
+            })?;
+        ObjClass::from_u8(bytes[offset::CLASS])?;
+        Ok(PhotoRecord { bytes })
+    }
+
+    #[inline]
+    fn array<const N: usize>(&self, at: usize) -> [u8; N] {
+        self.bytes[at..at + N]
+            .try_into()
+            .expect("a fixed offset inside the record")
+    }
+
+    #[inline]
+    fn u64_at(&self, at: usize) -> u64 {
+        u64::from_le_bytes(self.array(at))
+    }
+
+    #[inline]
+    fn f64_at(&self, at: usize) -> f64 {
+        f64::from_le_bytes(self.array(at))
+    }
+
+    #[inline]
+    fn f32_at(&self, at: usize) -> f32 {
+        f32::from_le_bytes(self.array(at))
+    }
+
+    #[inline]
+    pub fn obj_id(&self) -> u64 {
+        self.u64_at(offset::OBJ_ID)
+    }
+
+    #[inline]
+    pub fn htm20(&self) -> u64 {
+        self.u64_at(offset::HTM20)
+    }
+
+    #[inline]
+    pub fn x(&self) -> f64 {
+        self.f64_at(offset::X)
+    }
+
+    #[inline]
+    pub fn y(&self) -> f64 {
+        self.f64_at(offset::Y)
+    }
+
+    #[inline]
+    pub fn z(&self) -> f64 {
+        self.f64_at(offset::Z)
+    }
+
+    /// The stored Cartesian position.
+    #[inline]
+    pub fn unit_vec(&self) -> UnitVec3 {
+        UnitVec3::new_unchecked(self.x(), self.y(), self.z())
+    }
+
+    pub fn ra_err_arcsec(&self) -> f32 {
+        self.f32_at(offset::RA_ERR)
+    }
+
+    pub fn dec_err_arcsec(&self) -> f32 {
+        self.f32_at(offset::DEC_ERR)
+    }
+
+    pub fn class(&self) -> ObjClass {
+        ObjClass::from_u8(self.bytes[offset::CLASS]).expect("PhotoRecord::new checked the class")
+    }
+
+    pub fn run(&self) -> u16 {
+        u16::from_le_bytes(self.array(offset::RUN))
+    }
+
+    pub fn camcol(&self) -> u8 {
+        self.bytes[offset::CAMCOL]
+    }
+
+    pub fn field(&self) -> u16 {
+        u16::from_le_bytes(self.array(offset::FIELD))
+    }
+
+    pub fn mjd(&self) -> f64 {
+        self.f64_at(offset::MJD)
+    }
+
+    pub fn parent_id(&self) -> u64 {
+        self.u64_at(offset::PARENT_ID)
+    }
+
+    pub fn spectro_target(&self) -> bool {
+        self.bytes[offset::SPECTRO_TARGET] != 0
+    }
+
+    /// Field `field` (an in-band [`offset`]) of band `b` (0..5 = u,g,r,i,z).
+    #[inline]
+    pub fn band_f32(&self, b: usize, field: usize) -> f32 {
+        self.f32_at(offset::band(b, field))
+    }
+
+    /// Model magnitude in band `b`, as [`PhotoObj::mag`].
+    #[inline]
+    pub fn mag(&self, b: usize) -> f32 {
+        self.band_f32(b, offset::MODEL_MAG)
+    }
+
+    /// Petrosian radius in r, as [`PhotoObj::size_arcsec`].
+    pub fn size_arcsec(&self) -> f32 {
+        self.band_f32(2, offset::PETRO_RAD)
+    }
+
+    /// Decode the whole record.
+    pub fn decode(&self) -> PhotoObj {
+        PhotoObj::read_from(&mut &self.bytes[..]).expect("PhotoRecord::new checked the record")
     }
 }
 
@@ -535,6 +719,53 @@ mod tests {
         assert_ne!(id, pack_obj_id(752, 40, 4, 618, 213));
     }
 
+    #[allow(clippy::too_many_arguments)]
+    fn strategy_obj(
+        obj_id: u64,
+        run: u16,
+        field: u16,
+        ra: f64,
+        dec: f64,
+        mags: [f32; 5],
+        profile0: f32,
+        flags: u64,
+        class_byte: u8,
+    ) -> PhotoObj {
+        let mut obj = PhotoObj {
+            obj_id,
+            run,
+            field,
+            flags,
+            class: ObjClass::from_u8(class_byte).unwrap(),
+            ..PhotoObj::default()
+        };
+        obj.set_position(SkyPos::new(ra, dec).unwrap());
+        for (i, m) in mags.into_iter().enumerate() {
+            obj.bands[i].model_mag = m;
+            obj.bands[i].profile[0] = profile0;
+        }
+        obj
+    }
+
+    #[test]
+    fn record_view_rejects_what_read_from_rejects() {
+        let mut buf = BytesMut::new();
+        PhotoObj::default().write_to(&mut buf);
+        assert!(PhotoRecord::new(&buf).is_ok());
+        assert!(matches!(
+            PhotoRecord::new(&buf[..PhotoObj::SERIALIZED_LEN - 1]),
+            Err(CatalogError::Corrupt(_))
+        ));
+        // A bad class byte fails the view, so no class is ever read from
+        // it, just as it fails a whole decode.
+        buf[offset::CLASS] = 4;
+        assert!(PhotoObj::read_from(&mut &buf[..]).is_err());
+        assert!(matches!(
+            PhotoRecord::new(&buf),
+            Err(CatalogError::Corrupt(msg)) if msg.contains("class")
+        ));
+    }
+
     proptest! {
         #[test]
         fn prop_serialization_roundtrip(
@@ -546,24 +777,86 @@ mod tests {
             flags in any::<u64>(),
             class_byte in 0u8..4,
         ) {
-            let mut obj = PhotoObj {
-                obj_id,
-                run,
-                field,
-                flags,
-                class: ObjClass::from_u8(class_byte).unwrap(),
-                ..PhotoObj::default()
-            };
-            obj.set_position(SkyPos::new(ra, dec).unwrap());
-            for (i, m) in mags.into_iter().enumerate() {
-                obj.bands[i].model_mag = m;
-                obj.bands[i].profile[0] = profile0;
-            }
+            let obj = strategy_obj(obj_id, run, field, ra, dec, mags, profile0, flags, class_byte);
             let mut buf = BytesMut::new();
             obj.write_to(&mut buf);
             prop_assert_eq!(buf.len(), PhotoObj::SERIALIZED_LEN);
             let back = PhotoObj::read_from(&mut buf.freeze()).unwrap();
             prop_assert_eq!(back, obj);
+        }
+
+        /// Every in-place read is bitwise the decoded field, over the
+        /// roundtrip strategy with every other field the view reads set
+        /// from `seed` to a distinct value.
+        #[test]
+        fn prop_record_view_reads_the_decoded_fields(
+            obj_id in any::<u64>(),
+            run in any::<u16>(), field in any::<u16>(),
+            ra in 0.0f64..360.0, dec in -90.0f64..90.0,
+            mags in proptest::array::uniform5(10.0f32..25.0),
+            profile0 in any::<f32>(),
+            flags in any::<u64>(),
+            class_byte in 0u8..4,
+            seed in any::<u64>(),
+            spectro_target in any::<bool>(),
+        ) {
+            let mut obj = strategy_obj(obj_id, run, field, ra, dec, mags, profile0, flags, class_byte);
+            let f = |k: u64| (seed.wrapping_mul(k + 1) >> 40) as f32 * 1e-3;
+            obj.camcol = (seed % 7) as u8;
+            obj.htm20 = seed ^ 0x5555;
+            obj.mjd = f(1) as f64 + 51000.5;
+            obj.parent_id = seed.rotate_left(17);
+            obj.ra_err_arcsec = f(2);
+            obj.dec_err_arcsec = f(3);
+            obj.spectro_target = spectro_target;
+            for (b, band) in obj.bands.iter_mut().enumerate() {
+                let k = 10 * b as u64;
+                band.psf_mag = f(k + 4);
+                band.petro_rad = f(k + 5);
+                band.petro_r50 = f(k + 6);
+                band.surface_brightness = f(k + 7);
+                band.extinction = f(k + 8);
+            }
+            let mut buf = BytesMut::new();
+            obj.write_to(&mut buf);
+            let rec = PhotoRecord::new(&buf).unwrap();
+            prop_assert_eq!(rec.decode(), obj.clone());
+            prop_assert_eq!(rec.obj_id(), obj.obj_id);
+            prop_assert_eq!(rec.htm20(), obj.htm20);
+            for (got, want) in [
+                (rec.x(), obj.x),
+                (rec.y(), obj.y),
+                (rec.z(), obj.z),
+                (rec.mjd(), obj.mjd),
+            ] {
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+            prop_assert_eq!(rec.unit_vec(), obj.unit_vec());
+            prop_assert_eq!(rec.class(), obj.class);
+            prop_assert_eq!(
+                (rec.run(), rec.camcol(), rec.field()),
+                (obj.run, obj.camcol, obj.field)
+            );
+            prop_assert_eq!(rec.parent_id(), obj.parent_id);
+            prop_assert_eq!(rec.spectro_target(), obj.spectro_target);
+            let mut f32s = vec![
+                (rec.ra_err_arcsec(), obj.ra_err_arcsec),
+                (rec.dec_err_arcsec(), obj.dec_err_arcsec),
+                (rec.size_arcsec(), obj.size_arcsec()),
+            ];
+            for (b, band) in obj.bands.iter().enumerate() {
+                f32s.extend([
+                    (rec.mag(b), obj.mag(b)),
+                    (rec.band_f32(b, offset::PSF_MAG), band.psf_mag),
+                    (rec.band_f32(b, offset::PETRO_RAD), band.petro_rad),
+                    (rec.band_f32(b, offset::PETRO_R50), band.petro_r50),
+                    (rec.band_f32(b, offset::SURFACE_BRIGHTNESS), band.surface_brightness),
+                    (rec.band_f32(b, offset::EXTINCTION), band.extinction),
+                ]);
+            }
+            for (got, want) in f32s {
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
         }
 
         #[test]

@@ -11,7 +11,7 @@
 //! The serialized tag is 64 bytes against ~1.2 KB for the full object —
 //! the ~19× byte ratio behind experiment E5's speedup measurement.
 
-use crate::photoobj::{ObjClass, PhotoObj};
+use crate::photoobj::{ObjClass, PhotoObj, PhotoRecord};
 use crate::CatalogError;
 use bytes::{Buf, BufMut};
 use sdss_skycoords::{SkyPos, UnitVec3};
@@ -49,6 +49,20 @@ impl TagObject {
             mags: [obj.mag(0), obj.mag(1), obj.mag(2), obj.mag(3), obj.mag(4)],
             size: obj.size_arcsec(),
             class: obj.class,
+        }
+    }
+
+    /// [`TagObject::from_photo`] read in place from a stored record:
+    /// ~50 bytes read instead of a ~1.16 KB decode.
+    pub fn from_record(rec: &PhotoRecord<'_>) -> TagObject {
+        TagObject {
+            obj_id: rec.obj_id(),
+            x: rec.x(),
+            y: rec.y(),
+            z: rec.z(),
+            mags: [rec.mag(0), rec.mag(1), rec.mag(2), rec.mag(3), rec.mag(4)],
+            size: rec.size_arcsec(),
+            class: rec.class(),
         }
     }
 

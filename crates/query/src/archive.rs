@@ -78,15 +78,14 @@ pub struct QueryStats {
     /// Worker-thread slots this execution held (= scan workers granted
     /// at admission).
     pub workers_granted: usize,
-    /// Scan workers that actually ran (morsel workers and the full
-    /// store's serial row scan all register).
+    /// Scan workers that actually ran.
     pub workers_used: usize,
     /// Bytes scanned per worker, in worker completion order — the
     /// balance check for the parallel-efficiency numbers.
     pub worker_bytes: Vec<u64>,
-    /// Container morsels dispatched across all scan workers. Tag and
-    /// stored-set scans run on morsels whether compiled or interpreted;
-    /// only the full store's serial row scan reports 0.
+    /// Container morsels dispatched across all scan workers. Every scan
+    /// leaf — tag, stored set or full store, compiled or interpreted —
+    /// runs on morsels.
     pub morsels: u64,
     /// Scan-side totals: bytes/containers touched, exact geometry
     /// tests, and cover-cache hit/miss counts.

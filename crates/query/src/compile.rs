@@ -622,16 +622,15 @@ impl CompiledProjection {
 
 /// Compiled aggregate argument lanes for **in-scan folding**: one
 /// numeric program per aggregate (or none for `COUNT(*)`), evaluated
-/// batch-at-a-time so scan workers can fold `COUNT`/`SUM`/`MIN`/`MAX`
-/// partials directly instead of shipping hidden `__agg_i` columns
-/// through the channel fabric.
+/// batch-at-a-time so scan workers fold `COUNT`/`SUM`/`MIN`/`MAX`
+/// partials straight off the lanes.
 #[derive(Debug, Clone)]
 pub struct CompiledAggInputs {
     programs: Vec<Option<Program>>,
 }
 
 /// Compile the aggregate argument expressions; `None` falls back to the
-/// channel path (project `__agg_i` columns, fold in the Aggregate node).
+/// row interpreter's in-scan fold.
 pub fn compile_agg_inputs(args: &[Option<&Expr>]) -> Option<CompiledAggInputs> {
     let programs = args
         .iter()
@@ -654,9 +653,9 @@ impl CompiledAggInputs {
 
     /// Fold the selected rows of one batch: calls `f(agg_index, value)`
     /// for every selected row of every aggregate, with exactly the value
-    /// the channel path's `__agg_i` column would have carried (`None`
-    /// only for argument-less `COUNT(*)`). Lanes compute hinted by the
-    /// selection, so unselected rows cost nothing.
+    /// the row interpreter would fold (`None` only for argument-less
+    /// `COUNT(*)`). Lanes compute hinted by the selection, so unselected
+    /// rows cost nothing.
     pub fn fold(
         &self,
         batch: &ColumnBatch<'_>,

@@ -19,12 +19,14 @@
 //! row); row-at-a-time interpretation remains as the fallback for
 //! whatever the compiler can't express.
 //!
-//! Every tag or stored-set execution — projection, in-scan aggregate,
-//! MATCH probe, INTO fast path and the row interpreter — runs through
-//! one morsel driver (`run_morsels`): the granted workers drain a
-//! byte-balanced queue of container-sized morsels, each feeding its own
-//! sink. Only the full store, which has no column image, keeps a serial
-//! row scan.
+//! Every scan execution — projection, in-scan aggregate, MATCH probe,
+//! INTO fast path and the row interpreter, over tags, stored sets and
+//! the full store alike — runs through one morsel driver
+//! (`run_morsels`): the granted workers drain a byte-balanced queue of
+//! container-sized morsels, each feeding its own sink. The full store
+//! feeds the row interpreter in-place record views, so a record is read
+//! only once it passes the cover, and only in the attributes the query
+//! names.
 //!
 //! Execution is owned, not scoped: stores travel as `Arc`s and node
 //! threads are detached, so a [`BatchHandle`] can outlive the call that
@@ -41,10 +43,10 @@ use crate::ops::{eval, AttrSource};
 use crate::plan::{AggSpec, MatchInput, MatchSpec, PlanNode, QuerySource, ScanSpec};
 use crate::QueryError;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use sdss_catalog::{ObjClass, TagObject};
+use sdss_catalog::{ObjClass, PhotoRecord, TagObject};
 use sdss_storage::{
     sample_hash_keep, ColumnBatch, DecZoneIndex, MatchFootprint, MorselQueue, ObjectStore,
-    RegionScan, ResultSet, ResultSetBuilder, SelectionMask, TagScanPlan, TagStore,
+    RegionScan, ResultSet, ResultSetBuilder, ScanPlan, SelectionMask, TagStore,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -107,15 +109,6 @@ impl ColumnData {
             ColumnData::Num(v) => Value::Num(v[i]),
             ColumnData::Id(v) => Value::Id(v[i]),
             ColumnData::Class(v) => class_value(v[i]),
-        }
-    }
-
-    /// Numeric view of row `i` (same semantics as [`Value::as_num`]).
-    pub fn num_at(&self, i: usize) -> Option<f64> {
-        match self {
-            ColumnData::Num(v) => Some(v[i]),
-            ColumnData::Id(v) => Some(v[i] as f64),
-            ColumnData::Class(_) => None,
         }
     }
 
@@ -351,14 +344,6 @@ impl ResultBatch {
         }
     }
 
-    /// Numeric view of `(col, row)` without materializing.
-    pub fn num_at(&self, col: usize, row: usize) -> Option<f64> {
-        match self {
-            ResultBatch::Columnar(b) => b.columns[col].num_at(row),
-            ResultBatch::Rows(r) => r[row][col].as_num(),
-        }
-    }
-
     /// Exact-id view of `(col, row)` without materializing.
     pub fn id_at(&self, col: usize, row: usize) -> Option<u64> {
         match self {
@@ -392,8 +377,7 @@ pub struct TicketCore {
     exact_tests: AtomicU64,
     cover_hits: AtomicU64,
     cover_misses: AtomicU64,
-    /// One entry per scan worker that ran (morsel workers and the full
-    /// store's serial row scan each register here).
+    /// One entry per scan worker that ran.
     worker_scans: Mutex<Vec<WorkerScan>>,
     /// First node-thread panic, surfaced instead of silently truncating
     /// the result (detached threads have no join to propagate through).
@@ -410,8 +394,7 @@ pub struct TicketCore {
 pub struct WorkerScan {
     /// Bytes this worker read.
     pub bytes_scanned: u64,
-    /// Container morsels this worker claimed from the queue (0 on the
-    /// full store's serial row scan, which has no morsel queue).
+    /// Container morsels this worker claimed from the queue.
     pub morsels: u64,
     /// Rows that survived selection in this worker.
     pub rows_selected: u64,
@@ -544,13 +527,6 @@ impl TicketCore {
         self.cover_misses
             .fetch_add(s.cover_cache_misses, Ordering::Relaxed);
     }
-
-    fn absorb_sweep(&self, bytes: usize, containers: usize) {
-        self.bytes_scanned
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.containers_full
-            .fetch_add(containers as u64, Ordering::Relaxed);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -569,7 +545,7 @@ pub struct ExecEnv {
     /// Cover level override for scans.
     pub cover_level: Option<u8>,
     pub mode: ExecMode,
-    /// Scan workers each columnar scan leaf may use (≥ 1). The caller
+    /// Scan workers each scan leaf may use (≥ 1). The caller
     /// holds this many admission slots per leaf — see the morsel
     /// driver (`run_morsels`) for the slot-accounting contract.
     pub workers: usize,
@@ -582,19 +558,6 @@ pub struct BatchHandle {
     pub rx: Receiver<ResultBatch>,
 }
 
-/// Is this scan's source columnar-capable? Tag scans need the tag store
-/// present; stored sets are columnar by construction (the workspace
-/// materialized them into SoA chunks); the full store has no SoA image.
-fn columnar_source(spec: &ScanSpec, tags_available: bool) -> bool {
-    match &spec.source {
-        QuerySource::Tag => tags_available,
-        QuerySource::Set(_) => true,
-        // MATCH joins drive only their probe side through the morsel
-        // driver; pairs evaluate row-wise.
-        QuerySource::Full | QuerySource::Match(_) => false,
-    }
-}
-
 /// The compiled row selection of a morsel-driven scan: the predicate
 /// (when present) and the deterministic sample filter, applied on top
 /// of the source's cover mask. Every worker of a drive shares it.
@@ -604,15 +567,22 @@ pub(crate) struct RowFilter {
 }
 
 /// The one gate of every compiled scan shape: `Some` iff the mode allows
-/// the columnar path, the source is columnar-capable, and the predicate
-/// (when present) compiles. Projection and in-scan aggregates add what
-/// their sinks need; INTO needs nothing more (it takes whole records).
+/// the columnar path, the source has a column image (tags when the tag
+/// store is present, stored sets always — never the full store, and
+/// MATCH pairs evaluate row-wise), and the predicate (when present)
+/// compiles. Projection and in-scan aggregates add what their sinks
+/// need; INTO needs nothing more (it takes whole records).
 pub(crate) fn compile_filter(
     spec: &ScanSpec,
     tags_available: bool,
     mode: ExecMode,
 ) -> Option<RowFilter> {
-    if mode != ExecMode::Auto || !columnar_source(spec, tags_available) {
+    let columns = match spec.source {
+        QuerySource::Tag => tags_available,
+        QuerySource::Set(_) => true,
+        QuerySource::Full | QuerySource::Match(_) => false,
+    };
+    if mode != ExecMode::Auto || !columns {
         return None;
     }
     let pred = match &spec.predicate {
@@ -638,18 +608,31 @@ fn compile_scan(
     Some((filter, compile_projection(&spec.columns)?))
 }
 
-/// Would this scan run on the columnar compiled path?
-pub fn scan_uses_columnar(spec: &ScanSpec, tags_available: bool, mode: ExecMode) -> bool {
-    compile_scan(spec, tags_available, mode).is_some()
+/// Lower an aggregate over a scan for compiled in-scan folding: the
+/// shared gate plus compilable argument lanes. The executor and
+/// `plan_uses_columnar` both decide through here.
+fn compile_fold(
+    spec: &ScanSpec,
+    aggs: &[AggSpec],
+    tags_available: bool,
+    mode: ExecMode,
+) -> Option<(RowFilter, CompiledAggInputs)> {
+    let filter = compile_filter(spec, tags_available, mode)?;
+    let args: Vec<Option<&Expr>> = aggs.iter().map(|a| a.arg.as_ref()).collect();
+    Some((filter, compile_agg_inputs(&args)?))
 }
 
 /// Do *all* scan leaves of the plan run columnar?
 pub fn plan_uses_columnar(plan: &PlanNode, tags_available: bool, mode: ExecMode) -> bool {
     match plan {
-        PlanNode::Scan(s) => scan_uses_columnar(s, tags_available, mode),
-        PlanNode::Sort { child, .. }
-        | PlanNode::Limit { child, .. }
-        | PlanNode::Aggregate { child, .. } => plan_uses_columnar(child, tags_available, mode),
+        PlanNode::Scan(s) => compile_scan(s, tags_available, mode).is_some(),
+        PlanNode::Aggregate { child, aggs } => matches!(
+            child.as_ref(),
+            PlanNode::Scan(s) if compile_fold(s, aggs, tags_available, mode).is_some()
+        ),
+        PlanNode::Sort { child, .. } | PlanNode::Limit { child, .. } => {
+            plan_uses_columnar(child, tags_available, mode)
+        }
         PlanNode::Set { left, right, .. } => {
             plan_uses_columnar(left, tags_available, mode)
                 && plan_uses_columnar(right, tags_available, mode)
@@ -742,10 +725,12 @@ fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchH
             });
             BatchHandle { columns, rx }
         }
-        PlanNode::Aggregate { child, aggs } => match *child {
-            PlanNode::Scan(spec) => spawn_agg_scan(env, spec, aggs, ticket),
-            child => spawn_aggregate_over(env, child, aggs, ticket),
-        },
+        PlanNode::Aggregate { child, aggs } => {
+            let PlanNode::Scan(spec) = *child else {
+                unreachable!("the planner puts every aggregate directly over its scan")
+            };
+            spawn_agg_scan(env, spec, aggs, ticket)
+        }
         PlanNode::Set { op, left, right } => {
             let lh = spawn_node(env, *left, ticket);
             let rh = spawn_node(env, *right, ticket);
@@ -819,58 +804,11 @@ fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchH
     }
 }
 
-/// The channel-path Aggregate node: drain the child's batches (which
-/// carry hidden `__agg_i` columns) and fold them into one row. The fused
-/// in-scan path ([`spawn_agg_scan`]) replaces this whenever the child is
-/// a compilable scan or a MATCH.
-fn spawn_aggregate_over(
-    env: &ExecEnv,
-    child: PlanNode,
-    aggs: Vec<AggSpec>,
-    ticket: &Arc<TicketCore>,
-) -> BatchHandle {
-    let child_handle = spawn_node(env, child, ticket);
-    let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-    let columns = Arc::new(aggs.iter().map(|a| a.name.clone()).collect::<Vec<_>>());
-    // Resolve each aggregate's hidden `__agg_i` column up front
-    // instead of re-formatting the name per row.
-    let child_cols = child_handle.columns.clone();
-    let arg_idx: Vec<Option<usize>> = aggs
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            a.arg.as_ref().map(|_| {
-                child_cols
-                    .iter()
-                    .position(|c| c == &format!("__agg_{i}"))
-                    .expect("lowering appended the agg column")
-            })
-        })
-        .collect();
-    spawn_guarded(ticket.clone(), move || {
-        let mut acc: Vec<AggAcc> = aggs.iter().map(|a| AggAcc::new(a.func)).collect();
-        for batch in child_handle.rx.iter() {
-            // Accumulate straight off the batch — columnar lanes
-            // fold without materializing rows.
-            for r in 0..batch.len() {
-                for (i, idx) in arg_idx.iter().enumerate() {
-                    let v = idx.and_then(|idx| batch.num_at(idx, r));
-                    acc[i].update(v);
-                }
-            }
-        }
-        let row: Row = acc.into_iter().map(AggAcc::finish).collect();
-        let _ = tx.send(ResultBatch::Rows(vec![row]));
-    });
-    BatchHandle { columns, rx }
-}
-
-/// Lower a scan: project columns (plus hidden aggregate argument columns,
-/// handled by the planner caller) and stream matching batches. MATCH
-/// joins stream pair rows from the zone-index probe; tag and set scans
-/// take the columnar compiled path when the predicate and projection
-/// both lower to bytecode, and otherwise interpret row-at-a-time over
-/// the same morsels; the full store interprets its records serially.
+/// Lower a scan and stream its matching batches. MATCH joins stream pair
+/// rows from the zone-index probe; tag and set scans take the columnar
+/// compiled path when the predicate and projection both lower to
+/// bytecode; everything else — the full store always — interprets
+/// row-at-a-time over the same morsels.
 fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchHandle {
     let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
     let columns: Arc<Vec<String>> = Arc::new(spec.columns.iter().map(|(n, _)| n.clone()).collect());
@@ -904,63 +842,38 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
         spawn_drive(env.workers, ticket, scan_leaf(env, spec), sink, drop);
         return BatchHandle { columns, rx };
     }
-
-    // --- row-at-a-time interpretation ----------------------------------
+    let leaf = scan_leaf(env, spec.clone());
     let spec = Arc::new(spec);
-    let make_rows = {
-        let spec = spec.clone();
-        move || RowSink {
-            spec: spec.clone(),
-            out: Vec::with_capacity(BATCH),
-            tx: tx.clone(),
-            ticket: t.clone(),
-            kept: 0,
-        }
+    let sink = move |_: &()| RowSink {
+        spec: spec.clone(),
+        out: Vec::with_capacity(BATCH),
+        tx: tx.clone(),
+        ticket: t.clone(),
+        kept: 0,
     };
-    // Tag and set sources interpret through the morsel driver like every
-    // columnar shape, each selected row rebuilt from the lanes.
-    if columnar_source(&spec, env.tags.is_some()) {
-        let leaf = scan_leaf(env, (*spec).clone());
-        spawn_drive(env.workers, ticket, leaf, move |_: &()| make_rows(), drop);
-        return BatchHandle { columns, rx };
-    }
-    // The full store has no column image: one serial worker walks its
-    // records.
-    let (store, cover_level, ticket) = (env.store.clone(), env.cover_level, ticket.clone());
-    spawn_guarded(ticket.clone(), move || {
-        let mut rows = make_rows();
-        let bytes = match &spec.domain {
-            Some(domain) => match store.scan_region_until(domain, cover_level, |o| rows.emit(o)) {
-                Ok(stats) => {
-                    ticket.absorb_scan(&stats);
-                    stats.bytes_scanned
-                }
-                Err(e) => {
-                    ticket.record_failure(format!("scan planning failed: {e}"));
-                    0
-                }
-            },
-            None => {
-                let (bytes, containers) = store.scan_all_until(|o| rows.emit(o));
-                ticket.absorb_sweep(bytes, containers);
-                bytes
-            }
-        };
-        let (kept, ()) = rows.finish();
-        ticket.note_worker(WorkerScan {
-            bytes_scanned: bytes as u64,
-            morsels: 0,
-            rows_selected: kept,
-        });
-    });
+    spawn_drive(env.workers, ticket, leaf, sink, drop);
     BatchHandle { columns, rx }
+}
+
+/// Whether the row interpreter keeps a record: the sample, then the
+/// predicate (a row-level type error drops the row).
+fn row_kept<S: AttrSource>(spec: &ScanSpec, src: &S) -> bool {
+    if let Some(f) = spec.sample {
+        let id = src.attr("objid").and_then(|v| v.as_id()).unwrap_or(0);
+        if !sample_hash_keep(id, f) {
+            return false;
+        }
+    }
+    spec.predicate
+        .as_ref()
+        .is_none_or(|pred| matches!(eval(pred, src), Ok(Value::Bool(true))))
 }
 
 /// The row interpreter: the sample, predicate and projection evaluated
 /// one record at a time — the fallback for what the compiler cannot
-/// express, and the oracle the compiled sinks are tested against. As a
-/// morsel sink it rebuilds each selected row of a tag or set batch as a
-/// [`TagObject`]; the full store's serial scan feeds it records directly.
+/// express, and the oracle the compiled sinks are tested against. It
+/// rebuilds each selected row of a tag or set batch as a [`TagObject`],
+/// and reads full-store records in place.
 struct RowSink {
     spec: Arc<ScanSpec>,
     out: Vec<Row>,
@@ -970,23 +883,10 @@ struct RowSink {
 }
 
 impl RowSink {
-    /// Interpret one record; `false` on cancel or consumer hang-up.
+    /// Interpret one record; `false` on consumer hang-up.
     fn emit<S: AttrSource>(&mut self, src: &S) -> bool {
-        if self.ticket.is_cancelled() {
-            return false;
-        }
-        if let Some(f) = self.spec.sample {
-            let id = src.attr("objid").and_then(|v| v.as_id()).unwrap_or(0);
-            if !sample_hash_keep(id, f) {
-                return true;
-            }
-        }
-        if let Some(pred) = &self.spec.predicate {
-            match eval(pred, src) {
-                Ok(Value::Bool(true)) => {}
-                Ok(_) => return true,
-                Err(_) => return true, // row-level type errors drop the row
-            }
+        if !row_kept(&self.spec, src) {
+            return true;
         }
         let row = self
             .spec
@@ -1011,6 +911,10 @@ impl MorselSink for RowSink {
         sel.iter_set().all(|i| self.emit(&batch.row(i)))
     }
 
+    fn consume_record(&mut self, rec: &PhotoRecord<'_>) -> bool {
+        self.emit(rec)
+    }
+
     fn finish(self) -> (u64, ()) {
         if !self.out.is_empty() {
             ship(&self.ticket, &self.tx, ResultBatch::Rows(self.out));
@@ -1019,10 +923,63 @@ impl MorselSink for RowSink {
     }
 }
 
-/// Spawn an aggregate directly over a scan. A compilable scan or a MATCH
-/// folds **in-scan**: workers fold partial accumulators (no `__agg_i`
-/// columns, no per-row channel traffic) merged into the one result row.
-/// Anything else takes the channel path.
+/// The row interpreter's aggregate sink: each record [`row_kept`] keeps
+/// folds its arguments into the morsel's partial — every aggregate the
+/// compiler cannot fold (the full store, [`ExecMode::Interpreted`]).
+struct RowFold {
+    spec: Arc<ScanSpec>,
+    args: Arc<Vec<Option<Expr>>>,
+    accs: MorselAccs,
+    ticket: Arc<TicketCore>,
+    kept: u64,
+}
+
+impl RowFold {
+    fn fold<S: AttrSource>(&mut self, src: &S) {
+        if row_kept(&self.spec, src) {
+            self.kept += 1;
+            fold_row(self.accs.current(), &self.args, src);
+        }
+    }
+}
+
+impl MorselSink for RowFold {
+    type Partial = Vec<MorselPartial>;
+
+    fn begin_morsel(&mut self, idx: usize) {
+        self.accs.begin(idx);
+    }
+
+    fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool {
+        sel.iter_set().for_each(|i| self.fold(&batch.row(i)));
+        true
+    }
+
+    fn consume_record(&mut self, rec: &PhotoRecord<'_>) -> bool {
+        self.fold(rec);
+        true
+    }
+
+    fn finish(self) -> (u64, Vec<MorselPartial>) {
+        self.ticket.note_rows(self.kept);
+        (self.kept, self.accs.parts)
+    }
+}
+
+/// Fold one interpreted row (a record or a MATCH pair) into `accs`: each
+/// argument evaluated, non-numeric values and type errors skipped like
+/// NULLs.
+fn fold_row<S: AttrSource>(accs: &mut [AggAcc], args: &[Option<Expr>], src: &S) {
+    for (acc, arg) in accs.iter_mut().zip(args) {
+        let v = arg.as_ref().and_then(|e| eval(e, src).ok());
+        acc.update(v.and_then(|v| v.as_num()));
+    }
+}
+
+/// Spawn an aggregate over its scan. Every aggregate folds **in-scan**
+/// into per-morsel partials, merged into the one result row: compiled
+/// lanes ([`FoldSink`]) when the scan and the arguments compile, pairs
+/// for a MATCH ([`PairFold`]), the row interpreter ([`RowFold`]) else.
 fn spawn_agg_scan(
     env: &ExecEnv,
     spec: ScanSpec,
@@ -1035,49 +992,89 @@ fn spawn_agg_scan(
     let t = ticket.clone();
     let merge = {
         let (funcs, t) = (funcs.clone(), t.clone());
-        move |partials: Vec<Vec<AggAcc>>| send_merged(partials, &funcs, &t, &tx)
+        move |partials: Vec<Vec<MorselPartial>>| send_merged(partials, &funcs, &t, &tx)
     };
+    if let Some((filter, inputs)) = compile_fold(&spec, &aggs, env.tags.is_some(), env.mode) {
+        let (filter, inputs) = (Arc::new(filter), Arc::new(inputs));
+        let sink = move |_: &()| FoldSink {
+            rows: Selector::new(&filter),
+            inputs: inputs.clone(),
+            accs: MorselAccs::new(&funcs),
+            ticket: t.clone(),
+        };
+        spawn_drive(env.workers, ticket, scan_leaf(env, spec), sink, merge);
+        return BatchHandle { columns, rx };
+    }
+    let args: Arc<Vec<Option<Expr>>> = Arc::new(aggs.into_iter().map(|a| a.arg).collect());
     if let QuerySource::Match(m) = spec.source.clone() {
-        let args: Arc<Vec<Option<Expr>>> = Arc::new(aggs.into_iter().map(|a| a.arg).collect());
         let sink = move |join: &Arc<MatchJoin>| PairFold {
             join: join.clone(),
             args: args.clone(),
-            accs: new_accs(&funcs),
+            accs: MorselAccs::new(&funcs),
             ticket: t.clone(),
             pairs: 0,
         };
         spawn_drive(env.workers, ticket, match_leaf(env, spec, m), sink, merge);
     } else {
-        let args: Vec<Option<&Expr>> = aggs.iter().map(|a| a.arg.as_ref()).collect();
-        let Some((filter, inputs)) = compile_filter(&spec, env.tags.is_some(), env.mode)
-            .and_then(|filter| Some((filter, compile_agg_inputs(&args)?)))
-        else {
-            return spawn_aggregate_over(env, PlanNode::Scan(spec), aggs, ticket);
-        };
-        let (filter, inputs) = (Arc::new(filter), Arc::new(inputs));
-        let sink = move |_: &()| FoldSink {
-            rows: Selector::new(&filter),
-            inputs: inputs.clone(),
-            accs: new_accs(&funcs),
+        let leaf = scan_leaf(env, spec.clone());
+        let spec = Arc::new(spec);
+        let sink = move |_: &()| RowFold {
+            spec: spec.clone(),
+            args: args.clone(),
+            accs: MorselAccs::new(&funcs),
             ticket: t.clone(),
+            kept: 0,
         };
-        spawn_drive(env.workers, ticket, scan_leaf(env, spec), sink, merge);
+        spawn_drive(env.workers, ticket, leaf, sink, merge);
     }
     BatchHandle { columns, rx }
 }
 
-/// The shared partial merge of the in-scan aggregates (scan and MATCH).
-/// A panicked worker left no partial; its failure is already on the
-/// ticket, so the consumer reports it instead of this row.
+/// One morsel's aggregate partial, tagged with its morsel index.
+type MorselPartial = (usize, Vec<AggAcc>);
+
+/// An aggregate sink's partials, one per morsel it scanned. Merged in
+/// morsel-index order ([`send_merged`]), a sum rounds the same way
+/// whichever worker folded which morsel, so an aggregate answers
+/// bit-identically at any worker count.
+struct MorselAccs {
+    funcs: Vec<AggFn>,
+    parts: Vec<MorselPartial>,
+}
+
+impl MorselAccs {
+    fn new(funcs: &[AggFn]) -> MorselAccs {
+        MorselAccs {
+            funcs: funcs.to_vec(),
+            parts: Vec::new(),
+        }
+    }
+
+    fn begin(&mut self, idx: usize) {
+        self.parts.push((idx, new_accs(&self.funcs)));
+    }
+
+    /// The open morsel's accumulators.
+    fn current(&mut self) -> &mut [AggAcc] {
+        &mut self.parts.last_mut().expect("begin_morsel opened one").1
+    }
+}
+
+/// The shared partial merge of the in-scan aggregates: every worker's
+/// per-morsel partials, folded in morsel-index order. A panicked worker
+/// left no partial; its failure is already on the ticket, so the
+/// consumer reports it instead of this row.
 fn send_merged(
-    partials: Vec<Vec<AggAcc>>,
+    partials: Vec<Vec<MorselPartial>>,
     funcs: &[AggFn],
     ticket: &TicketCore,
     tx: &Sender<ResultBatch>,
 ) {
+    let mut parts: Vec<MorselPartial> = partials.into_iter().flatten().collect();
+    parts.sort_unstable_by_key(|&(idx, _)| idx);
     let mut acc = new_accs(funcs);
-    for partial in partials {
-        for (a, p) in acc.iter_mut().zip(partial) {
+    for (_, part) in parts {
+        for (a, p) in acc.iter_mut().zip(part) {
             a.merge(p);
         }
     }
@@ -1093,70 +1090,70 @@ fn ship(ticket: &TicketCore, tx: &Sender<ResultBatch>, batch: ResultBatch) -> bo
     tx.send(batch).is_ok()
 }
 
-/// Where a columnar scan's morsels come from — the substrate the morsel
-/// driver drains. Tag scans resolve an HTM cover into a [`TagScanPlan`]
-/// (one morsel per touched container); stored sets expose their SoA
-/// chunks directly (one morsel per chunk, every row pre-selected). The
-/// compiled predicate/projection machinery is identical above this seam,
-/// which is exactly what makes `FROM <set>` ride the same
-/// morsel-parallel compiled path as a tag scan.
+/// Where a scan's morsels come from — the substrate the morsel driver
+/// drains. Tag and full-store scans resolve an HTM cover into a
+/// [`ScanPlan`] (one morsel per touched container); stored sets expose
+/// their SoA chunks (one morsel per chunk, every row pre-selected). Tag
+/// and set morsels stream column batches, which is what makes `FROM
+/// <set>` ride the same compiled path as a tag scan; full-store morsels
+/// stream in-place record views to the row interpreter.
 enum ScanSource {
-    Tag {
-        store: Arc<TagStore>,
-        plan: Arc<TagScanPlan>,
-    },
+    Tag(Arc<TagStore>, Arc<ScanPlan>),
     Set(Arc<ResultSet>),
+    Full(Arc<ObjectStore>, Arc<ScanPlan>),
 }
 
 impl ScanSource {
-    /// Resolve a compiled scan's source. Records the failure on the
-    /// ticket and returns `None` when resolution fails (scan planning
-    /// error, or a stored set missing from the pinned snapshot — the
-    /// latter indicates a prepare-time bug, since sessions pin sets).
+    /// Resolve a scan's source (`store` is needed only by full-store
+    /// scans). Records the failure on the ticket and returns `None` when
+    /// resolution fails (scan planning error, or a stored set missing
+    /// from the pinned snapshot — the latter indicates a prepare-time
+    /// bug, since sessions pin sets).
     fn resolve(
+        store: Option<Arc<ObjectStore>>,
         tags: &Option<Arc<TagStore>>,
         sets: &HashMap<String, Arc<ResultSet>>,
         spec: &ScanSpec,
         cover_level: Option<u8>,
         ticket: &TicketCore,
     ) -> Option<ScanSource> {
-        match &spec.source {
-            QuerySource::Set(name) => match sets.get(name) {
-                Some(set) => Some(ScanSource::Set(set.clone())),
-                None => {
+        let planned = match &spec.source {
+            QuerySource::Set(name) => {
+                let set = sets.get(name).cloned().map(ScanSource::Set);
+                if set.is_none() {
                     ticket.record_failure(format!(
                         "stored set `{name}` was not pinned at prepare time"
                     ));
-                    None
                 }
-            },
-            _ => {
-                let store = tags.clone().expect("columnar gate checked the tag store");
-                match store.plan_batch_scan(spec.domain.as_ref(), cover_level) {
-                    Ok(plan) => Some(ScanSource::Tag {
-                        store,
-                        plan: Arc::new(plan),
-                    }),
-                    Err(e) => {
-                        ticket.record_failure(format!("scan planning failed: {e}"));
-                        None
-                    }
-                }
+                return set;
             }
-        }
+            QuerySource::Full => {
+                let store = store.expect("full-store leaves carry the object store");
+                let plan = store.plan_scan(spec.domain.as_ref(), cover_level);
+                plan.map(|plan| ScanSource::Full(store, Arc::new(plan)))
+            }
+            QuerySource::Tag | QuerySource::Match(_) => {
+                let store = tags.clone().expect("tag-routed leaves have the tag store");
+                let plan = store.plan_batch_scan(spec.domain.as_ref(), cover_level);
+                plan.map(|plan| ScanSource::Tag(store, Arc::new(plan)))
+            }
+        };
+        planned
+            .map_err(|e| ticket.record_failure(format!("scan planning failed: {e}")))
+            .ok()
     }
 
     /// Byte weight per morsel — the [`MorselQueue`] sharding input.
     fn morsel_bytes(&self) -> Vec<usize> {
         match self {
-            ScanSource::Tag { plan, .. } => plan.morsel_bytes(),
+            ScanSource::Tag(_, plan) | ScanSource::Full(_, plan) => plan.morsel_bytes(),
             ScanSource::Set(set) => set.chunk_bytes(),
         }
     }
 
     fn n_morsels(&self) -> usize {
         match self {
-            ScanSource::Tag { plan, .. } => plan.morsels().len(),
+            ScanSource::Tag(_, plan) | ScanSource::Full(_, plan) => plan.morsels().len(),
             ScanSource::Set(set) => set.n_chunks(),
         }
     }
@@ -1169,20 +1166,27 @@ impl ScanSource {
     /// Plan-time cover lookup outcome (`None` for sweeps and sets).
     fn cover_cache_hit(&self) -> Option<bool> {
         match self {
-            ScanSource::Tag { plan, .. } => plan.cover_cache_hit(),
+            ScanSource::Tag(_, plan) | ScanSource::Full(_, plan) => plan.cover_cache_hit(),
             ScanSource::Set(_) => None,
         }
     }
 
-    /// Scan one morsel, streaming `(ColumnBatch, SelectionMask)` pairs.
-    fn scan_morsel(
+    /// Scan one morsel into `sink` until it or `halted` says stop.
+    /// Returns the morsel's accounting and whether it ran to completion.
+    fn scan_morsel<S: MorselSink>(
         &self,
         idx: usize,
-        f: impl FnMut(&ColumnBatch<'_>, &SelectionMask) -> bool,
+        sink: &mut S,
+        halted: impl Fn() -> bool,
     ) -> (RegionScan, bool) {
+        let batches =
+            |batch: &ColumnBatch<'_>, sel: &SelectionMask| !halted() && sink.consume(batch, sel);
         match self {
-            ScanSource::Tag { store, plan } => store.scan_morsel(plan, idx, f),
-            ScanSource::Set(set) => set.scan_chunk(idx, f),
+            ScanSource::Tag(store, plan) => store.scan_morsel(plan, idx, batches),
+            ScanSource::Set(set) => set.scan_chunk(idx, batches),
+            ScanSource::Full(store, plan) => {
+                store.scan_morsel(plan, idx, |rec| !halted() && sink.consume_record(rec))
+            }
         }
     }
 }
@@ -1191,18 +1195,30 @@ impl ScanSource {
 // The morsel driver
 // ---------------------------------------------------------------------
 
-/// What one morsel worker does with the batches it scans: [`EmitSink`],
+/// What one morsel worker does with the rows it scans: [`EmitSink`],
 /// [`FoldSink`], the MATCH probe ([`PairRows`] / [`PairFold`]),
-/// [`IntoSink`] and the row interpreter ([`RowSink`]). The driver is generic over its sink, so every worker
-/// loop monomorphizes — no dynamic call per row or pair.
+/// [`IntoSink`] and the row interpreter ([`RowSink`] / [`RowFold`]). The
+/// driver is generic over its sink, so every worker loop monomorphizes —
+/// no dynamic call per row, record or pair.
 trait MorselSink {
     /// What the worker hands back to the driver's caller.
     type Partial: Send + 'static;
+
+    /// A morsel (index `idx` of the source) begins; the aggregate sinks
+    /// open its partial here.
+    fn begin_morsel(&mut self, _idx: usize) {}
 
     /// Consume one scanned batch; `sel` holds the rows the source
     /// selected (the cover mask, or every row of a set chunk). `false`
     /// stops every worker of the drive (consumer hang-up, quota overrun).
     fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool;
+
+    /// Consume one full-store record inside the scan's domain, like
+    /// [`MorselSink::consume`]. Only the row interpreter's sinks take
+    /// records: [`compile_filter`] keeps compiled sinks off the full store.
+    fn consume_record(&mut self, _rec: &PhotoRecord<'_>) -> bool {
+        unreachable!("the compile gate keeps compiled sinks off the full store")
+    }
 
     /// Close the worker: the rows it kept (selected rows, folded rows or
     /// pairs — its `WorkerScan::rows_selected`) and its partial.
@@ -1309,14 +1325,12 @@ impl<F> Drive<F> {
             {
                 panic!("injected fault: worker {w} claimed the faulting morsel");
             }
-            let (stats, _) = self.source.scan_morsel(m, |batch, sel| {
-                let more = !self.halted() && sink.consume(batch, sel);
-                if !more {
-                    self.stopped.store(true, Ordering::Relaxed);
-                }
-                more
-            });
+            sink.begin_morsel(m);
+            let (stats, completed) = self.source.scan_morsel(m, &mut sink, || self.halted());
             local.merge(&stats);
+            if !completed {
+                self.stopped.store(true, Ordering::Relaxed);
+            }
         }
         let (rows, partial) = sink.finish();
         self.ticket.note_worker(WorkerScan {
@@ -1326,6 +1340,20 @@ impl<F> Drive<F> {
         });
         self.ticket.absorb_scan(&local);
         partial
+    }
+}
+
+/// A closure over column batches is a sink that hands nothing back (the
+/// MATCH build side's collector).
+impl<F: FnMut(&ColumnBatch<'_>, &SelectionMask) -> bool> MorselSink for F {
+    type Partial = ();
+
+    fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool {
+        self(batch, sel)
+    }
+
+    fn finish(self) -> (u64, ()) {
+        (0, ())
     }
 }
 
@@ -1350,15 +1378,21 @@ fn spawn_drive<X, S>(
     });
 }
 
-/// A compiled tag/set scan leaf's resolution for [`spawn_drive`]. It
-/// captures only what the scan reads: a coordinator thread may outlive
-/// its stream by a moment and must not pin the full store.
+/// A scan leaf's resolution for [`spawn_drive`]. It captures only what
+/// the scan reads: a coordinator thread may outlive its stream by a
+/// moment and must not pin a store it does not scan.
 fn scan_leaf(
     env: &ExecEnv,
     spec: ScanSpec,
 ) -> impl FnOnce(&TicketCore) -> Option<(ScanSource, ())> + Send + 'static {
+    let store = (spec.source == QuerySource::Full).then(|| env.store.clone());
     let (tags, sets, level) = (env.tags.clone(), env.sets.clone(), env.cover_level);
-    move |t| Some((ScanSource::resolve(&tags, &sets, &spec, level, t)?, ()))
+    move |t| {
+        Some((
+            ScanSource::resolve(store, &tags, &sets, &spec, level, t)?,
+            (),
+        ))
+    }
 }
 
 /// A MATCH leaf's resolution for [`spawn_drive`]: the probe source and
@@ -1456,22 +1490,26 @@ impl MorselSink for EmitSink {
     }
 }
 
-/// The in-scan aggregate sink: fold partials straight off the kept
-/// lanes (partial even when cancelled, like the channel path).
+/// The compiled in-scan aggregate sink: fold per-morsel partials
+/// straight off the kept lanes (partial even when cancelled).
 struct FoldSink {
     rows: Selector,
     inputs: Arc<CompiledAggInputs>,
-    accs: Vec<AggAcc>,
+    accs: MorselAccs,
     ticket: Arc<TicketCore>,
 }
 
 impl MorselSink for FoldSink {
-    type Partial = Vec<AggAcc>;
+    type Partial = Vec<MorselPartial>;
+
+    fn begin_morsel(&mut self, idx: usize) {
+        self.accs.begin(idx);
+    }
 
     fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool {
         let keep = self.rows.select(batch, sel);
         if keep.any() {
-            let accs = &mut self.accs;
+            let accs = self.accs.current();
             self.inputs
                 .fold(batch, &keep, &mut self.rows.scratch, |i, v| {
                     accs[i].update(v)
@@ -1480,11 +1518,11 @@ impl MorselSink for FoldSink {
         true
     }
 
-    fn finish(self) -> (u64, Vec<AggAcc>) {
+    fn finish(self) -> (u64, Vec<MorselPartial>) {
         // Folded rows never ship as batches; count them into the scan
         // totals here.
         self.ticket.note_rows(self.rows.kept);
-        (self.rows.kept, self.accs)
+        (self.rows.kept, self.accs.parts)
     }
 }
 
@@ -1544,11 +1582,10 @@ pub(crate) fn run_into(
         budget,
         ticket: t.clone(),
     };
-    let mut partials =
-        match ScanSource::resolve(&env.tags, &env.sets, spec, env.cover_level, ticket) {
-            Some(source) => run_morsels(source, 1, ticket, make_sink),
-            None => Vec::new(),
-        };
+    let mut partials = match scan_leaf(env, spec.clone())(ticket) {
+        Some((source, ())) => run_morsels(source, 1, ticket, make_sink),
+        None => Vec::new(),
+    };
     // Resolution failures and worker panics are both on the ticket.
     if let Some(msg) = ticket.failure() {
         return Err(QueryError::Exec(msg));
@@ -1706,7 +1743,7 @@ impl MatchJoin {
             columns: Vec::new(),
             sample: None,
         };
-        ScanSource::resolve(tags, sets, &spec, None, ticket)
+        ScanSource::resolve(None, tags, sets, &spec, None, ticket)
     }
 
     /// Materialize the build side once as owned tag rows: every morsel's
@@ -1722,23 +1759,26 @@ impl MatchJoin {
         ticket: &TicketCore,
     ) -> Option<Vec<TagObject>> {
         let mut rows = Vec::new();
-        let mut bytes = 0usize;
-        let containers = source.n_morsels();
-        for idx in 0..containers {
+        let mut collect = |batch: &ColumnBatch<'_>, sel: &SelectionMask| {
+            let kept = sel.iter_set();
+            let kept =
+                kept.filter(|&i| sample.is_none_or(|f| sample_hash_keep(batch.obj_id[i], f)));
+            rows.extend(kept.map(|i| batch.row(i)));
+            true
+        };
+        // Every build container is charged as a full one.
+        let mut total = RegionScan {
+            containers_full: source.n_morsels(),
+            ..RegionScan::default()
+        };
+        for idx in 0..source.n_morsels() {
             if ticket.is_cancelled() {
                 return None;
             }
-            let (stats, _) = source.scan_morsel(idx, |batch, sel| {
-                rows.extend(
-                    sel.iter_set()
-                        .filter(|&i| sample.is_none_or(|f| sample_hash_keep(batch.obj_id[i], f)))
-                        .map(|i| batch.row(i)),
-                );
-                true
-            });
-            bytes += stats.bytes_scanned;
+            let (stats, _) = source.scan_morsel(idx, &mut collect, || false);
+            total.bytes_scanned += stats.bytes_scanned;
         }
-        ticket.absorb_sweep(bytes, containers);
+        ticket.absorb_scan(&total);
         Some(rows)
     }
 
@@ -1845,35 +1885,37 @@ impl MorselSink for PairRows {
 }
 
 /// The MATCH sink that folds pairs: probe, then fold each pair straight
-/// into partial accumulators.
+/// into the morsel's partial accumulators.
 struct PairFold {
     join: Arc<MatchJoin>,
     args: Arc<Vec<Option<Expr>>>,
-    accs: Vec<AggAcc>,
+    accs: MorselAccs,
     ticket: Arc<TicketCore>,
     pairs: u64,
 }
 
 impl MorselSink for PairFold {
-    type Partial = Vec<AggAcc>;
+    type Partial = Vec<MorselPartial>;
+
+    fn begin_morsel(&mut self, idx: usize) {
+        self.accs.begin(idx);
+    }
 
     fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool {
+        let accs = self.accs.current();
         self.join.probe(batch, sel, |pair| {
             self.pairs += 1;
-            for (acc, arg) in self.accs.iter_mut().zip(self.args.iter()) {
-                let v = arg.as_ref().and_then(|e| eval(e, pair).ok());
-                acc.update(v.and_then(|v| v.as_num()));
-            }
+            fold_row(accs, &self.args, pair);
             true
         })
     }
 
-    fn finish(self) -> (u64, Vec<AggAcc>) {
+    fn finish(self) -> (u64, Vec<MorselPartial>) {
         // Folded pairs never ship as batches; count them into the scan
         // totals like the in-scan aggregate over a normal scan does, so
         // `QueryStats.scan.rows_scanned` stays comparable across shapes.
         self.ticket.note_rows(self.pairs);
-        (self.pairs, self.accs)
+        (self.pairs, self.accs.parts)
     }
 }
 
@@ -2057,10 +2099,7 @@ mod tests {
         assert_eq!(truncated.len(), 1);
         assert_eq!(truncated.iter().count(), 1);
         assert_eq!(truncated.into_rows(), vec![appended[0].clone()]);
-        // num_at / id_at agree with the materialized values.
-        assert_eq!(b.columns()[0].num_at(0), Some(1.0));
-        assert_eq!(b.columns()[1].num_at(0), Some(1.5));
-        assert_eq!(b.columns()[2].num_at(0), None);
+        // id_at agrees with the materialized values.
         assert_eq!(b.columns()[0].id_at(0), Some(1));
     }
 
@@ -2143,7 +2182,11 @@ mod tests {
         let t = TicketCore::default();
         t.note_batch(10);
         t.note_batch(5);
-        t.absorb_sweep(1024, 3);
+        t.absorb_scan(&RegionScan {
+            bytes_scanned: 1024,
+            containers_full: 3,
+            ..RegionScan::default()
+        });
         let totals = t.totals();
         assert_eq!(totals.rows_scanned, 15);
         assert_eq!(totals.batches_emitted, 2);

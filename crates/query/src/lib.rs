@@ -114,9 +114,9 @@
 //!   results as sorted multisets, never by position.
 //! * With `ORDER BY`, only the key order is fixed; rows with equal keys
 //!   may come in any order.
-//! * Parallel aggregates (`SUM`, `AVG`) merge per-worker partials, so
-//!   they agree with a serial run within float-merge tolerance, not
-//!   bit for bit. `COUNT`, `MIN` and `MAX` agree exactly.
+//! * Aggregates are bit-identical on every route and at any worker
+//!   count: workers fold one partial per morsel, and the partials merge
+//!   in morsel order, so a sum always rounds the same way.
 //! * A failed execution returns an error, never a truncated result: a
 //!   scan worker panic or a quota overrun surfaces as `Err`, and its
 //!   admission slots return to the pool.

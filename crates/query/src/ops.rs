@@ -1,13 +1,14 @@
 //! Attribute registry, expression evaluation and the paper's "special
 //! operators related to angular distances and complex similarity tests".
 //!
-//! Both record types implement [`AttrSource`]; the planner uses
+//! Every record type implements [`AttrSource`]; the planner uses
 //! [`TAG_ATTRS`] to decide whether a query can run on the 64-byte tag
 //! partition instead of the ~1.2 KB full objects.
 
 use crate::ast::{BinOp, Expr, UnOp, Value};
 use crate::QueryError;
-use sdss_catalog::{PhotoObj, TagObject};
+use sdss_catalog::photoobj::offset;
+use sdss_catalog::{PhotoObj, PhotoRecord, TagObject};
 use sdss_skycoords::{Frame, SkyPos, UnitVec3};
 
 /// Attributes available on the tag (vertical) partition: the 10 popular
@@ -137,12 +138,14 @@ impl AttrSource for TagObject {
     }
 }
 
+/// `ra`/`dec` derive from the stored unit vector, exactly as the tag
+/// record's do, so a query answers the same bits on either store.
 impl AttrSource for PhotoObj {
     fn attr(&self, name: &str) -> Option<Value> {
         let v = match name {
             "objid" => Value::Id(self.obj_id),
-            "ra" => Value::Num(self.ra_deg),
-            "dec" => Value::Num(self.dec_deg),
+            "ra" => Value::Num(SkyPos::from_unit_vec(self.unit_vec()).ra_deg()),
+            "dec" => Value::Num(SkyPos::from_unit_vec(self.unit_vec()).dec_deg()),
             "cx" => Value::Num(self.x),
             "cy" => Value::Num(self.y),
             "cz" => Value::Num(self.z),
@@ -169,6 +172,52 @@ impl AttrSource for PhotoObj {
             "extinction_r" => Value::Num(self.bands[2].extinction as f64),
             "spectro_target" => Value::Bool(self.spectro_target),
             "parent" => Value::Id(self.parent_id),
+            _ => return None,
+        };
+        Some(v)
+    }
+
+    fn position(&self) -> UnitVec3 {
+        self.unit_vec()
+    }
+}
+
+/// The full store's records read in place: each name reads its field at
+/// the record's fixed offset, bitwise what [`PhotoObj`]'s impl returns.
+impl AttrSource for PhotoRecord<'_> {
+    fn attr(&self, name: &str) -> Option<Value> {
+        let r = |field| Value::Num(self.band_f32(2, field) as f64);
+        let color = |b: usize| Value::Num((self.mag(b) - self.mag(b + 1)) as f64);
+        let v = match name {
+            "objid" => Value::Id(self.obj_id()),
+            "ra" => Value::Num(SkyPos::from_unit_vec(self.unit_vec()).ra_deg()),
+            "dec" => Value::Num(SkyPos::from_unit_vec(self.unit_vec()).dec_deg()),
+            "cx" => Value::Num(self.x()),
+            "cy" => Value::Num(self.y()),
+            "cz" => Value::Num(self.z()),
+            "u" => Value::Num(self.mag(0) as f64),
+            "g" => Value::Num(self.mag(1) as f64),
+            "r" => Value::Num(self.mag(2) as f64),
+            "i" => Value::Num(self.mag(3) as f64),
+            "z" => Value::Num(self.mag(4) as f64),
+            "ug" => color(0),
+            "gr" => color(1),
+            "ri" => color(2),
+            "iz" => color(3),
+            "size" => Value::Num(self.size_arcsec() as f64),
+            "class" => Value::Str(self.class().as_str().to_string()),
+            "run" => Value::Num(self.run() as f64),
+            "camcol" => Value::Num(self.camcol() as f64),
+            "field" => Value::Num(self.field() as f64),
+            "mjd" => Value::Num(self.mjd()),
+            "ra_err" => Value::Num(self.ra_err_arcsec() as f64),
+            "dec_err" => Value::Num(self.dec_err_arcsec() as f64),
+            "psf_r" => r(offset::PSF_MAG),
+            "petro_r50_r" => r(offset::PETRO_R50),
+            "sb_r" => r(offset::SURFACE_BRIGHTNESS),
+            "extinction_r" => r(offset::EXTINCTION),
+            "spectro_target" => Value::Bool(self.spectro_target()),
+            "parent" => Value::Id(self.parent_id()),
             _ => return None,
         };
         Some(v)
@@ -540,12 +589,65 @@ mod tests {
         assert!(t.attr("mjd").is_none());
         for name in TAG_ATTRS {
             assert!(t.attr(name).is_some(), "tag missing {name}");
-            // Values must agree between representations.
-            if name != "class" {
-                let a = o.attr(name).unwrap().as_num().unwrap();
-                let b = t.attr(name).unwrap().as_num().unwrap();
-                assert!((a - b).abs() < 1e-5, "{name}: {a} vs {b}");
+            // Values agree bitwise between representations.
+            let (a, b) = (o.attr(name).unwrap(), t.attr(name).unwrap());
+            match (&a, &b) {
+                (Value::Num(a), Value::Num(b)) => assert_eq!(a.to_bits(), b.to_bits(), "{name}"),
+                _ => assert_eq!(a, b, "{name}"),
             }
+        }
+    }
+
+    proptest::proptest! {
+        /// Every attribute name reads bitwise the same through the
+        /// in-place record view as through the decoded object, over
+        /// random objects with every field the names read set.
+        #[test]
+        fn prop_record_view_attrs_match_decoded_objects(
+            obj_id in proptest::prelude::any::<u64>(),
+            ra in 0.0f64..360.0, dec in -90.0f64..90.0,
+            mags in proptest::array::uniform5(10.0f32..25.0),
+            band_vals in proptest::array::uniform5(proptest::prelude::any::<f32>()),
+            seed in proptest::prelude::any::<u64>(),
+            class_byte in 0u8..4,
+            spectro_target in proptest::prelude::any::<bool>(),
+        ) {
+            let mut o = PhotoObj {
+                obj_id,
+                run: seed as u16,
+                camcol: (seed >> 16) as u8 % 7,
+                field: (seed >> 24) as u16,
+                mjd: 51000.0 + (seed >> 40) as f64 / 7.0,
+                ra_err_arcsec: band_vals[0] * 1e-6,
+                dec_err_arcsec: band_vals[1] * 1e-6,
+                class: ObjClass::from_u8(class_byte).unwrap(),
+                spectro_target,
+                parent_id: seed.rotate_left(29),
+                ..PhotoObj::default()
+            };
+            o.set_position(SkyPos::new(ra, dec).unwrap());
+            for (b, band) in o.bands.iter_mut().enumerate() {
+                band.model_mag = mags[b];
+                band.psf_mag = mags[b] + band_vals[b] * 1e-7;
+                band.petro_rad = band_vals[(b + 1) % 5];
+                band.petro_r50 = band_vals[(b + 2) % 5];
+                band.surface_brightness = band_vals[(b + 3) % 5];
+                band.extinction = band_vals[(b + 4) % 5];
+            }
+            let mut buf = Vec::new();
+            o.write_to(&mut buf);
+            let rec = PhotoRecord::new(&buf).unwrap();
+            for name in FULL_ATTRS {
+                let (got, want) = (rec.attr(name).unwrap(), o.attr(name).unwrap());
+                match (&got, &want) {
+                    (Value::Num(a), Value::Num(b)) => {
+                        proptest::prop_assert_eq!(a.to_bits(), b.to_bits(), "{}", name)
+                    }
+                    _ => proptest::prop_assert_eq!(got, want, "{}", name),
+                }
+            }
+            proptest::prop_assert!(rec.attr("nonsense").is_none());
+            proptest::prop_assert_eq!(rec.position(), o.position());
         }
     }
 

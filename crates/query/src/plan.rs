@@ -135,7 +135,8 @@ pub enum PlanNode {
         child: Box<PlanNode>,
         n: usize,
     },
-    /// Blocking aggregation (one output row).
+    /// Blocking aggregation (one output row), always directly over the
+    /// scan whose rows it folds in-scan.
     Aggregate {
         child: Box<PlanNode>,
         aggs: Vec<AggSpec>,
@@ -653,23 +654,11 @@ fn plan_select(s: &SelectStmt, tags_available: bool) -> Result<PlanNode, QueryEr
         QuerySource::Full
     };
 
-    // Aggregates: the scan emits hidden `__agg_i` columns carrying each
-    // aggregate's argument expression; the Aggregate node accumulates
-    // over them (COUNT(*) needs no column).
-    let scan_columns = if aggs.is_empty() {
-        columns
-    } else {
-        aggs.iter()
-            .enumerate()
-            .filter_map(|(i, a)| a.arg.clone().map(|e| (format!("__agg_{i}"), e)))
-            .collect()
-    };
-
     let mut node = PlanNode::Scan(ScanSpec {
         source,
         domain,
         predicate: residual,
-        columns: scan_columns,
+        columns,
         sample: s.sample,
     });
 

@@ -339,7 +339,9 @@ impl Session {
 ///   scans, set operations, sorted/limited streams, MATCH pair sets)
 ///   drives the admission-held stream and fetches one tag record per
 ///   distinct object pointer through the full store's id index, so all
-///   query shapes materialize uniformly.
+///   query shapes materialize uniformly. The fetch reads the tag and its
+///   `htm20` in place from the stored record ([`TagObject::from_record`]),
+///   never decoding the whole object.
 ///
 /// Both routes quota-check live while folding; a violation aborts
 /// cleanly (dropping the slow path's stream cancels the execution) and
@@ -389,10 +391,10 @@ pub(crate) fn run_into(prepared: &Prepared, params: &[f64]) -> Result<QueryOutpu
             if !seen.insert(id) {
                 continue;
             }
-            let obj = store.get(id).map_err(|e| {
+            let rec = store.record(id).map_err(|e| {
                 QueryError::Exec(format!("INTO {name}: object {id:#x} fetch failed: {e}"))
             })?;
-            builder.push(&TagObject::from_photo(&obj), obj.htm20);
+            builder.push(&TagObject::from_record(&rec), rec.htm20());
             if builder.bytes() as u64 > budget {
                 // Dropping the stream cancels the producing execution.
                 return Err(QueryError::Exec(format!(

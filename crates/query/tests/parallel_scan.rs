@@ -183,8 +183,7 @@ fn aggregates_fold_in_scan_and_match_channel_path() {
                 "agg {idx} diverged on {sql}: {x} vs {y}"
             );
         }
-        // The fused path ships exactly one batch (the result row): no
-        // `__agg_i` columns ever crossed the channel fabric.
+        // The fused path ships exactly one batch: the result row.
         assert_eq!(b.stats.batches, 1, "{sql}");
         assert!(b.stats.workers_used > 1, "{sql}");
         assert!(b.stats.morsels > 0, "{sql}");

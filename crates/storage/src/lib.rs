@@ -14,7 +14,8 @@
 //! * [`container`] — one clustering unit per HTM trixel at the store's
 //!   partition level, with per-container statistics (the density map)
 //! * [`store`] — the object store: bulk insert, id lookup, region scans
-//!   driven by HTM covers
+//!   driven by HTM covers that read records in place
+//! * [`scan_plan`] — the cover-to-morsels plan both stores' scans share
 //! * [`vertical`] — the tag-object vertical partition (paper §Desktop
 //!   Data Analysis), kept as one image: a column chunk per container
 //! * [`column`](mod@column) — struct-of-arrays tag columns per
@@ -43,6 +44,7 @@ pub mod page;
 pub mod partition;
 pub mod resultset;
 pub mod sample;
+pub mod scan_plan;
 pub mod store;
 pub mod vertical;
 pub mod zone;
@@ -56,8 +58,9 @@ pub use page::{Page, PageIter, PAGE_SIZE};
 pub use partition::PartitionMap;
 pub use resultset::{ResultSet, ResultSetBuilder, RESULT_SET_CHUNK_ROWS};
 pub use sample::sample_hash_keep;
+pub use scan_plan::{ScanMorsel, ScanPlan};
 pub use store::{ObjectStore, RegionScan, StoreConfig, TouchCounters};
-pub use vertical::{TagMorsel, TagScanPlan, TagStore};
+pub use vertical::TagStore;
 pub use zone::{DecZoneIndex, MatchFootprint, ZoneIndex};
 
 /// Errors produced by the storage crate.

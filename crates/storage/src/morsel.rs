@@ -12,7 +12,7 @@
 //! the other workers idle.
 //!
 //! The queue is index-based and payload-agnostic: callers keep their own
-//! morsel table (e.g. [`crate::vertical::TagScanPlan`]) and feed
+//! morsel table (e.g. [`crate::ScanPlan`]) and feed
 //! `(index, bytes)` pairs here.
 
 use crate::partition::PartitionMap;

@@ -2,21 +2,26 @@
 //! by covers.
 //!
 //! The index tree of the paper in action: a region query computes a deep
-//! HTM cover, coarsens it to the container level, and then
+//! HTM cover, coarsens it to the container level ([`ScanPlan`]), and then
 //!
 //! * containers **fully inside** the cover stream every object with *no*
 //!   geometric test ("wholly accepted"),
 //! * containers **bisected** by the query test each object — first against
-//!   the deep cover via the object's precomputed level-20 HTM id (integer
-//!   compare), and only in the boundary trixels against the exact region
-//!   geometry,
+//!   the deep cover via the object's precomputed level-20 HTM id, read in
+//!   place at its fixed record offset (an integer compare), and only in
+//!   the boundary trixels against the exact region geometry,
 //! * everything else is never read ("if a node is rejected, that node's
 //!   children can be ignored").
+//!
+//! A record rejected by the cover is never decoded: scans hand out
+//! [`PhotoRecord`] views that read only the fields their caller names.
+//! A scan is still charged whole containers.
 
 use crate::container::Container;
 use crate::cover_cache::CoverCache;
+use crate::scan_plan::ScanPlan;
 use crate::StorageError;
-use sdss_catalog::PhotoObj;
+use sdss_catalog::{PhotoObj, PhotoRecord};
 use sdss_htm::{Domain, HtmId};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -226,20 +231,23 @@ impl ObjectStore {
         Ok(())
     }
 
-    /// Point lookup by object id.
-    pub fn get(&self, obj_id: u64) -> Result<PhotoObj, StorageError> {
+    /// Point lookup by object id, read in place.
+    pub fn record(&self, obj_id: u64) -> Result<PhotoRecord<'_>, StorageError> {
         let &(raw, slot) = self
             .id_index
             .get(&obj_id)
             .ok_or(StorageError::NotFound(obj_id))?;
-        let container = self
+        let bytes = self
             .containers
             .get(&raw)
+            .and_then(|c| c.record(slot as usize))
             .ok_or(StorageError::NotFound(obj_id))?;
-        let mut rec = container
-            .record(slot as usize)
-            .ok_or(StorageError::NotFound(obj_id))?;
-        Ok(PhotoObj::read_from(&mut rec)?)
+        Ok(PhotoRecord::new(bytes)?)
+    }
+
+    /// Point lookup by object id, decoded.
+    pub fn get(&self, obj_id: u64) -> Result<PhotoObj, StorageError> {
+        Ok(self.record(obj_id)?.decode())
     }
 
     /// Iterate all objects in container (spatial) order.
@@ -260,41 +268,69 @@ impl ObjectStore {
         self.containers.get(&raw)
     }
 
-    /// Full scan with a callback; returns bytes scanned. The scan and
-    /// dataflow machines build on this.
-    pub fn scan_all(&self, mut f: impl FnMut(&PhotoObj)) -> usize {
-        self.scan_all_until(|obj| {
-            f(obj);
-            true
-        })
-        .0
+    /// Resolve a scan into a [`ScanPlan`]: one morsel per touched
+    /// container, charged its whole payload. `domain = None` plans a
+    /// sweep of every container; `cover_level` overrides the configured
+    /// scan cover depth (the E14 ablation).
+    pub fn plan_scan(
+        &self,
+        domain: Option<&Domain>,
+        cover_level: Option<u8>,
+    ) -> Result<ScanPlan, StorageError> {
+        ScanPlan::build(
+            &self.containers,
+            Container::bytes,
+            (self.config.container_level, self.config.scan_cover_level),
+            &self.cover_cache,
+            domain,
+            cover_level,
+        )
     }
 
-    /// Like [`ObjectStore::scan_all`] but the callback may return
-    /// `false` to stop early (cancelled queries). Returns
-    /// `(bytes_scanned, containers_read)` for the containers actually
-    /// opened.
-    pub fn scan_all_until(&self, mut f: impl FnMut(&PhotoObj) -> bool) -> (usize, usize) {
-        let mut bytes = 0;
-        let mut containers = 0;
-        'outer: for c in self.containers.values() {
-            self.touches.read_touches.fetch_add(1, Ordering::Relaxed);
-            bytes += c.bytes();
-            containers += 1;
-            for mut rec in c.iter_records() {
-                let obj = PhotoObj::read_from(&mut rec).expect("valid record");
-                if !f(&obj) {
-                    break 'outer;
+    /// Scan one morsel of a plan, handing `f` a [`PhotoRecord`] view of
+    /// every record inside the domain. A bisected container reads each
+    /// record's `htm20` in place and skips the records outside the cover
+    /// before reading anything else of them. `f` may return `false` to
+    /// stop. Returns the morsel's scan accounting (no cover-cache
+    /// counters — the lookup happened at plan time) and whether it ran
+    /// to completion.
+    ///
+    /// Panics on a corrupt record: the store holds only records it
+    /// wrote from valid objects.
+    pub fn scan_morsel(
+        &self,
+        plan: &ScanPlan,
+        idx: usize,
+        mut f: impl FnMut(&PhotoRecord<'_>) -> bool,
+    ) -> (RegionScan, bool) {
+        let (raw, mut stats, bisected) = plan.open(idx);
+        let mut completed = true;
+        for bytes in self.containers[&raw].iter_records() {
+            let rec = PhotoRecord::new(bytes).expect("the store holds only valid records");
+            if let Some(cover) = &bisected {
+                if !cover.admits(rec.htm20(), || rec.unit_vec(), &mut stats) {
+                    continue;
                 }
             }
+            stats.objects_yielded += 1;
+            if !f(&rec) {
+                completed = false;
+                break;
+            }
         }
+        self.touches.read_touches.fetch_add(1, Ordering::Relaxed);
         self.touches
             .bytes_read
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        (bytes, containers)
+            .fetch_add(stats.bytes_scanned as u64, Ordering::Relaxed);
+        self.touches
+            .exact_tests
+            .fetch_add(stats.objects_exact_tested as u64, Ordering::Relaxed);
+        (stats, completed)
     }
 
-    /// Region scan: yields every object inside `domain` exactly once.
+    /// Region scan: yields every object inside `domain` exactly once,
+    /// decoded — a serial adapter over [`ObjectStore::plan_scan`] and
+    /// [`ObjectStore::scan_morsel`].
     ///
     /// `cover_level` overrides the configured scan cover depth (used by
     /// the E14 ablation); pass `None` for the default.
@@ -304,95 +340,13 @@ impl ObjectStore {
         cover_level: Option<u8>,
         mut f: impl FnMut(&PhotoObj),
     ) -> Result<RegionScan, StorageError> {
-        self.scan_region_until(domain, cover_level, |obj| {
-            f(obj);
-            true
-        })
-    }
-
-    /// Like [`ObjectStore::scan_region`] but the callback may return
-    /// `false` to stop early (streaming `LIMIT`, cancelled queries).
-    pub fn scan_region_until(
-        &self,
-        domain: &Domain,
-        cover_level: Option<u8>,
-        mut f: impl FnMut(&PhotoObj) -> bool,
-    ) -> Result<RegionScan, StorageError> {
-        let level = cover_level.unwrap_or(self.config.scan_cover_level);
-        if level < self.config.container_level || level > 20 {
-            return Err(StorageError::InvalidConfig(format!(
-                "cover level {level} outside [{}, 20]",
-                self.config.container_level
-            )));
-        }
-        let (cover, cache_hit) = self.cover_cache.get_or_compute_traced(domain, level)?;
-        let full = cover.full_ranges();
-        let partial = cover.partial_ranges();
-        let touched = cover
-            .touched_ranges()
-            .coarsen(level, self.config.container_level);
-
-        let mut stats = RegionScan::default();
-        if cache_hit {
-            stats.cover_cache_hits = 1;
-        } else {
-            stats.cover_cache_misses = 1;
-        }
-        let shift = 2 * (20 - level) as u64;
-        let mut stopped = false;
-
-        'outer: for &(lo, hi) in touched.ranges() {
-            for (_, container) in self.containers.range(lo..hi) {
-                self.touches.read_touches.fetch_add(1, Ordering::Relaxed);
-                stats.bytes_scanned += container.bytes();
-
-                // Whole container inside the full cover: stream, no tests.
-                let (clo, chi) = container.id().deep_range(level);
-                if full.contains_range(clo, chi) {
-                    stats.containers_full += 1;
-                    for mut rec in container.iter_records() {
-                        let obj = PhotoObj::read_from(&mut rec)?;
-                        stats.objects_yielded += 1;
-                        if !f(&obj) {
-                            stopped = true;
-                            break 'outer;
-                        }
-                    }
-                    continue;
-                }
-
-                stats.containers_partial += 1;
-                for mut rec in container.iter_records() {
-                    let obj = PhotoObj::read_from(&mut rec)?;
-                    let deep_id = obj.htm20 >> shift;
-                    if full.contains(deep_id) {
-                        stats.objects_yielded += 1;
-                        if !f(&obj) {
-                            stopped = true;
-                            break 'outer;
-                        }
-                    } else if partial.contains(deep_id) {
-                        stats.objects_exact_tested += 1;
-                        if domain.contains(obj.unit_vec()) {
-                            stats.objects_yielded += 1;
-                            if !f(&obj) {
-                                stopped = true;
-                                break 'outer;
-                            }
-                        }
-                    }
-                    // else: outside the cover entirely — rejected for free.
-                }
-            }
-        }
-        let _ = stopped;
-        self.touches
-            .bytes_read
-            .fetch_add(stats.bytes_scanned as u64, Ordering::Relaxed);
-        self.touches
-            .exact_tests
-            .fetch_add(stats.objects_exact_tested as u64, Ordering::Relaxed);
-        Ok(stats)
+        let plan = self.plan_scan(Some(domain), cover_level)?;
+        Ok(plan.scan_serial(|idx| {
+            self.scan_morsel(&plan, idx, |rec| {
+                f(&rec.decode());
+                true
+            })
+        }))
     }
 
     /// Convenience: collect a region scan into a vector.
@@ -410,7 +364,7 @@ impl ObjectStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdss_catalog::SkyModel;
+    use sdss_catalog::{SkyModel, TagObject};
     use sdss_htm::Region;
 
     fn store_with_sky(seed: u64) -> (ObjectStore, Vec<PhotoObj>) {
@@ -456,6 +410,24 @@ mod tests {
             store.get(0xdead_beef_dead_beef),
             Err(StorageError::NotFound(_))
         ));
+    }
+
+    /// The INTO fetch's tag, read in place, is bitwise the tag projected
+    /// from the decoded object, for every object.
+    #[test]
+    fn in_place_tag_is_the_decoded_projection() {
+        let (store, objs) = store_with_sky(11);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for obj in &objs {
+            let rec = store.record(obj.obj_id).unwrap();
+            let decoded = store.get(obj.obj_id).unwrap();
+            got.clear();
+            want.clear();
+            TagObject::from_record(&rec).write_to(&mut got);
+            TagObject::from_photo(&decoded).write_to(&mut want);
+            assert_eq!(got, want, "object {:#x}", obj.obj_id);
+            assert_eq!(rec.htm20(), decoded.htm20);
+        }
     }
 
     #[test]
@@ -560,11 +532,51 @@ mod tests {
     }
 
     #[test]
-    fn scan_all_visits_everything() {
+    fn sweep_plan_visits_everything() {
         let (store, objs) = store_with_sky(9);
-        let mut n = 0;
-        let bytes = store.scan_all(|_| n += 1);
-        assert_eq!(n, objs.len());
-        assert_eq!(bytes, store.bytes());
+        let plan = store.plan_scan(None, None).unwrap();
+        assert_eq!(plan.morsels().len(), store.num_containers());
+        let mut ids = Vec::new();
+        let stats = plan.scan_serial(|idx| {
+            store.scan_morsel(&plan, idx, |rec| {
+                ids.push(rec.obj_id());
+                true
+            })
+        });
+        ids.sort_unstable();
+        let mut want: Vec<u64> = objs.iter().map(|o| o.obj_id).collect();
+        want.sort_unstable();
+        assert_eq!(ids, want);
+        assert_eq!(stats.bytes_scanned, store.bytes());
+        assert_eq!(stats.containers_full, store.num_containers());
+        assert_eq!(stats.objects_exact_tested, 0);
+    }
+
+    /// A record with a bad class byte fails a scan that reads its
+    /// container, the same as a whole decode fails, and the lookup of it.
+    #[test]
+    #[should_panic(expected = "the store holds only valid records")]
+    fn corrupt_record_fails_the_scan() {
+        let (mut store, objs) = store_with_sky(10);
+        let victim = &objs[0];
+        let raw = store.container_id_of(victim).unwrap().raw();
+        let old = store.containers.remove(&raw).unwrap();
+        let mut corrupt = Container::new(old.id(), old.record_len());
+        for bytes in old.iter_records() {
+            let mut rec = bytes.to_vec();
+            if PhotoRecord::new(bytes).unwrap().obj_id() == victim.obj_id {
+                rec[sdss_catalog::photoobj::offset::CLASS] = 9;
+            }
+            corrupt
+                .push_record(&rec, 20.0, sdss_catalog::ObjClass::Star)
+                .unwrap();
+        }
+        store.containers.insert(raw, corrupt);
+        assert!(matches!(
+            store.get(victim.obj_id),
+            Err(StorageError::Corrupt(_))
+        ));
+        let domain = Region::circle(victim.ra_deg, victim.dec_deg, 0.01).unwrap();
+        let _ = store.query_region(&domain, None);
     }
 }

@@ -18,10 +18,11 @@
 use crate::column::{ColumnBatch, ColumnChunk, SelectionMask, BATCH_ROWS};
 use crate::cover_cache::CoverCache;
 use crate::estimate::ContainerSize;
+use crate::scan_plan::ScanPlan;
 use crate::store::{ObjectStore, RegionScan};
 use crate::StorageError;
-use sdss_catalog::{PhotoObj, TagObject};
-use sdss_htm::{Cover, Domain, HtmId};
+use sdss_catalog::{PhotoRecord, TagObject};
+use sdss_htm::{Domain, HtmId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -33,55 +34,6 @@ fn charge(rows: usize) -> usize {
 /// The id of a stored container (keys are valid by construction).
 fn container_id(raw: u64) -> HtmId {
     HtmId::from_raw(raw).expect("tag containers have valid HTM ids")
-}
-
-/// One unit of parallel scan work: a single touched container of a
-/// planned batch scan.
-#[derive(Debug, Clone, Copy)]
-pub struct TagMorsel {
-    /// Raw container id.
-    pub container: u64,
-    /// Wholly inside the cover: every row selected without geometry.
-    pub full: bool,
-    /// Scan charge in bytes (64 per row, see [`TagStore::bytes`]) — the
-    /// byte-balancing weight for [`crate::MorselQueue`] sharding.
-    pub bytes: usize,
-}
-
-/// A resolved columnar scan: the HTM cover decision made once, the
-/// touched containers listed as morsels. Shareable across scan workers
-/// (`Send + Sync`, typically behind an `Arc`).
-#[derive(Debug)]
-pub struct TagScanPlan {
-    morsels: Vec<TagMorsel>,
-    /// `None` for unrestricted sweeps (no geometry at all).
-    cover: Option<Arc<Cover>>,
-    domain: Option<Domain>,
-    /// Bit shift from level-20 ids down to the cover level.
-    shift: u64,
-    cache_hit: bool,
-}
-
-impl TagScanPlan {
-    /// The touched containers, in container-id (spatial) order.
-    pub fn morsels(&self) -> &[TagMorsel] {
-        &self.morsels
-    }
-
-    /// Byte weights per morsel (the [`crate::MorselQueue`] input).
-    pub fn morsel_bytes(&self) -> Vec<usize> {
-        self.morsels.iter().map(|m| m.bytes).collect()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.morsels.is_empty()
-    }
-
-    /// Whether the plan-time cover lookup hit the cache (`None` when the
-    /// scan is an unrestricted sweep and no cover was needed).
-    pub fn cover_cache_hit(&self) -> Option<bool> {
-        self.cover.as_ref().map(|_| self.cache_hit)
-    }
 }
 
 /// Vertical partition holding tag objects, clustered like the full store.
@@ -109,22 +61,14 @@ impl TagStore {
         for container in store.containers().filter(|c| !c.is_empty()) {
             // The tag container holds exactly the store container's rows:
             // size every lane once instead of regrowing it row by row.
-            let chunk = ColumnChunk::with_capacity(container.len());
-            out.chunks.insert(container.id().raw(), Arc::new(chunk));
-            for mut rec in container.iter_records() {
-                let obj = PhotoObj::read_from(&mut rec).expect("valid store record");
-                out.insert(&obj).expect("projection of a valid object");
+            let mut chunk = ColumnChunk::with_capacity(container.len());
+            for bytes in container.iter_records() {
+                let rec = PhotoRecord::new(bytes).expect("valid store record");
+                chunk.push(&TagObject::from_record(&rec), rec.htm20());
             }
+            out.chunks.insert(container.id().raw(), Arc::new(chunk));
         }
         out
-    }
-
-    /// Insert the tag projection of one object into its container.
-    pub fn insert(&mut self, obj: &PhotoObj) -> Result<(), StorageError> {
-        let cid = HtmId::from_raw(obj.htm20)?.ancestor_at(self.container_level);
-        let chunk = self.chunks.entry(cid.raw()).or_default();
-        Arc::make_mut(chunk).push(&TagObject::from_photo(obj), obj.htm20);
-        Ok(())
     }
 
     pub fn len(&self) -> usize {
@@ -182,69 +126,26 @@ impl TagStore {
         self.container_level
     }
 
-    /// Resolve a columnar scan into a [`TagScanPlan`]: the cover decided
+    /// Resolve a columnar scan into a [`ScanPlan`]: the cover decided
     /// exactly once, and every touched container listed as one morsel
     /// with its classification (wholly inside the cover vs bisected) and
-    /// byte weight. The plan is `Send + Sync`; parallel scans share it
-    /// behind an `Arc` and workers drain morsels independently via
-    /// [`TagStore::scan_morsel`]. `domain = None` plans an unrestricted
-    /// sweep (every container, no geometry).
+    /// byte weight. Parallel scans share the plan behind an `Arc` and
+    /// workers drain morsels independently via [`TagStore::scan_morsel`].
+    /// `domain = None` plans an unrestricted sweep (every container, no
+    /// geometry).
     pub fn plan_batch_scan(
         &self,
         domain: Option<&Domain>,
         cover_level: Option<u8>,
-    ) -> Result<TagScanPlan, StorageError> {
-        let Some(domain) = domain else {
-            let morsels = self
-                .chunks
-                .iter()
-                .map(|(&raw, c)| TagMorsel {
-                    container: raw,
-                    full: true,
-                    bytes: charge(c.len()),
-                })
-                .collect();
-            return Ok(TagScanPlan {
-                morsels,
-                cover: None,
-                domain: None,
-                shift: 0,
-                cache_hit: false,
-            });
-        };
-
-        let level = cover_level.unwrap_or(self.scan_cover_level);
-        if level < self.container_level || level > 20 {
-            return Err(StorageError::InvalidConfig(format!(
-                "cover level {level} outside [{}, 20]",
-                self.container_level
-            )));
-        }
-        let (cover, cache_hit) = self.cover_cache.get_or_compute_traced(domain, level)?;
-        // Touched deep ranges coarsened to the container level; a
-        // container is a full morsel when the full cover holds it whole.
-        let touched = cover.touched_ranges().coarsen(level, self.container_level);
-        let full = cover.full_ranges();
-        let morsels = touched
-            .ranges()
-            .iter()
-            .flat_map(|&(lo, hi)| self.chunks.range(lo..hi))
-            .map(|(&raw, c)| {
-                let (clo, chi) = container_id(raw).deep_range(level);
-                TagMorsel {
-                    container: raw,
-                    full: full.contains_range(clo, chi),
-                    bytes: charge(c.len()),
-                }
-            })
-            .collect();
-        Ok(TagScanPlan {
-            morsels,
-            cover: Some(cover),
-            domain: Some(domain.clone()),
-            shift: 2 * (20 - level) as u64,
-            cache_hit,
-        })
+    ) -> Result<ScanPlan, StorageError> {
+        ScanPlan::build(
+            &self.chunks,
+            |c| charge(c.len()),
+            (self.container_level, self.scan_cover_level),
+            &self.cover_cache,
+            domain,
+            cover_level,
+        )
     }
 
     /// Scan one morsel of a plan, streaming its [`ColumnBatch`]es with
@@ -254,45 +155,25 @@ impl TagStore {
     /// at plan time) and whether the morsel ran to completion.
     pub fn scan_morsel(
         &self,
-        plan: &TagScanPlan,
+        plan: &ScanPlan,
         idx: usize,
         mut f: impl FnMut(&ColumnBatch<'_>, &SelectionMask) -> bool,
     ) -> (RegionScan, bool) {
-        let m = &plan.morsels[idx];
-        let mut stats = RegionScan::default();
-        let chunk = &self.chunks[&m.container];
-        stats.bytes_scanned += m.bytes;
-        if m.full {
-            stats.containers_full += 1;
-        } else {
-            stats.containers_partial += 1;
-        }
-        for batch in chunk.batches(BATCH_ROWS) {
-            let sel = if m.full {
-                stats.objects_yielded += batch.len();
-                SelectionMask::all_set(batch.len())
-            } else {
-                let cover = plan.cover.as_ref().expect("bisected morsels have a cover");
-                let domain = plan
-                    .domain
-                    .as_ref()
-                    .expect("bisected morsels have a domain");
-                let (full, partial) = (cover.full_ranges(), cover.partial_ranges());
-                let mut sel = SelectionMask::none_set(batch.len());
-                for (i, &deep) in batch.htm20.iter().enumerate() {
-                    let deep_id = deep >> plan.shift;
-                    if full.contains(deep_id) {
-                        sel.set(i);
-                    } else if partial.contains(deep_id) {
-                        stats.objects_exact_tested += 1;
-                        if domain.contains(batch.unit_vec(i)) {
+        let (container, mut stats, bisected) = plan.open(idx);
+        for batch in self.chunks[&container].batches(BATCH_ROWS) {
+            let sel = match &bisected {
+                None => SelectionMask::all_set(batch.len()),
+                Some(cover) => {
+                    let mut sel = SelectionMask::none_set(batch.len());
+                    for (i, &htm20) in batch.htm20.iter().enumerate() {
+                        if cover.admits(htm20, || batch.unit_vec(i), &mut stats) {
                             sel.set(i);
                         }
                     }
+                    sel
                 }
-                stats.objects_yielded += sel.count();
-                sel
             };
+            stats.objects_yielded += sel.count();
             if !f(&batch, &sel) {
                 return (stats, false);
             }
@@ -319,22 +200,7 @@ impl TagStore {
         mut f: impl FnMut(&ColumnBatch<'_>, &SelectionMask) -> bool,
     ) -> Result<RegionScan, StorageError> {
         let plan = self.plan_batch_scan(domain, cover_level)?;
-        let mut stats = RegionScan::default();
-        if let Some(hit) = plan.cover_cache_hit() {
-            if hit {
-                stats.cover_cache_hits += 1;
-            } else {
-                stats.cover_cache_misses += 1;
-            }
-        }
-        for idx in 0..plan.morsels().len() {
-            let (morsel_stats, completed) = self.scan_morsel(&plan, idx, &mut f);
-            stats.merge(&morsel_stats);
-            if !completed {
-                break;
-            }
-        }
-        Ok(stats)
+        Ok(plan.scan_serial(|idx| self.scan_morsel(&plan, idx, &mut f)))
     }
 
     /// Region scan over tags, one owned record per selected row: an
@@ -367,7 +233,7 @@ impl TagStore {
 mod tests {
     use super::*;
     use crate::store::StoreConfig;
-    use sdss_catalog::SkyModel;
+    use sdss_catalog::{PhotoObj, SkyModel};
     use sdss_htm::Region;
 
     fn stores(seed: u64) -> (ObjectStore, TagStore, Vec<PhotoObj>) {
@@ -432,8 +298,8 @@ mod tests {
     }
 
     /// The tag batch scan's cover selection against the full store's
-    /// independent row scan: same rows, same exact tests, same
-    /// containers, and the 64-byte charge per touched tag row.
+    /// record scan: same rows, same exact tests, same containers, and
+    /// the 64-byte charge per touched tag row.
     #[test]
     fn batch_scan_selects_same_rows_as_row_scan() {
         let (store, tags, _) = stores(5);
