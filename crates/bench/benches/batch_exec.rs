@@ -13,7 +13,7 @@
 //! compiled-path advantage numerically.
 
 use criterion::{criterion_group, Criterion, Throughput};
-use sdss_bench::{build_stores, standard_sky};
+use sdss_bench::{bitwise_multiset, build_stores, standard_sky};
 use sdss_query::{Archive, ArchiveConfig, ExecMode};
 use sdss_storage::{ObjectStore, TagStore};
 use std::hint::black_box;
@@ -48,7 +48,15 @@ const QUERIES: &[(&str, &str)] = &[
         "count_aggregate",
         "SELECT COUNT(*) FROM photoobj WHERE r BETWEEN 18 AND 21 AND class != 'STAR'",
     ),
+    (
+        "fold_aggregate",
+        "SELECT COUNT(*), AVG(r), MIN(gr), MAX(gr) FROM photoobj \
+         WHERE gr BETWEEN 0.3 AND 0.9",
+    ),
 ];
+
+/// Timed runs per query and mode; the report keeps the best.
+const RUNS: usize = 5;
 
 /// Two archive handles over the same stores, compiled vs interpreted.
 fn archive_pair(store: ObjectStore, tags: TagStore) -> (Archive, Archive) {
@@ -79,10 +87,14 @@ fn bench_batch_exec(c: &mut Criterion) {
     let (compiled, interpreted) = archive_pair(store, tags);
 
     for (name, sql) in QUERIES {
-        // Sanity: identical results and the compiled path engaging.
+        // Sanity: bitwise the same rows and the compiled path engaging.
         let a = compiled.run(sql).expect("query runs");
         let b = interpreted.run(sql).expect("query runs");
-        assert_eq!(a.rows.len(), b.rows.len(), "{name} diverged");
+        assert_eq!(
+            bitwise_multiset(&a.rows),
+            bitwise_multiset(&b.rows),
+            "{name} diverged"
+        );
         assert!(a.stats.columnar, "{name} did not take the compiled path");
 
         let mut group = c.benchmark_group(format!("batch_exec/{name}"));
@@ -125,8 +137,8 @@ fn emit_json() {
         // Warm both paths (cover cache, allocator) before timing.
         let _ = compiled.run(sql).unwrap();
         let _ = interpreted.run(sql).unwrap();
-        let t_int = best_secs(&interpreted, sql, 5);
-        let t_col = best_secs(&compiled, sql, 5);
+        let t_int = best_secs(&interpreted, sql, RUNS);
+        let t_col = best_secs(&compiled, sql, RUNS);
         let rps_int = scanned_rows / t_int;
         let rps_col = scanned_rows / t_col;
         let speedup = rps_col / rps_int;
@@ -144,8 +156,12 @@ fn emit_json() {
     }
     let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
     println!("geomean speedup {geomean:.2}x   headline (galaxy_color_cut) {headline:.2}x");
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let json = format!(
         "{{\n  \"bench\": \"batch_exec\",\n  \"objects\": {N_OBJECTS},\n  \
+         \"cores\": {cores},\n  \"best_of_runs\": {RUNS},\n  \
          \"headline_popular_attribute_speedup\": {headline:.2},\n  \
          \"geomean_speedup\": {geomean:.2},\n  \"queries\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")

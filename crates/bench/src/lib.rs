@@ -5,6 +5,7 @@
 //! reruns (fixed seeds).
 
 use sdss_catalog::{GenRegion, PhotoObj, SkyModel};
+use sdss_query::{Row, Value};
 use sdss_storage::{ObjectStore, StoreConfig, TagStore};
 
 /// Default experiment field: a 5-degree cap at the SDSS test region.
@@ -64,4 +65,23 @@ pub fn fmt_bytes(b: f64) -> String {
         u += 1;
     }
     format!("{v:.2} {}", UNITS[u])
+}
+
+/// Rows as a sorted multiset, each value written as its variant and
+/// exact bits, so two routes or modes compare bitwise whatever order
+/// they stream rows in.
+pub fn bitwise_multiset(rows: &[Row]) -> Vec<Vec<String>> {
+    let mut rows: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|v| match v {
+                    Value::Num(x) => format!("Num({:#x})", x.to_bits()),
+                    other => format!("{other:?}"),
+                })
+                .collect()
+        })
+        .collect();
+    rows.sort_unstable();
+    rows
 }

@@ -23,6 +23,21 @@
 //! like an exception — `NOT (NaN != x)` keeps no rows even though a
 //! naive "NaN compares false" vectorization would keep all of them.
 //!
+//! The kernel runs at lane speed, with no per-row branch, clear or call:
+//! - **Lanes are never cleared.** Registers keep their capacity and the
+//!   previous batch's values across runs; every instruction writes its
+//!   whole lane, except the hinted sources (`DIST` and frame
+//!   coordinates), whose unhinted rows are unspecified anyway.
+//! - **Masks are written a word at a time.** Comparisons, `BETWEEN` and
+//!   class tests pack 64 row flags into one word and store it once; a
+//!   NaN comparison sets the row's error bit, and bits past the batch
+//!   stay clear.
+//! - **Folds are lane-wise, in row order.** An in-scan aggregate gets
+//!   each argument's whole lane plus the selection
+//!   ([`CompiledAggInputs::fold`]); the sink counts by popcount and folds
+//!   values over the set bits in ascending row order, so partials round
+//!   exactly as one row-at-a-time update per row would.
+//!
 //! Paper mapping: the tag partition is the vertical slice of the 10
 //! popular attributes; this is the execution engine that makes scanning
 //! that slice run at memory bandwidth instead of deserialization speed.
@@ -188,12 +203,13 @@ impl BatchScratch {
     fn prepare(&mut self, n_num: usize, n_mask: usize, rows: usize) {
         self.num
             .resize_with(n_num.max(self.num.len()), || Vec::with_capacity(BATCH_ROWS));
+        // No clear: see `Program::run`.
         for lane in self.num.iter_mut().take(n_num) {
-            lane.clear();
             lane.resize(rows, 0.0);
         }
         // Mask registers reset in place: each is written exactly once
-        // per program run (SSA), so stale capacity is safe to reuse.
+        // per program run (SSA), so stale capacity is safe to reuse, and
+        // `ConstMask { false }` relies on the clear.
         self.mask
             .resize_with(n_mask.max(self.mask.len()), || TriMask::false_all(0));
         for m in self.mask.iter_mut().take(n_mask) {
@@ -213,11 +229,16 @@ struct Program {
 }
 
 impl Program {
+    /// Run every instruction over one batch. Numeric lanes are resized,
+    /// never cleared: each instruction overwrites its whole lane, so a
+    /// register may hold an earlier batch's values only where nothing
+    /// reads them. Mask registers are reset, then built a word at a time.
+    ///
     /// `hint`: rows already known to be dropped (cover-rejected,
-    /// predicate-failed) may produce garbage lanes — per-row
-    /// transcendental sources (ra/dec/DIST/frame rotations/spatial
-    /// containment) only compute hinted rows. Callers must never read
-    /// results for unhinted rows.
+    /// predicate-failed) may produce garbage lanes — the per-row
+    /// geometric sources (DIST, frame rotations, spatial containment)
+    /// compute only hinted rows and leave the rest as the last run left
+    /// them. Callers must never read results for unhinted rows.
     fn run(
         &self,
         batch: &ColumnBatch<'_>,
@@ -268,8 +289,8 @@ fn exec_inst(
                 }
                 NumSrc::Color(a, b) => {
                     let (ca, cb) = (batch.mags[*a as usize], batch.mags[*b as usize]);
-                    for i in 0..rows {
-                        lane[i] = (ca[i] - cb[i]) as f64;
+                    for (x, (&ma, &mb)) in lane.iter_mut().zip(ca.iter().zip(cb)) {
+                        *x = (ma - mb) as f64;
                     }
                 }
                 NumSrc::Size => {
@@ -352,54 +373,40 @@ fn exec_inst(
             });
         }
         Inst::Cmp { op, a, b, dst } => {
-            // dst is a fresh (all-false) register; fill it in place.
-            let mut m = std::mem::take(&mut scratch.mask[*dst as usize]);
-            let (av, bv) = (&scratch.num[*a as usize], &scratch.num[*b as usize]);
-            for i in 0..rows {
-                let (x, y) = (av[i], bv[i]);
-                // `partial_cmp` on a NaN is `None`, which the interpreter
-                // surfaces as a row-level error.
-                if x.is_nan() || y.is_nan() {
-                    m.err.set(i);
-                    continue;
-                }
-                let keep = match op {
-                    BinOp::Lt => x < y,
-                    BinOp::Le => x <= y,
-                    BinOp::Gt => x > y,
-                    BinOp::Ge => x >= y,
-                    BinOp::Eq => x == y,
-                    BinOp::Ne => x != y,
-                    _ => unreachable!("non-comparison op in Cmp"),
-                };
-                if keep {
-                    m.val.set(i);
-                }
+            let m = &mut scratch.mask[*dst as usize];
+            let (av, bv) = (
+                &scratch.num[*a as usize][..rows],
+                &scratch.num[*b as usize][..rows],
+            );
+            match op {
+                BinOp::Lt => cmp_words(av, bv, m, |x, y| x < y),
+                BinOp::Le => cmp_words(av, bv, m, |x, y| x <= y),
+                BinOp::Gt => cmp_words(av, bv, m, |x, y| x > y),
+                BinOp::Ge => cmp_words(av, bv, m, |x, y| x >= y),
+                BinOp::Eq => cmp_words(av, bv, m, |x, y| x == y),
+                BinOp::Ne => cmp_words(av, bv, m, |x, y| x != y),
+                _ => unreachable!("non-comparison op in Cmp"),
             }
-            scratch.mask[*dst as usize] = m;
         }
         Inst::Between { x, lo, hi, dst } => {
             // The interpreter computes `x >= lo && x <= hi` with plain
             // float comparisons: NaN is false here, never an error.
-            let mut m = std::mem::take(&mut scratch.mask[*dst as usize]);
             let (xv, lov, hiv) = (
-                &scratch.num[*x as usize],
-                &scratch.num[*lo as usize],
-                &scratch.num[*hi as usize],
+                &scratch.num[*x as usize][..rows],
+                &scratch.num[*lo as usize][..rows],
+                &scratch.num[*hi as usize][..rows],
             );
-            for i in 0..rows {
-                if xv[i] >= lov[i] && xv[i] <= hiv[i] {
-                    m.val.set(i);
-                }
+            let words = scratch.mask[*dst as usize].val.words_mut();
+            let lanes = xv.chunks(64).zip(lov.chunks(64)).zip(hiv.chunks(64));
+            for (w, ((xs, los), his)) in words.iter_mut().zip(lanes) {
+                let rows = xs.iter().zip(los).zip(his);
+                *w = pack(rows.map(|((x, lo), hi)| (x >= lo) & (x <= hi)));
             }
-            scratch.mask[*dst as usize] = m;
         }
         Inst::ClassCmp { byte, ne, dst } => {
-            let m = &mut scratch.mask[*dst as usize];
-            for (i, &c) in batch.class.iter().enumerate() {
-                if (c == *byte) != *ne {
-                    m.val.set(i);
-                }
+            let words = scratch.mask[*dst as usize].val.words_mut();
+            for (w, cs) in words.iter_mut().zip(batch.class.chunks(64)) {
+                *w = pack(cs.iter().map(|c| (c == byte) != *ne));
             }
         }
         Inst::ConstMask { value, dst } => {
@@ -464,6 +471,42 @@ fn exec_inst(
             });
             scratch.mask[*dst as usize] = m;
         }
+    }
+}
+
+/// One mask word from up to 64 row flags: bit `j` is the `j`-th flag,
+/// bits past the last flag stay clear. The flags land as 0/1 bytes (a
+/// compare loop the compiler vectorizes), then each 8 bytes gather into
+/// 8 bits with one multiply: byte `i` times `GATHER` puts its bit at
+/// 56 + `i`, and no two partial products overlap. No per-row branch, and
+/// the word is stored once.
+#[inline(always)]
+fn pack(flags: impl Iterator<Item = bool>) -> u64 {
+    /// The sum over `i` in 0..8 of `1 << (56 - 7 * i)`.
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let mut bytes = [0u8; 64];
+    for (b, f) in bytes.iter_mut().zip(flags) {
+        *b = u8::from(f);
+    }
+    bytes.chunks_exact(8).enumerate().fold(0, |w, (k, c)| {
+        let c = c.try_into().expect("chunks_exact(8) yields 8 bytes");
+        w | (u64::from_le_bytes(c).wrapping_mul(GATHER) >> 56) << (8 * k)
+    })
+}
+
+/// Fill a [`TriMask`] with `keep(a[i], b[i])`, a word at a time. A
+/// NaN on either side sets the row's `err` bit instead (`partial_cmp` on
+/// a NaN is `None`, which the interpreter surfaces as a row-level error),
+/// so `val & err == 0` even for `!=`, which NaN would satisfy.
+#[inline(always)]
+fn cmp_words(a: &[f64], b: &[f64], m: &mut TriMask, keep: impl Fn(f64, f64) -> bool) {
+    let (val, err) = (m.val.words_mut(), m.err.words_mut());
+    let lanes = a.chunks(64).zip(b.chunks(64));
+    for ((v, e), (xs, ys)) in val.iter_mut().zip(err.iter_mut()).zip(lanes) {
+        let rows = || xs.iter().zip(ys);
+        let nan = pack(rows().map(|(x, y)| x.is_nan() | y.is_nan()));
+        *v = pack(rows().map(|(&x, &y)| keep(x, y))) & !nan;
+        *e = nan;
     }
 }
 
@@ -572,52 +615,6 @@ impl CompiledProjection {
             .collect();
         crate::exec::ColumnarBatch::new(columns, n)
     }
-
-    /// Materialize the selected rows of one batch, appending to `out`.
-    /// Columns evaluate lane-wise over the whole batch, then gather only
-    /// the selected rows (column-major fill, so each program's scratch
-    /// registers are free for the next).
-    pub fn eval_into(
-        &self,
-        batch: &ColumnBatch<'_>,
-        sel: &SelectionMask,
-        scratch: &mut BatchScratch,
-        out: &mut Vec<Vec<Value>>,
-    ) {
-        if !sel.any() {
-            return;
-        }
-        let start = out.len();
-        for _ in sel.iter_set() {
-            out.push(Vec::with_capacity(self.columns.len()));
-        }
-        for col in &self.columns {
-            match col {
-                ProjColumn::Num(prog) => {
-                    prog.run(batch, scratch, Some(sel));
-                    let lane = &scratch.num[prog.out as usize];
-                    for (k, i) in sel.iter_set().enumerate() {
-                        out[start + k].push(Value::Num(lane[i]));
-                    }
-                }
-                ProjColumn::ObjId => {
-                    for (k, i) in sel.iter_set().enumerate() {
-                        out[start + k].push(Value::Id(batch.obj_id[i]));
-                    }
-                }
-                ProjColumn::Class => {
-                    for (k, i) in sel.iter_set().enumerate() {
-                        out[start + k].push(Value::Str(
-                            ObjClass::from_u8(batch.class[i])
-                                .expect("valid stored class")
-                                .as_str()
-                                .to_string(),
-                        ));
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Compiled aggregate argument lanes for **in-scan folding**: one
@@ -651,32 +648,27 @@ impl CompiledAggInputs {
         self.programs.len()
     }
 
-    /// Fold the selected rows of one batch: calls `f(agg_index, value)`
-    /// for every selected row of every aggregate, with exactly the value
-    /// the row interpreter would fold (`None` only for argument-less
-    /// `COUNT(*)`). Lanes compute hinted by the selection, so unselected
-    /// rows cost nothing.
+    /// Hand each aggregate's argument lane for one batch to
+    /// `f(agg_index, lane)`, once per aggregate: `Some(lane)` holds, at
+    /// every row `sel` keeps, exactly the value the row interpreter would
+    /// fold (other rows are unspecified); `None` stands for the
+    /// argument-less `COUNT(*)`. Lanes compute hinted by the selection,
+    /// so unselected rows cost no per-row geometry; the caller folds the
+    /// kept rows of each lane in ascending row order.
     pub fn fold(
         &self,
         batch: &ColumnBatch<'_>,
         sel: &SelectionMask,
         scratch: &mut BatchScratch,
-        mut f: impl FnMut(usize, Option<f64>),
+        mut f: impl FnMut(usize, Option<&[f64]>),
     ) {
         for (i, prog) in self.programs.iter().enumerate() {
             match prog {
                 Some(prog) => {
                     prog.run(batch, scratch, Some(sel));
-                    let lane = &scratch.num[prog.out as usize];
-                    for r in sel.iter_set() {
-                        f(i, Some(lane[r]));
-                    }
+                    f(i, Some(&scratch.num[prog.out as usize]));
                 }
-                None => {
-                    for _ in sel.iter_set() {
-                        f(i, None);
-                    }
-                }
+                None => f(i, None),
             }
         }
     }
@@ -1008,7 +1000,7 @@ fn lit_str(e: &Expr) -> Option<&str> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ast::{Query, SelectItem};
     use crate::ops::eval;
@@ -1170,7 +1162,11 @@ mod tests {
         let mut out = Vec::new();
         for batch in chunk.batches(1024) {
             let sel = SelectionMask::all_set(batch.len());
-            proj.eval_into(&batch, &sel, &mut scratch, &mut out);
+            out.extend(
+                proj.eval_batch(&batch, &sel, &mut scratch)
+                    .rows()
+                    .into_rows(),
+            );
         }
         assert_eq!(out.len(), tags.len());
         for (row, tag) in out.iter().zip(tags.iter()) {
@@ -1193,7 +1189,11 @@ mod tests {
             for i in (0..batch.len()).step_by(3) {
                 sel.set(i);
             }
-            proj.eval_into(&batch, &sel, &mut scratch, &mut out);
+            out.extend(
+                proj.eval_batch(&batch, &sel, &mut scratch)
+                    .rows()
+                    .into_rows(),
+            );
         }
         let want: Vec<u64> = tags
             .chunks(256)
@@ -1208,5 +1208,146 @@ mod tests {
             })
             .collect();
         assert_eq!(got, want);
+    }
+
+    /// The NaN an invalid operation yields on this platform. The catalog
+    /// stores no NaN, so every NaN a query meets is this one; when two
+    /// NaNs with different payloads meet in a sum, Rust leaves the result's
+    /// payload to the compiler, so only single-payload lanes can compare
+    /// bitwise through a SUM.
+    pub(crate) fn invalid_nan() -> f32 {
+        std::hint::black_box(f32::INFINITY) - std::hint::black_box(f32::INFINITY)
+    }
+
+    /// Magnitudes that stress the kernel's edge cases: NaN, both zeros,
+    /// both infinities (whose color differences are NaN), and the exact
+    /// bounds the equivalence predicates compare against.
+    fn specials() -> [f32; 14] {
+        [
+            invalid_nan(),
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.5,
+            20.0,
+            0.25,
+            -1.5,
+            21.0,
+            0.5,
+            19.75,
+            1e-30,
+            -0.0,
+        ]
+    }
+
+    /// A hand-built chunk of `len` rows cycling through [`specials`] at a
+    /// different stride per band (so every pair of specials meets in some
+    /// color), with sizes from the same list, every class, and positions
+    /// spread over the sky.
+    pub(crate) fn special_chunk(len: usize) -> ColumnChunk {
+        let (specials, mut chunk) = (specials(), ColumnChunk::new());
+        for k in 0..len {
+            let pick = |stride: usize, off: usize| specials[(k * stride + off) % specials.len()];
+            let pos = SkyPos::new((k as f64 * 7.3) % 360.0, (k as f64 * 3.1) % 180.0 - 90.0)
+                .unwrap()
+                .unit_vec();
+            let tag = TagObject {
+                obj_id: 1_000 + k as u64,
+                x: pos.x(),
+                y: pos.y(),
+                z: pos.z(),
+                mags: [pick(1, 0), pick(3, 1), pick(5, 2), pick(9, 3), pick(11, 4)],
+                size: pick(13, 5),
+                class: ObjClass::from_u8((k % 4) as u8).unwrap(),
+            };
+            chunk.push(&tag, 0);
+        }
+        chunk
+    }
+
+    /// The batch lengths around every word and batch edge.
+    pub(crate) const EDGE_LENGTHS: [usize; 7] = [1025, 1, 64, 1023, 63, 1024, 65];
+
+    #[test]
+    fn kernel_masks_match_the_interpreter_at_every_edge() {
+        let mut preds = Vec::new();
+        for op in ["<", "<=", ">", ">=", "=", "!="] {
+            preds.push(format!("r {op} 0.5"));
+            preds.push(format!("gr {op} 0"));
+            preds.push(format!("size {op} -0"));
+            preds.push(format!("r {op} g"));
+            preds.push(format!("NOT (ug {op} 20)"));
+        }
+        preds.extend(
+            [
+                "r BETWEEN 0.5 AND 20",
+                "gr BETWEEN -0 AND 0.5",
+                "r BETWEEN g AND i",
+                "NOT (r BETWEEN 0.5 AND 20)",
+                "class = 'GALAXY'",
+                "class != 'STAR'",
+                "class = 'QSO'",
+                "NOT (class = 'UNKNOWN')",
+                "NOT (r < 0.5) AND class = 'STAR'",
+                "r < 0.5 OR NOT (gr >= 0)",
+                "NOT (gr != gr) OR class = 'GALAXY'",
+                "(r > 20 AND gr < 0.5) OR NOT (i = z)",
+                "NOT (ri < 0 AND ri >= 0)",
+                "size > 0 AND NOT (u <= 0.25 OR iz > 1)",
+            ]
+            .map(String::from),
+        );
+        // One scratch across every predicate and length, long batches
+        // before short ones: registers start each run holding another
+        // program's or a longer batch's values.
+        let mut scratch = BatchScratch::new();
+        for len in EDGE_LENGTHS {
+            let chunk = special_chunk(len);
+            let batch = chunk.batches(len).next().unwrap();
+            assert_eq!(batch.len(), len);
+            for sql in &preds {
+                let pred = predicate_of(&format!("SELECT r FROM photoobj WHERE {sql}"));
+                let compiled = compile_predicate(&pred).unwrap_or_else(|| panic!("{sql}"));
+                let mask = compiled.eval(&batch, &mut scratch);
+                assert_eq!(mask.len(), len);
+                let mut want = 0;
+                for i in 0..len {
+                    let keep = matches!(eval(&pred, &batch.row(i)), Ok(Value::Bool(true)));
+                    want += usize::from(keep);
+                    assert_eq!(mask.get(i), keep, "{sql}: row {i} of {len}");
+                }
+                // The popcount sees bits past `len`: a set tail bit fails.
+                assert_eq!(mask.count(), want, "{sql}: tail bits at length {len}");
+                assert!(mask.iter_set().all(|i| i < len), "{sql} at {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn hinted_lanes_leave_hinted_rows_exact_after_any_batch() {
+        // DIST and FRAMELAT compute only hinted rows and leave the rest
+        // of the lane as the previous batch left it; the hinted rows must
+        // still match the interpreter.
+        let mut scratch = BatchScratch::new();
+        for sql in ["DIST(120, -30) < 60", "NOT (FRAMELAT('GALACTIC') > 10)"] {
+            let pred = predicate_of(&format!("SELECT r FROM photoobj WHERE {sql}"));
+            let compiled = compile_predicate(&pred).unwrap();
+            for len in EDGE_LENGTHS {
+                let chunk = special_chunk(len);
+                let batch = chunk.batches(len).next().unwrap();
+                let mut hint = SelectionMask::none_set(len);
+                (0..len).filter(|i| i % 3 != 1).for_each(|i| hint.set(i));
+                let mut got = compiled
+                    .eval_hinted(&batch, &mut scratch, Some(&hint))
+                    .clone();
+                got.and_with(&hint);
+                for i in 0..len {
+                    let keep =
+                        hint.get(i) && matches!(eval(&pred, &batch.row(i)), Ok(Value::Bool(true)));
+                    assert_eq!(got.get(i), keep, "{sql}: row {i} of {len}");
+                }
+            }
+        }
     }
 }

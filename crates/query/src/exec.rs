@@ -1491,7 +1491,8 @@ impl MorselSink for EmitSink {
 }
 
 /// The compiled in-scan aggregate sink: fold per-morsel partials
-/// straight off the kept lanes (partial even when cancelled).
+/// straight off the kept lanes, a whole lane per aggregate per batch
+/// ([`AggAcc::fold_lane`]; partial even when cancelled).
 struct FoldSink {
     rows: Selector,
     inputs: Arc<CompiledAggInputs>,
@@ -1511,8 +1512,8 @@ impl MorselSink for FoldSink {
         if keep.any() {
             let accs = self.accs.current();
             self.inputs
-                .fold(batch, &keep, &mut self.rows.scratch, |i, v| {
-                    accs[i].update(v)
+                .fold(batch, &keep, &mut self.rows.scratch, |i, lane| {
+                    accs[i].fold_lane(lane, &keep)
                 });
         }
         true
@@ -1766,17 +1767,15 @@ impl MatchJoin {
             rows.extend(kept.map(|i| batch.row(i)));
             true
         };
-        // Every build container is charged as a full one.
-        let mut total = RegionScan {
-            containers_full: source.n_morsels(),
-            ..RegionScan::default()
-        };
+        // Each morsel's own accounting: a footprint cap's bisected
+        // containers count as partial, with their exact tests.
+        let mut total = RegionScan::default();
         for idx in 0..source.n_morsels() {
             if ticket.is_cancelled() {
                 return None;
             }
             let (stats, _) = source.scan_morsel(idx, &mut collect, || false);
-            total.bytes_scanned += stats.bytes_scanned;
+            total.merge(&stats);
         }
         ticket.absorb_scan(&total);
         Some(rows)
@@ -1978,6 +1977,25 @@ impl AggAcc {
         }
     }
 
+    /// Fold the rows `sel` keeps of one batch lane (`None` for
+    /// `COUNT(*)`): the function is matched once per batch, `COUNT` is a
+    /// popcount, and the value aggregates walk the set bits in ascending
+    /// row order with `update`'s own `+=`, `f64::min` and `f64::max`, so
+    /// the partial finishes bit-identically to one `update` per row.
+    /// Only the field the function finishes from is folded.
+    fn fold_lane(&mut self, lane: Option<&[f64]>, sel: &SelectionMask) {
+        let rows = sel.iter_set();
+        match (self.func, lane) {
+            (AggFn::Count, _) => {}
+            // `update(None)` folds nothing into a value aggregate.
+            (_, None) => return,
+            (AggFn::Sum | AggFn::Avg, Some(x)) => self.sum = rows.fold(self.sum, |s, i| s + x[i]),
+            (AggFn::Min, Some(x)) => self.min = rows.fold(self.min, |m, i| m.min(x[i])),
+            (AggFn::Max, Some(x)) => self.max = rows.fold(self.max, |m, i| m.max(x[i])),
+        }
+        self.count += sel.count() as u64;
+    }
+
     /// Fold another partial accumulator of the same function into this
     /// one — per-worker partials merging at the edge of a parallel
     /// aggregate scan.
@@ -2064,6 +2082,103 @@ mod tests {
         // Empty aggregates are NULL (except COUNT = 0).
         assert_eq!(AggAcc::new(AggFn::Avg).finish(), Value::Null);
         assert_eq!(AggAcc::new(AggFn::Count).finish(), Value::Num(0.0));
+    }
+
+    /// Empty, full and sparse masks over `len` rows (the sparse one has
+    /// all-clear words between its bits).
+    fn edge_masks(len: usize) -> [SelectionMask; 3] {
+        let mut sparse = SelectionMask::none_set(len);
+        (0..len)
+            .filter(|i| i % 5 == 0 || i % 67 == 66)
+            .for_each(|i| sparse.set(i));
+        [
+            SelectionMask::none_set(len),
+            SelectionMask::all_set(len),
+            sparse,
+        ]
+    }
+
+    /// A finished aggregate as its variant and exact bits.
+    fn value_bits(v: Value) -> String {
+        match v {
+            Value::Num(x) => format!("Num({:#x})", x.to_bits()),
+            other => format!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn lane_folds_finish_like_row_updates() {
+        let nan = f64::from(crate::compile::tests::invalid_nan());
+        let specials = [nan, 0.0, -0.0, f64::INFINITY, -f64::INFINITY, 1.5, -2.25];
+        let funcs = [AggFn::Count, AggFn::Sum, AggFn::Avg, AggFn::Min, AggFn::Max];
+        for len in crate::compile::tests::EDGE_LENGTHS {
+            // Mixed signed zeros, NaNs and infinities; signed zeros
+            // alone; and values whose sum rounds differently in any
+            // other order.
+            let specials: Vec<f64> = (0..len).map(|i| specials[i % specials.len()]).collect();
+            let zeros: Vec<f64> = (0..len)
+                .map(|i| if i % 2 == 0 { 0.0 } else { -0.0 })
+                .collect();
+            let rounding: Vec<f64> = (0..len)
+                .map(|i| 0.1 * i as f64 + 1e17 * (i % 3) as f64)
+                .collect();
+            for sel in edge_masks(len) {
+                for func in funcs {
+                    for lane in [Some(&specials[..]), Some(&zeros), Some(&rounding), None] {
+                        if lane.is_none() && func != AggFn::Count {
+                            continue;
+                        }
+                        let mut rows = AggAcc::new(func);
+                        sel.iter_set().for_each(|i| rows.update(lane.map(|l| l[i])));
+                        let mut folded = AggAcc::new(func);
+                        folded.fold_lane(lane, &sel);
+                        let (want, got) = (rows.finish(), folded.finish());
+                        if sel.count() == 0 && func != AggFn::Count && func != AggFn::Sum {
+                            assert_eq!(got, Value::Null, "{func:?} over no rows");
+                        }
+                        assert_eq!(value_bits(got), value_bits(want), "{func:?} at {len}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_folds_match_the_interpreter_at_every_edge() {
+        let attr = |n: &str| Some(Expr::Attr(n.to_string()));
+        let args = [
+            (AggFn::Count, None),
+            (AggFn::Count, attr("gr")),
+            (AggFn::Sum, attr("gr")),
+            (AggFn::Avg, attr("r")),
+            (AggFn::Min, attr("gr")),
+            (AggFn::Max, attr("gr")),
+            (AggFn::Min, attr("size")),
+            (AggFn::Max, attr("iz")),
+            (AggFn::Sum, attr("ra")),
+        ];
+        let funcs: Vec<AggFn> = args.iter().map(|(f, _)| *f).collect();
+        let exprs: Vec<Option<Expr>> = args.iter().map(|(_, e)| e.clone()).collect();
+        let inputs = compile_agg_inputs(&exprs.iter().map(Option::as_ref).collect::<Vec<_>>())
+            .expect("tag arguments compile");
+        let mut scratch = BatchScratch::new();
+        for len in crate::compile::tests::EDGE_LENGTHS {
+            let chunk = crate::compile::tests::special_chunk(len);
+            let batch = chunk.batches(len).next().unwrap();
+            for sel in edge_masks(len) {
+                let mut interpreted = new_accs(&funcs);
+                sel.iter_set()
+                    .for_each(|i| fold_row(&mut interpreted, &exprs, &batch.row(i)));
+                let mut compiled = new_accs(&funcs);
+                inputs.fold(&batch, &sel, &mut scratch, |i, lane| {
+                    compiled[i].fold_lane(lane, &sel)
+                });
+                for ((func, want), got) in funcs.iter().zip(interpreted).zip(compiled) {
+                    let (want, got) = (value_bits(want.finish()), value_bits(got.finish()));
+                    assert_eq!(got, want, "{func:?} at {len}, {} rows", sel.count());
+                }
+            }
+        }
     }
 
     #[test]

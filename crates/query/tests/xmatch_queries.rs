@@ -13,7 +13,10 @@ use sdss_htm::lookup_id;
 use sdss_query::{
     AdmissionConfig, Archive, ArchiveConfig, QueryError, QueryOutput, Session, SessionConfig,
 };
-use sdss_storage::{ObjectStore, StoreConfig, TagStore};
+use sdss_storage::{
+    MatchFootprint, ObjectStore, ResultSetBuilder, StoreConfig, TagStore, BATCH_ROWS,
+    RESULT_SET_CHUNK_ROWS,
+};
 use std::sync::Arc;
 
 fn build_stores(seed: u64, n_galaxies: usize) -> (Arc<ObjectStore>, Arc<TagStore>, Vec<PhotoObj>) {
@@ -635,6 +638,55 @@ fn set_vs_archive_match_reads_only_the_set_footprint() {
         let ctx = format!("{workers} workers");
         assert!(assert_match_exact(&session, ("s", &s), ("photoobj", &sky), 20.0, &ctx) > 0);
         assert_match_exact(&session, ("photoobj", &sky), ("s", &s), 20.0, &ctx);
+    }
+}
+
+/// A set holding the whole sky outweighs the archive inside its
+/// footprint (81 B per set row against 64 B per tag row), so the archive
+/// is the build side, read through the footprint cap whose boundary
+/// containers are bisected. The build must report those containers and
+/// their exact tests as a plain tag scan over the cap does.
+#[test]
+fn archive_build_side_reports_its_bisected_containers() {
+    let (store, tags, objs) = build_stores(86, 1500);
+    // The set's footprint, from the same rows in store order (the cap
+    // does not depend on row order).
+    let mut builder = ResultSetBuilder::new(RESULT_SET_CHUNK_ROWS);
+    for (_, chunk) in tags.column_chunks() {
+        for batch in chunk.batches(BATCH_ROWS) {
+            (0..batch.len()).for_each(|i| builder.push_from(&batch, i));
+        }
+    }
+    let footprint = MatchFootprint::of_set(&builder.finish(), 30.0);
+    let cap = footprint
+        .domain()
+        .expect("a small sky's footprint is a cap");
+    let plain = tags.scan_batches(Some(cap), None, |_, _| true).unwrap();
+    assert!(plain.containers_partial > 0, "the cap bisects no container");
+    for workers in [1, 4] {
+        let archive = archive_with_workers(&store, &tags, workers);
+        let session = small_chunk_session(&archive);
+        session.run("SELECT objid INTO s FROM photoobj").unwrap();
+        let set = session.set_info("s").unwrap();
+        assert_eq!(set.rows, objs.len());
+        assert!(set.bytes > plain.bytes_scanned, "the set would build");
+        let (_, stats) = session
+            .run_with_stats("SELECT COUNT(*) FROM MATCH(s, photoobj, 30)")
+            .unwrap();
+        // The set probes, one morsel per chunk: the archive built.
+        assert_eq!(stats.morsels, set.chunks as u64, "{workers} workers");
+        let want = |set_part: usize, cap_part: usize| (set_part + cap_part) as u64;
+        let scan = stats.scan;
+        assert_eq!(
+            scan.containers_full,
+            want(set.chunks, plain.containers_full)
+        );
+        assert_eq!(scan.containers_partial, want(0, plain.containers_partial));
+        assert_eq!(
+            scan.objects_exact_tested,
+            want(0, plain.objects_exact_tested)
+        );
+        assert_eq!(scan.bytes_scanned, want(set.bytes, plain.bytes_scanned));
     }
 }
 

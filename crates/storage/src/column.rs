@@ -329,19 +329,17 @@ impl SelectionMask {
         self.words.iter().any(|&w| w != 0)
     }
 
-    /// Indices of selected rows, ascending.
-    pub fn iter_set(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let tz = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(wi * 64 + tz)
-            })
-        })
+    /// Indices of selected rows, ascending. The iterator walks the mask
+    /// a word at a time: it loads each 64-row word once, skips all-clear
+    /// words in one step, and yields a set bit per `trailing_zeros` +
+    /// clear-lowest-bit, with no per-row branch on unselected rows.
+    pub fn iter_set(&self) -> SetBits<'_> {
+        SetBits {
+            words: &self.words,
+            next_word: 0,
+            base: 0,
+            bits: 0,
+        }
     }
 
     /// Raw words (for fused mask kernels in the query compiler).
@@ -358,6 +356,37 @@ impl SelectionMask {
         self.trim_tail();
     }
 }
+
+/// The ascending set-bit indices of a [`SelectionMask`]
+/// ([`SelectionMask::iter_set`]).
+#[derive(Debug, Clone)]
+pub struct SetBits<'a> {
+    words: &'a [u64],
+    /// Index of the next word to load.
+    next_word: usize,
+    /// Row index of bit 0 of `bits`.
+    base: usize,
+    /// The not-yet-yielded bits of the current word.
+    bits: u64,
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.bits = *self.words.get(self.next_word)?;
+            self.base = self.next_word * 64;
+            self.next_word += 1;
+        }
+        let i = self.base + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(i)
+    }
+}
+
+impl std::iter::FusedIterator for SetBits<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -523,6 +552,27 @@ mod tests {
         o.set(7);
         o.or_with(&inv);
         assert_eq!(o.iter_set().collect::<Vec<_>>(), vec![0, 7, 129]);
+    }
+
+    #[test]
+    fn iter_set_walks_words_in_ascending_order() {
+        for len in [0, 1, 63, 64, 65, 200, 1023, 1024, 1025] {
+            // Empty, full, and a pattern with all-clear words between
+            // set bits at word edges.
+            let sparse: Vec<usize> = (0..len).filter(|i| i % 64 == 0 || i % 97 == 63).collect();
+            let mut m = SelectionMask::none_set(len);
+            sparse.iter().for_each(|&i| m.set(i));
+            for (mask, want) in [
+                (SelectionMask::none_set(len), Vec::new()),
+                (SelectionMask::all_set(len), (0..len).collect()),
+                (m, sparse),
+            ] {
+                assert_eq!(mask.iter_set().collect::<Vec<_>>(), want, "len {len}");
+                let mut it = mask.iter_set();
+                it.by_ref().for_each(drop);
+                assert_eq!(it.next(), None, "fused at len {len}");
+            }
+        }
     }
 
     #[test]

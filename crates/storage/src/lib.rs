@@ -49,7 +49,7 @@ pub mod store;
 pub mod vertical;
 pub mod zone;
 
-pub use column::{ColumnBatch, ColumnChunk, SelectionMask, BATCH_ROWS};
+pub use column::{ColumnBatch, ColumnChunk, SelectionMask, SetBits, BATCH_ROWS};
 pub use container::{Container, ContainerStats};
 pub use cover_cache::CoverCache;
 pub use estimate::{ContainerSize, CostModel, QueryEstimate};
