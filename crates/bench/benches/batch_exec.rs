@@ -53,6 +53,11 @@ const QUERIES: &[(&str, &str)] = &[
         "SELECT COUNT(*), AVG(r), MIN(gr), MAX(gr) FROM photoobj \
          WHERE gr BETWEEN 0.3 AND 0.9",
     ),
+    (
+        // Mostly bisected containers: the cover's row classification.
+        "wide_cone_count",
+        "SELECT COUNT(*) FROM photoobj WHERE CIRCLE(185, 15, 2)",
+    ),
 ];
 
 /// Timed runs per query and mode; the report keeps the best.

@@ -1213,8 +1213,8 @@ pub(crate) mod tests {
     /// The NaN an invalid operation yields on this platform. The catalog
     /// stores no NaN, so every NaN a query meets is this one; when two
     /// NaNs with different payloads meet in a sum, Rust leaves the result's
-    /// payload to the compiler, so only single-payload lanes can compare
-    /// bitwise through a SUM.
+    /// payload to the compiler, which is why a NaN `SUM` or `AVG` finishes
+    /// as `f64::NAN`.
     pub(crate) fn invalid_nan() -> f32 {
         std::hint::black_box(f32::INFINITY) - std::hint::black_box(f32::INFINITY)
     }

@@ -56,7 +56,7 @@ pub struct ColumnChunk {
     pub size: Vec<f32>,
     /// `ObjClass` discriminant per row.
     pub class: Vec<u8>,
-    /// Level-20 HTM id per row (the cover filter's integer-compare key).
+    /// Level-20 HTM id per row (the cover filter's trixel-table key).
     pub htm20: Vec<u64>,
 }
 

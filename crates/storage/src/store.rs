@@ -8,8 +8,9 @@
 //!   geometric test ("wholly accepted"),
 //! * containers **bisected** by the query test each object — first against
 //!   the deep cover via the object's precomputed level-20 HTM id, read in
-//!   place at its fixed record offset (an integer compare), and only in
-//!   the boundary trixels against the exact region geometry,
+//!   place at its fixed record offset (a trixel-table load; see
+//!   [`ScanPlan`]), and only in the boundary trixels against the exact
+//!   region geometry,
 //! * everything else is never read ("if a node is rejected, that node's
 //!   children can be ignored").
 //!
