@@ -3,10 +3,12 @@
 //!
 //! * **INTO materialization, fast vs fetch** — `SELECT objid INTO s FROM
 //!   photoobj ...` through the **direct columnar fast path** (tag-routed
-//!   scans project whole tag records straight from the column lanes into
-//!   the set builder) vs the stream-and-fetch path (stacking a no-op
-//!   `LIMIT` over the same scan forces the per-objid full-store fetch
-//!   route — the identical scan, the PR 4 materialization mechanics).
+//!   scans copy whole tag records straight from the column lanes into
+//!   the set) at 1 and 2 workers vs the stream-and-fetch path (stacking
+//!   a no-op `LIMIT` over the same scan forces the per-objid full-store
+//!   fetch route — the identical scan, materialized by fetching each
+//!   object), plus a `UNION ... INTO` over two tag scans, which runs on
+//!   lanes too.
 //! * **stored-set scan vs base scan** — the same compiled predicate run
 //!   `FROM s` (morsels = set chunks) and against the base tag partition;
 //!   the ratio shows stored sets ride the same memory-bandwidth path,
@@ -37,6 +39,9 @@ const INTO_SQL: &str = "SELECT objid INTO cand FROM photoobj WHERE r < 22";
 /// disqualifies the direct columnar fast path, so this measures the
 /// stream-and-fetch materialization route over the identical scan.
 const INTO_FETCH_SQL: &str = "SELECT objid INTO cand FROM photoobj WHERE r < 22 LIMIT 1000000000";
+/// A union of two overlapping tag scans, materialized on lanes.
+const UNION_INTO_SQL: &str = "(SELECT objid FROM photoobj WHERE r < 21.5) \
+                              UNION (SELECT objid FROM photoobj WHERE gr > 0.5 AND r < 22) INTO qso";
 /// The cross-match workload: candidate-vs-candidate pairs at 30".
 const MATCH_SQL: &str = "SELECT a.objid, b.objid, sep_arcsec FROM MATCH(cand, cand, 30)";
 const MATCH_COUNT_SQL: &str = "SELECT COUNT(*) FROM MATCH(cand, cand, 30)";
@@ -85,6 +90,19 @@ fn best_seconds(session: &Session, sql: &str) -> (f64, u64) {
     (best, rows)
 }
 
+/// Best-of-REPS wall seconds materializing `sql` on `session`, after one
+/// warm-up run.
+fn best_into_seconds(session: &Session, sql: &str) -> f64 {
+    session.run(sql).expect("warm-up INTO");
+    (0..REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            session.run(sql).expect("INTO runs");
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -97,34 +115,36 @@ fn main() {
     // --- INTO materialization (serial archive: the sink is the work) ---
     let serial = archive_with_workers(&store, &tags, 1);
     let session = session_for(&serial);
-    session.run(INTO_SQL).expect("warmup INTO");
-    let mut best_into = f64::INFINITY;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        session.run(INTO_SQL).expect("INTO runs");
-        best_into = best_into.min(t0.elapsed().as_secs_f64());
-    }
+    let best_into = best_into_seconds(&session, INTO_SQL);
     let info = session.set_info("cand").expect("set landed");
     let into_rps = info.rows as f64 / best_into;
 
     // The fetch route over the identical scan: the PR 4 baseline
     // mechanics (stream batches, dedup objids, per-objid full-store
     // fetch, rebuild the tag record).
-    let mut best_fetch = f64::INFINITY;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        session.run(INTO_FETCH_SQL).expect("fetch INTO runs");
-        best_fetch = best_fetch.min(t0.elapsed().as_secs_f64());
-    }
+    let best_fetch = best_into_seconds(&session, INTO_FETCH_SQL);
     let fetch_info = session.set_info("cand").expect("set landed");
-    assert_eq!(fetch_info.rows, info.rows, "both INTO routes agree");
+    assert_eq!(fetch_info, info, "both INTO routes agree");
     let into_fetch_rps = info.rows as f64 / best_fetch;
+
+    // The lane path at 2 workers, and a UNION on lanes.
+    let two = session_for(&archive_with_workers(&store, &tags, 2));
+    let into_2w_rps = info.rows as f64 / best_into_seconds(&two, INTO_SQL);
+    assert_eq!(
+        two.set_info("cand"),
+        Some(info.clone()),
+        "same set at 2 workers"
+    );
+    let best_union = best_into_seconds(&two, UNION_INTO_SQL);
+    let union_rows = two.set_info("qso").expect("union landed").rows;
+    let union_into_rps = union_rows as f64 / best_union;
     let into_fast_speedup = into_rps / into_fetch_rps;
     println!(
         "INTO materialization: {} rows -> {} chunks ({:.1} MB)\n  \
-         direct columnar path: {into_rps:.0} rows/s\n  \
+         direct columnar path: {into_rps:.0} rows/s ({into_2w_rps:.0} at 2 workers)\n  \
          stream-and-fetch path: {into_fetch_rps:.0} rows/s\n  \
-         fast-path speedup: {into_fast_speedup:.1}x\n",
+         fast-path speedup: {into_fast_speedup:.1}x\n  \
+         UNION INTO ({union_rows} rows, 2 workers): {union_into_rps:.0} rows/s\n",
         info.rows,
         info.chunks,
         info.bytes as f64 / 1e6
@@ -198,6 +218,8 @@ fn main() {
          \"cores\": {cores},\n  \"set_rows\": {},\n  \"set_chunks\": {},\n  \
          \"into_rows_per_sec\": {into_rps:.0},\n  \
          \"into_fetch_rows_per_sec\": {into_fetch_rps:.0},\n  \
+         \"into_2w_rows_per_sec\": {into_2w_rps:.0},\n  \
+         \"union_into_rows_per_sec\": {union_into_rps:.0},\n  \
          \"into_fast_speedup\": {into_fast_speedup:.2},\n  \
          \"match_pairs\": {match_pairs},\n  \
          \"match_pairs_per_sec\": {match_rps:.0},\n  \

@@ -28,8 +28,8 @@
 //!   a burst of full-sky sweeps cannot starve interactive cone searches.
 
 use crate::exec::{
-    compile_filter, launch, match_archive_footprint, match_builds_on_a, plan_uses_columnar,
-    run_into, BatchHandle, ExecEnv, ExecMode, ResultBatch, Row, ScanTotals, TicketCore,
+    compile_into, launch, match_archive_footprint, match_builds_on_a, plan_uses_columnar, run_into,
+    BatchHandle, ExecEnv, ExecMode, ResultBatch, Row, ScanTotals, TicketCore,
 };
 use crate::parser::parse_statement;
 use crate::plan::{plan, MatchInput, PlanNode, QueryPlan, QuerySource};
@@ -1092,19 +1092,24 @@ impl Prepared {
         self.stream_with(params)?.collect_output()
     }
 
-    /// The **direct columnar INTO fast path**: when the statement is a
-    /// bare tag- or set-routed scan with a compilable predicate, the
-    /// materialization projects whole tag records straight out of the
-    /// scan's [`sdss_storage::ColumnBatch`] lanes into the
-    /// [`ResultSetBuilder`] — no per-objid full-store fetch, no dedup
-    /// hash (tag containers and stored sets hold each object once), no
-    /// channel fabric. Returns `Ok(None)` when the plan shape is
-    /// ineligible (full-store route, set operations, sort/limit stacks,
-    /// non-compilable predicates) — the caller falls back to the
-    /// stream-and-fetch path, which handles every shape.
+    /// The **direct columnar INTO path**: when the statement is a bare
+    /// tag- or set-routed scan, or a `UNION`/`INTERSECT`/`EXCEPT` of two
+    /// such scans, and every leaf's predicate compiles, the
+    /// materialization copies whole tag records straight out of the
+    /// scans' [`sdss_storage::ColumnBatch`] lanes into the set — no
+    /// per-objid full-store fetch, no channel fabric, and no dedup hash
+    /// (tag containers and stored sets hold each object once); only a
+    /// set operation whose branches read different sources or domains
+    /// keys one hash on one branch's ids.
+    /// It runs under [`Prepared::planned_workers`] slots, each leaf
+    /// driven by every granted worker in turn, and commits the same set
+    /// at any worker count (see `exec::run_into`). Returns `Ok(None)`
+    /// for every other shape (see `session::run_into`): the caller falls
+    /// back to the stream-and-fetch route, which handles them all.
     ///
-    /// The sink enforces `budget` live per pushed row, so a quota abort
-    /// stops the scan exactly like the slow path's mid-stream check.
+    /// Workers charge `budget` per batch for the rows they keep, so a
+    /// quota overrun stops the scans like the fetch route's mid-stream
+    /// check.
     pub(crate) fn run_into_columnar(
         &self,
         params: &[f64],
@@ -1114,26 +1119,22 @@ impl Prepared {
     ) -> Result<Option<(ResultSet, QueryStats)>, QueryError> {
         let inner = &self.archive.inner;
         let root = self.bind_root(params)?;
-        let PlanNode::Scan(spec) = &root else {
+        let Some(plan) = compile_into(root, inner.tags.is_some(), inner.config.mode) else {
             return Ok(None);
         };
-        let Some(filter) = compile_filter(spec, inner.tags.is_some(), inner.config.mode) else {
-            return Ok(None);
-        };
-        // The fold is one worker — hold one worker slot. (The scan runs
-        // at memory bandwidth; the builder push is the bottleneck, not
-        // scan parallelism.)
         let queued_at = Instant::now();
-        let slot = inner
-            .slots
-            .acquire(1, self.heavy, self.estimate.est_seconds);
+        let slot = inner.slots.acquire(
+            self.planned_workers(),
+            self.heavy,
+            self.estimate.est_seconds,
+        );
         let queue_time = queued_at.elapsed();
+        let workers_granted = slot.weight;
         let started = Instant::now();
         let ticket = self.new_ticket();
         let result = run_into(
-            &self.exec_env(1),
-            spec,
-            filter,
+            &self.exec_env(workers_granted),
+            plan,
             &ticket,
             set_name,
             chunk_rows,
@@ -1149,13 +1150,13 @@ impl Prepared {
             queue_time,
             time_to_first_row: None,
             total_time: started.elapsed(),
-            // The sink consumed every selected row — report it like the
-            // stream-and-fetch route does, so SessionStats.rows_delivered
-            // doesn't depend on which INTO route executed.
-            rows: totals.rows_scanned as usize,
+            // The set's rows are what the stream route delivers to its
+            // sink, so SessionStats.rows_delivered doesn't depend on
+            // which INTO route executed.
+            rows: set.rows(),
             rows_emitted: ticket.rows_emitted(),
             batches: totals.batches_emitted as usize,
-            workers_granted: 1,
+            workers_granted,
             workers_used: worker_scans.len(),
             worker_bytes: worker_scans.iter().map(|w| w.bytes_scanned).collect(),
             morsels: worker_scans.iter().map(|w| w.morsels).sum(),
@@ -1790,6 +1791,9 @@ mod tests {
             "SELECT a.objid, b.objid, sep_arcsec FROM MATCH(s, photoobj, 60)",
             "SELECT COUNT(*) FROM MATCH(s, s, 600)",
             "SELECT objid INTO t FROM photoobj WHERE r < 23",
+            "(SELECT objid FROM photoobj WHERE r < 22) UNION (SELECT objid FROM s) INTO t",
+            "(SELECT objid FROM s) INTERSECT (SELECT objid FROM photoobj WHERE gr > 0.3) INTO t",
+            "(SELECT objid FROM photoobj WHERE r < 22) EXCEPT (SELECT objid FROM photoobj WHERE gr > 0.3) INTO t",
         ];
         for workers in [1, 4] {
             let config = ArchiveConfig {

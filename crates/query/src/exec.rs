@@ -45,10 +45,11 @@ use crate::QueryError;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use sdss_catalog::{ObjClass, PhotoRecord, TagObject};
 use sdss_storage::{
-    sample_hash_keep, ColumnBatch, DecZoneIndex, MatchFootprint, MorselQueue, ObjectStore,
-    RegionScan, ResultSet, ResultSetBuilder, ScanPlan, SelectionMask, TagStore,
+    sample_hash_keep, ColumnBatch, ColumnChunk, DecZoneIndex, MatchFootprint, MorselQueue,
+    ObjectStore, RegionScan, ResultSet, ResultSetBuilder, ScanPlan, SelectionMask, TagStore,
 };
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -1527,79 +1528,365 @@ impl MorselSink for FoldSink {
     }
 }
 
+/// The lane path's INTO plan: a bare scan, or a set operation over two
+/// scans, every leaf with a compiled row filter.
+pub(crate) enum IntoPlan {
+    Scan(IntoLeaf),
+    Set {
+        op: SetOp,
+        left: IntoLeaf,
+        right: IntoLeaf,
+    },
+}
+
+/// One scan leaf of an [`IntoPlan`].
+pub(crate) struct IntoLeaf {
+    spec: ScanSpec,
+    filter: Arc<RowFilter>,
+}
+
+/// Lower an INTO statement's bound plan for the lane path: a bare scan,
+/// or `UNION`/`INTERSECT`/`EXCEPT` over two scans, whose every leaf
+/// passes [`compile_filter`] (tag or set sources, which hold each object
+/// once). A set operation's leaves must also project `objid` itself,
+/// since the stream route keys its set semantics on that column. `None`
+/// sends the statement down the stream-and-fetch route.
+pub(crate) fn compile_into(
+    root: PlanNode,
+    tags_available: bool,
+    mode: ExecMode,
+) -> Option<IntoPlan> {
+    let leaf = |node: PlanNode, keyed: bool| {
+        let PlanNode::Scan(spec) = node else {
+            return None;
+        };
+        let objid = ("objid".to_string(), Expr::Attr("objid".to_string()));
+        if keyed && !spec.columns.contains(&objid) {
+            return None;
+        }
+        let filter = Arc::new(compile_filter(&spec, tags_available, mode)?);
+        Some(IntoLeaf { spec, filter })
+    };
+    match root {
+        PlanNode::Set { op, left, right } => Some(IntoPlan::Set {
+            op,
+            left: leaf(*left, true)?,
+            right: leaf(*right, true)?,
+        }),
+        scan => Some(IntoPlan::Scan(leaf(scan, false)?)),
+    }
+}
+
+/// How an INTO drive routes each batch's kept rows to its two outputs.
+enum IntoRoute {
+    /// Every kept row, to output 0.
+    All,
+    /// The kept rows whose id is in `ids` (INTERSECT's left branch), or
+    /// not in it (EXCEPT's left branch, UNION's right one), to output 0:
+    /// a set operation whose branches read different sources or domains.
+    Ids { ids: HashSet<u64>, member: bool },
+    /// Both branches of a set operation over one source and domain, in
+    /// one pass; the filter is the right branch's. The source holds each
+    /// object once, so a row is in both branches exactly when its id is:
+    /// output 0 takes the left rows the operation keeps, and output 1
+    /// UNION's right-only rows.
+    Fused(SetOp, Arc<RowFilter>),
+}
+
+/// The session byte budget of one INTO, charged by every worker of
+/// every drive for the rows it will commit.
+struct IntoQuota {
+    budget: u64,
+    charged: AtomicU64,
+}
+
+impl IntoQuota {
+    /// Charge `rows` rows; `false` once the INTO has outgrown its budget.
+    fn charge(&self, rows: usize) -> bool {
+        let bytes = (rows * ColumnChunk::ROW_BYTES) as u64;
+        self.charged.fetch_add(bytes, Ordering::Relaxed) + bytes <= self.budget
+    }
+
+    fn exceeded(&self) -> bool {
+        self.charged.load(Ordering::Relaxed) > self.budget
+    }
+}
+
+/// One INTO worker's rows for one output: its lane buffer (cut into
+/// chunks every `chunk_rows` rows, like the set it feeds) and, per
+/// morsel it kept rows from, the buffer rows they landed in, in claim
+/// order.
+struct IntoPart {
+    rows: ResultSetBuilder,
+    morsels: Vec<(usize, Range<usize>)>,
+}
+
 /// The INTO sink: kept rows copy their column lanes (`ra`/`dec` and
-/// `htm20` included) straight into a [`ResultSetBuilder`] — no per-objid
-/// full-store fetch, no record rebuilt. The session byte budget is
-/// checked live per pushed row; the first row past it stops every worker.
+/// `htm20` included) into the worker's own buffers, lane by lane — no
+/// per-objid full-store fetch, no record rebuilt. Each batch charges
+/// the shared quota for the rows it keeps; the first charge past the
+/// budget stops every worker.
 struct IntoSink {
     rows: Selector,
-    builder: ResultSetBuilder,
-    budget: u64,
+    /// The right branch's selector of a fused set operation.
+    right: Option<Selector>,
+    route: Arc<IntoRoute>,
+    quota: Arc<IntoQuota>,
     ticket: Arc<TicketCore>,
+    kept: Vec<usize>,
+    morsel: usize,
+    outputs: [IntoPart; 2],
+}
+
+impl IntoSink {
+    /// Copy `rows` of `batch` into output `out`; `false` once over
+    /// budget.
+    fn copy(
+        &mut self,
+        out: usize,
+        batch: &ColumnBatch<'_>,
+        rows: impl Iterator<Item = usize>,
+    ) -> bool {
+        self.kept.clear();
+        self.kept.extend(rows);
+        if self.kept.is_empty() {
+            return true;
+        }
+        self.ticket.note_batch(self.kept.len());
+        let part = &mut self.outputs[out];
+        let lo = part.rows.rows();
+        part.rows.push_rows(batch, &self.kept);
+        let hi = part.rows.rows();
+        match part.morsels.last_mut() {
+            Some((m, rows)) if *m == self.morsel => rows.end = hi,
+            _ => part.morsels.push((self.morsel, lo..hi)),
+        }
+        self.quota.charge(self.kept.len())
+    }
 }
 
 impl MorselSink for IntoSink {
-    type Partial = ResultSetBuilder;
+    type Partial = [IntoPart; 2];
 
-    fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool {
-        let keep = self.rows.select(batch, sel);
-        let kept = keep.count();
-        if kept > 0 {
-            self.ticket.note_batch(kept);
-        }
-        let within_budget = keep.iter_set().all(|i| {
-            self.builder.push_from(batch, i);
-            self.builder.bytes() as u64 <= self.budget
-        });
-        within_budget
+    fn begin_morsel(&mut self, idx: usize) {
+        self.morsel = idx;
     }
 
-    fn finish(self) -> (u64, ResultSetBuilder) {
-        (self.rows.kept, self.builder)
+    fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool {
+        let mut left = self.rows.select(batch, sel);
+        let route = self.route.clone();
+        let op = match &*route {
+            IntoRoute::All => return self.copy(0, batch, left.iter_set()),
+            IntoRoute::Ids { ids, member } => {
+                let rows = left.iter_set();
+                let rows = rows.filter(|&i| ids.contains(&batch.obj_id[i]) == *member);
+                return self.copy(0, batch, rows);
+            }
+            IntoRoute::Fused(op, _) => op,
+        };
+        let right = self
+            .right
+            .as_mut()
+            .expect("a fused drive selects both branches");
+        let mut right = right.select(batch, sel);
+        match op {
+            SetOp::Union => {
+                let mut right_only = left.clone();
+                right_only.invert();
+                right_only.and_with(&right);
+                self.copy(0, batch, left.iter_set()) && self.copy(1, batch, right_only.iter_set())
+            }
+            SetOp::Intersect => {
+                left.and_with(&right);
+                self.copy(0, batch, left.iter_set())
+            }
+            SetOp::Except => {
+                right.invert();
+                left.and_with(&right);
+                self.copy(0, batch, left.iter_set())
+            }
+        }
+    }
+
+    fn finish(self) -> (u64, [IntoPart; 2]) {
+        let rows = self.outputs.iter().map(|p| p.rows.rows() as u64).sum();
+        (rows, self.outputs)
     }
 }
 
-/// The direct columnar INTO fast path: drive a compiled tag/set scan
-/// into a new result set of `chunk_rows`-row chunks, failing once it
-/// outgrows `budget` bytes. Tag containers and stored sets both hold
-/// each object at most once, so the builder sees no duplicate object
-/// pointers (the property the slow path's dedup hash exists to
-/// establish for set-op streams). INTO holds one worker slot, so its
-/// one worker runs on the calling thread; a worker panic returns `Err`
-/// like a quota overrun, and neither builds a set.
+/// The id collector of INTERSECT's and EXCEPT's right branch: the kept
+/// rows' object ids, no lanes.
+struct IdSink {
+    rows: Selector,
+    ids: Vec<u64>,
+}
+
+impl MorselSink for IdSink {
+    type Partial = Vec<u64>;
+
+    fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool {
+        let keep = self.rows.select(batch, sel);
+        self.ids.extend(keep.iter_set().map(|i| batch.obj_id[i]));
+        true
+    }
+
+    fn finish(self) -> (u64, Vec<u64>) {
+        (self.ids.len() as u64, self.ids)
+    }
+}
+
+/// Drive one INTO leaf at the execution's full worker count; a
+/// resolution failure or worker panic (both on the ticket) is `Err`.
+fn drive_leaf<S: MorselSink>(
+    env: &ExecEnv,
+    leaf: &IntoLeaf,
+    ticket: &Arc<TicketCore>,
+    make_sink: impl Fn(Selector) -> S + Send + Sync + 'static,
+) -> Result<Vec<S::Partial>, QueryError> {
+    let filter = leaf.filter.clone();
+    let partials = match scan_leaf(env, leaf.spec.clone())(ticket) {
+        Some((source, ())) => run_morsels(source, env.workers, ticket, move || {
+            make_sink(Selector::new(&filter))
+        }),
+        None => Vec::new(),
+    };
+    match ticket.failure() {
+        Some(msg) => Err(QueryError::Exec(msg)),
+        None => Ok(partials),
+    }
+}
+
+/// The direct columnar INTO path: drive an [`IntoPlan`] with
+/// `env.workers` workers into a new result set of `chunk_rows`-row
+/// chunks, failing once it outgrows `budget` bytes.
+///
+/// * A bare scan drives its leaf once.
+/// * A set operation whose branches scan the same source over the same
+///   domain drives it once, selecting both branches per batch
+///   ([`IntoRoute::Fused`]): no second scan, no id hash.
+/// * Otherwise `UNION` drives the left leaf, then the right one skipping
+///   the ids the left kept; `INTERSECT` and `EXCEPT` collect the right
+///   leaf's ids (no lanes), then drive the left leaf keeping ids in (not
+///   in) them.
+///
+/// Tag containers and stored sets hold each object at most once, so no
+/// leaf yields an id twice. Each worker buffers its kept rows; the
+/// commit appends the left rows, then UNION's right-only rows, each in
+/// morsel order, by ranged lane copies. A set's rows, row order and
+/// chunks are therefore the same at every worker count, and the same as
+/// the stream route's at one worker per leaf. A lone worker's buffer,
+/// when it is already in morsel order, becomes the set as it is (no
+/// second copy). The drives run one after the other, each with every
+/// granted worker, so the execution never runs more scan threads than
+/// it holds slots. A worker panic or quota overrun returns `Err` and
+/// builds no set.
 pub(crate) fn run_into(
     env: &ExecEnv,
-    spec: &ScanSpec,
-    filter: RowFilter,
+    plan: IntoPlan,
     ticket: &Arc<TicketCore>,
     set_name: &str,
     chunk_rows: usize,
     budget: u64,
 ) -> Result<ResultSet, QueryError> {
-    let (filter, t) = (Arc::new(filter), ticket.clone());
-    let make_sink = move || IntoSink {
-        rows: Selector::new(&filter),
-        builder: ResultSetBuilder::new(chunk_rows),
+    let quota = Arc::new(IntoQuota {
         budget,
-        ticket: t.clone(),
-    };
-    let mut partials = match scan_leaf(env, spec.clone())(ticket) {
-        Some((source, ())) => run_morsels(source, 1, ticket, make_sink),
-        None => Vec::new(),
-    };
-    // Resolution failures and worker panics are both on the ticket.
-    if let Some(msg) = ticket.failure() {
-        return Err(QueryError::Exec(msg));
-    }
-    let builder = partials.pop().expect("the INTO worker reported");
-    if builder.bytes() as u64 > budget {
-        return Err(QueryError::Exec(format!(
+        charged: AtomicU64::new(0),
+    });
+    let over_budget = |rows: u64| {
+        QueryError::Exec(format!(
             "session byte quota exceeded materializing `{set_name}`: \
-             {budget} bytes available, {} rows already folded",
-            builder.rows()
-        )));
+             {budget} bytes available, {rows} rows already folded",
+        ))
+    };
+    // One drive's outputs, each a list of worker parts.
+    let drive = |leaf: &IntoLeaf, route: IntoRoute| {
+        let right = match &route {
+            IntoRoute::Fused(_, right) => Some(right.clone()),
+            IntoRoute::All | IntoRoute::Ids { .. } => None,
+        };
+        let (q, t, route) = (quota.clone(), ticket.clone(), Arc::new(route));
+        let parts = drive_leaf(env, leaf, ticket, move |rows| IntoSink {
+            rows,
+            right: right.as_ref().map(Selector::new),
+            route: route.clone(),
+            quota: q.clone(),
+            ticket: t.clone(),
+            kept: Vec::new(),
+            morsel: 0,
+            outputs: std::array::from_fn(|_| IntoPart {
+                rows: ResultSetBuilder::new(chunk_rows),
+                morsels: Vec::new(),
+            }),
+        })?;
+        if quota.exceeded() {
+            let charged = quota.charged.load(Ordering::Relaxed);
+            return Err(over_budget(charged / ColumnChunk::ROW_BYTES as u64));
+        }
+        let (left, right): (Vec<_>, Vec<_>) = parts.into_iter().map(|[l, r]| (l, r)).unzip();
+        Ok(vec![left, right])
+    };
+    let outputs = match plan {
+        IntoPlan::Scan(leaf) => drive(&leaf, IntoRoute::All)?,
+        IntoPlan::Set { op, left, right }
+            if left.spec.source == right.spec.source && left.spec.domain == right.spec.domain =>
+        {
+            drive(&left, IntoRoute::Fused(op, right.filter))?
+        }
+        IntoPlan::Set {
+            op: SetOp::Union,
+            left,
+            right,
+        } => {
+            let mut left = drive(&left, IntoRoute::All)?;
+            let ids = left[0].iter().flat_map(|p| p.rows.obj_ids()).collect();
+            let member = false; // UNION's right branch skips the left's ids
+            left.extend(drive(&right, IntoRoute::Ids { ids, member })?);
+            left
+        }
+        IntoPlan::Set { op, left, right } => {
+            let ids = drive_leaf(env, &right, ticket, |rows| IdSink {
+                rows,
+                ids: Vec::new(),
+            })?;
+            let ids = ids.into_iter().flatten().collect();
+            let member = op == SetOp::Intersect;
+            drive(&left, IntoRoute::Ids { ids, member })?
+        }
+    };
+    let set = commit_into(outputs, chunk_rows);
+    if set.bytes() as u64 > budget {
+        return Err(over_budget(set.rows() as u64));
     }
-    Ok(builder.finish())
+    Ok(set.finish())
+}
+
+/// Concatenate the outputs' kept rows: output by output, morsels in
+/// index order. The first output whose rows sit in one buffer already
+/// in morsel order hands that buffer over whole; everything else is
+/// copied in ranges.
+fn commit_into(outputs: Vec<Vec<IntoPart>>, chunk_rows: usize) -> ResultSetBuilder {
+    let mut set: Option<ResultSetBuilder> = None;
+    for mut parts in outputs {
+        parts.retain(|p| !p.morsels.is_empty());
+        if parts.is_empty() {
+            continue;
+        }
+        let in_order = |p: &IntoPart| p.morsels.is_sorted_by_key(|(m, _)| *m);
+        if set.is_none() && parts.len() == 1 && in_order(&parts[0]) {
+            set = parts.pop().map(|p| p.rows);
+            continue;
+        }
+        let mut ranges: Vec<_> = parts
+            .iter()
+            .flat_map(|p| p.morsels.iter().map(move |(m, rows)| (*m, &p.rows, rows)))
+            .collect();
+        ranges.sort_unstable_by_key(|(m, _, _)| *m);
+        let set = set.get_or_insert_with(|| ResultSetBuilder::new(chunk_rows));
+        for (_, src, rows) in ranges {
+            set.extend_from(src, rows.clone());
+        }
+    }
+    set.unwrap_or_else(|| ResultSetBuilder::new(chunk_rows))
 }
 
 // ---------------------------------------------------------------------
@@ -1802,8 +2089,9 @@ impl MatchJoin {
             }
             // The probe row is only materialized once it pairs.
             let mut probe_row: Option<TagObject> = None;
+            let at = (batch.ra[i], batch.dec[i]);
             self.index
-                .neighbors_within(batch.unit_vec(i), self.radius_arcsec, |ri, sep| {
+                .neighbors_within(batch.unit_vec(i), at, self.radius_arcsec, |ri, sep| {
                     if !alive {
                         return;
                     }

@@ -329,23 +329,30 @@ impl Session {
 
 /// The `INTO` writer sink. Two routes materialize a set:
 ///
-/// * **Direct columnar fast path** — a bare tag- or set-routed scan with
-///   a compilable predicate projects whole tag records straight out of
-///   the scan's column lanes into the [`ResultSetBuilder`]
-///   ([`Prepared::run_into_columnar`]): no per-objid full-store fetch,
-///   no dedup hash (those sources hold each object once), no channel
-///   fabric. This is the order-of-magnitude materialization win.
-/// * **Stream-and-fetch slow path** — every other shape (full-route
-///   scans, set operations, sorted/limited streams, MATCH pair sets)
-///   drives the admission-held stream and fetches one tag record per
-///   distinct object pointer through the full store's id index, so all
-///   query shapes materialize uniformly. The fetch reads the tag and its
-///   `htm20` in place from the stored record ([`TagObject::from_record`]),
-///   never decoding the whole object.
+/// * **Lanes** — a bare tag- or set-routed scan, or a `UNION`,
+///   `INTERSECT` or `EXCEPT` of two such scans, whose predicates all
+///   compile, copies whole tag records straight out of the scans' column
+///   lanes into the set ([`Prepared::run_into_columnar`]): no per-objid
+///   full-store fetch, no channel fabric. It runs on every granted
+///   worker and commits the rows in morsel order, so the set (rows, row
+///   order, chunks) is the same at any worker count and the same as the
+///   fetch route's at one worker per leaf.
+/// * **Stream-and-fetch** — every other shape drives the
+///   admission-held stream and fetches one tag record per distinct
+///   object pointer through the full store's id index. The fetch reads
+///   the tag and its `htm20` in place from the stored record
+///   ([`TagObject::from_record`]), never decoding the whole object.
+///   The shapes left on it: full-store sources (a non-compilable
+///   predicate included), `MATCH ... INTO`, `ORDER BY` or `LIMIT` over
+///   the scan, set operations with a branch that is not such a scan
+///   (full-store, non-compilable, nested, or projecting something else
+///   as `objid`), and every shape under
+///   [`crate::ExecMode::Interpreted`], which keeps this route as the
+///   oracle of the lane route.
 ///
 /// Both routes quota-check live while folding; a violation aborts
-/// cleanly (dropping the slow path's stream cancels the execution) and
-/// returns the admission slots.
+/// cleanly (dropping the fetch route's stream cancels the execution)
+/// and returns the admission slots.
 pub(crate) fn run_into(prepared: &Prepared, params: &[f64]) -> Result<QueryOutput, QueryError> {
     let name = prepared
         .into_set()

@@ -4,7 +4,8 @@
 
 use sdss_catalog::SkyModel;
 use sdss_query::{
-    AdmissionConfig, Archive, ArchiveConfig, QueryError, QueryOutput, Session, SessionConfig, Value,
+    AdmissionConfig, Archive, ArchiveConfig, ExecMode, QueryError, QueryOutput, Session,
+    SessionConfig, Value,
 };
 use sdss_storage::{ObjectStore, StoreConfig, TagStore};
 use std::sync::Arc;
@@ -300,6 +301,196 @@ fn into_fast_path_equals_fetch_path() {
         .run("SELECT objid FROM photoobj WHERE r < 21.5 AND gr > 0.1 AND gr > 0.4")
         .unwrap();
     assert_eq!(session.set_info("refined").unwrap().rows, direct.rows.len());
+}
+
+/// The INTO shapes the lane path takes: bare tag and set scans, and
+/// every set operation over tag/tag, tag/set and set/set branches, each
+/// with branches over one source and domain (one fused scan) and over
+/// different ones (a scan per branch). `sa` and `sb` are stored sets
+/// each session builds first.
+fn lane_into_shapes() -> Vec<String> {
+    let mut shapes = vec![
+        "SELECT objid INTO t FROM photoobj WHERE r < 21.5 AND gr > 0.1".to_string(),
+        "SELECT objid, r INTO t FROM sa WHERE ri > 0.1".to_string(),
+    ];
+    let branches = [
+        (
+            "SELECT objid FROM photoobj WHERE r < 21.5",
+            "SELECT objid FROM photoobj WHERE gr > 0.7",
+        ),
+        (
+            "SELECT objid FROM photoobj WHERE r < 21",
+            "SELECT objid FROM photoobj WHERE gr > 0.5 AND CIRCLE(185, 15, 4)",
+        ),
+        (
+            "SELECT objid FROM photoobj WHERE gr > 0.3",
+            "SELECT objid FROM sa WHERE r < 21",
+        ),
+        (
+            "SELECT objid FROM sa WHERE r < 21.5",
+            "SELECT objid FROM sa WHERE gr > 0.7",
+        ),
+        (
+            "SELECT objid FROM sa WHERE r < 21.5",
+            "SELECT objid FROM sb",
+        ),
+    ];
+    for op in ["UNION", "INTERSECT", "EXCEPT"] {
+        for (left, right) in branches {
+            shapes.push(format!("({left}) {op} ({right}) INTO t"));
+        }
+    }
+    shapes
+}
+
+/// A session holding the stored sets the matrix shapes read.
+fn matrix_session(archive: &Archive, max_bytes: u64) -> Session {
+    let session = archive.session_with(SessionConfig {
+        chunk_rows: 64,
+        max_bytes,
+        ..SessionConfig::default()
+    });
+    session
+        .run("SELECT objid INTO sa FROM photoobj WHERE r < 22 AND gr > 0.1")
+        .unwrap();
+    session
+        .run("SELECT objid INTO sb FROM photoobj WHERE gr > 0.6")
+        .unwrap();
+    session
+}
+
+/// Set `t` read back in row order by one row-interpreted worker (`DIST`
+/// with a per-row target does not compile), every value by its bits.
+fn read_back(session: &Session) -> Vec<String> {
+    let prepared = session
+        .prepare(
+            "SELECT objid, ra, dec, cx, cy, cz, u, g, r, i, z, size, class, DIST(ra, 15) FROM t",
+        )
+        .unwrap();
+    assert!(!prepared.columnar(), "the read-back must interpret");
+    let out = prepared.run().unwrap();
+    assert_eq!(out.stats.workers_used, 1);
+    out.rows
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|v| match v {
+                    Value::Num(x) => format!("{:x}", x.to_bits()),
+                    other => format!("{other}"),
+                })
+                .collect::<Vec<_>>()
+                .join("|")
+        })
+        .collect()
+}
+
+/// The `planned_workers=` figure of an EXPLAIN.
+fn explained_workers(session: &Session, sql: &str) -> usize {
+    let explain = session.prepare(sql).unwrap().explain();
+    let tail = explain.split("planned_workers=").nth(1).unwrap();
+    tail.split_whitespace().next().unwrap().parse().unwrap()
+}
+
+#[test]
+fn lane_into_matches_the_fetch_route_at_every_worker_count() {
+    let (store, tags) = build_stores(61, 2500);
+    let oracle = Archive::with_config(
+        store.clone(),
+        Some(tags.clone()),
+        ArchiveConfig {
+            mode: ExecMode::Interpreted,
+            admission: AdmissionConfig {
+                max_workers_per_query: 1,
+                ..AdmissionConfig::default()
+            },
+            ..ArchiveConfig::default()
+        },
+    );
+    let oracle = matrix_session(&oracle, 1 << 30);
+    let mut want = Vec::new();
+    for sql in lane_into_shapes() {
+        let (_, stats) = oracle.run_with_stats(&sql).unwrap();
+        assert!(stats.time_to_first_row.is_some(), "{sql}: oracle streamed");
+        let info = oracle.set_info("t").unwrap();
+        assert!(info.rows > 0 && info.chunks > 1, "{sql}: {info:?}");
+        want.push((sql, info, read_back(&oracle)));
+    }
+    for workers in [1, 2, 4] {
+        let archive = archive_with_workers(&store, &tags, workers);
+        let session = matrix_session(&archive, 1 << 30);
+        for (sql, info, rows) in &want {
+            let planned = explained_workers(&session, sql);
+            let (_, stats) = session.run_with_stats(sql).unwrap();
+            // The lane path streams nothing: it has no first row.
+            assert!(
+                stats.time_to_first_row.is_none(),
+                "{sql}: took the fetch route"
+            );
+            assert_eq!(stats.workers_granted, planned, "{sql} at {workers}");
+            if !sql.starts_with('(') {
+                assert_eq!(stats.workers_used, workers, "{sql}");
+            }
+            assert_eq!(stats.rows, info.rows, "{sql} at {workers}");
+            assert_eq!(&session.set_info("t").unwrap(), info, "{sql} at {workers}");
+            assert!(
+                read_back(&session) == *rows,
+                "{sql} at {workers}: rows differ"
+            );
+        }
+        assert_eq!(archive.admission().running, 0);
+    }
+}
+
+#[test]
+fn lane_into_quota_counts_committed_rows_only() {
+    let (store, tags) = build_stores(62, 2500);
+    // Overlapping branches: one fused scan, and a scan per branch.
+    let branches = [
+        "SELECT objid FROM photoobj WHERE r < 21.5",
+        "SELECT objid FROM photoobj WHERE gr > 0.3",
+        "SELECT objid FROM sa WHERE gr > 0.3",
+    ];
+    let unions = [(0, 1), (0, 2)];
+    let bare = "SELECT objid INTO t FROM photoobj WHERE r < 22";
+    for workers in [1, 2, 4] {
+        let archive = archive_with_workers(&store, &tags, workers);
+        let sized = matrix_session(&archive, 1 << 30);
+        let base: u64 = sized.sets().iter().map(|i| i.bytes as u64).sum();
+        let size_of = |sql: &str| {
+            sized.run(sql).unwrap();
+            sized.set_info("t").unwrap().bytes as u64
+        };
+        let bare_bytes = size_of(bare);
+        let mut shapes = vec![(bare.to_string(), bare_bytes)];
+        for (l, r) in unions {
+            let union = format!("({}) UNION ({}) INTO t", branches[l], branches[r]);
+            let union_bytes = size_of(&union);
+            let branch = |sql: &str| sized.run(sql).unwrap().rows.len() as u64 * 81;
+            let double = branch(branches[l]) + branch(branches[r]);
+            assert!(double > union_bytes, "{union}: the branches must overlap");
+
+            // A budget the exact union fits, and a double-counting one
+            // would not, succeeds; one byte less fails.
+            let exact = matrix_session(&archive, base + union_bytes);
+            exact.run(&union).unwrap();
+            assert_eq!(exact.set_info("t").unwrap().bytes as u64, union_bytes);
+            let short = matrix_session(&archive, base + union_bytes - 1);
+            assert!(short.run(&union).is_err(), "{union} at {workers}");
+            assert!(short.set_info("t").is_none());
+            shapes.push((union, union_bytes));
+        }
+
+        // A budget that trips mid-scan commits nothing and leaks no slot.
+        for (sql, bytes) in shapes {
+            let tight = matrix_session(&archive, base + bytes / 3);
+            match tight.run(&sql) {
+                Err(QueryError::Exec(msg)) => assert!(msg.contains("quota"), "{msg}"),
+                other => panic!("{sql} at {workers}: {other:?}"),
+            }
+            assert!(tight.set_info("t").is_none(), "{sql} at {workers}");
+            assert_eq!(archive.admission().running, 0, "{sql} at {workers}");
+        }
+    }
 }
 
 #[test]

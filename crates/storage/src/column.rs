@@ -24,6 +24,7 @@
 
 use sdss_catalog::{ObjClass, TagObject};
 use sdss_skycoords::UnitVec3;
+use std::ops::Range;
 
 /// Rows per execution batch. 1024 rows keeps every column of a batch
 /// (8 KB for an f64 column) comfortably inside L1/L2 while amortizing
@@ -90,11 +91,14 @@ impl ColumnChunk {
         self.obj_id.is_empty()
     }
 
-    /// Heap bytes held by the columns (the SoA cost accounting): id,
-    /// x/y/z, the derived ra/dec, five magnitudes, size, class and the
-    /// HTM key — 81 bytes per row.
+    /// Heap bytes one row holds across the lanes: id, x/y/z, the
+    /// derived ra/dec, five magnitudes, size, class and the HTM key.
+    pub const ROW_BYTES: usize = 8 + 24 + 16 + 20 + 4 + 1 + 8;
+
+    /// Heap bytes held by the columns (the SoA cost accounting):
+    /// [`ColumnChunk::ROW_BYTES`] per row.
     pub fn bytes(&self) -> usize {
-        self.len() * (8 + 24 + 16 + 20 + 4 + 1 + 8)
+        self.len() * Self::ROW_BYTES
     }
 
     /// Append one row, deriving its `ra`/`dec` lanes from x, y, z.
@@ -114,21 +118,47 @@ impl ColumnChunk {
         self.htm20.push(htm20);
     }
 
-    /// Append row `i` of `batch` by copying every lane, the derived
-    /// `ra`/`dec` and `htm20` included — no record rebuilt, no trig.
-    pub fn push_from(&mut self, batch: &ColumnBatch<'_>, i: usize) {
-        self.obj_id.push(batch.obj_id[i]);
-        self.x.push(batch.x[i]);
-        self.y.push(batch.y[i]);
-        self.z.push(batch.z[i]);
-        self.ra.push(batch.ra[i]);
-        self.dec.push(batch.dec[i]);
-        for (col, lane) in self.mags.iter_mut().zip(batch.mags.iter()) {
-            col.push(lane[i]);
+    /// Append rows `rows` (ascending) of `batch`, copying lane by lane,
+    /// the derived `ra`/`dec` and `htm20` included — no record rebuilt,
+    /// no trig. A contiguous run copies as slices.
+    pub fn push_rows(&mut self, batch: &ColumnBatch<'_>, rows: &[usize]) {
+        let (Some(&first), Some(&last)) = (rows.first(), rows.last()) else {
+            return;
+        };
+        if last - first + 1 == rows.len() {
+            return self.extend_from_batch(&batch.window(first..last + 1));
         }
-        self.size.push(batch.size[i]);
-        self.class.push(batch.class[i]);
-        self.htm20.push(batch.htm20[i]);
+        fn gather<T: Copy>(lane: &mut Vec<T>, src: &[T], rows: &[usize]) {
+            lane.extend(rows.iter().map(|&i| src[i]));
+        }
+        gather(&mut self.obj_id, batch.obj_id, rows);
+        gather(&mut self.x, batch.x, rows);
+        gather(&mut self.y, batch.y, rows);
+        gather(&mut self.z, batch.z, rows);
+        gather(&mut self.ra, batch.ra, rows);
+        gather(&mut self.dec, batch.dec, rows);
+        for (col, lane) in self.mags.iter_mut().zip(batch.mags.iter()) {
+            gather(col, lane, rows);
+        }
+        gather(&mut self.size, batch.size, rows);
+        gather(&mut self.class, batch.class, rows);
+        gather(&mut self.htm20, batch.htm20, rows);
+    }
+
+    /// Append every row of `batch`, one slice copy per lane.
+    pub fn extend_from_batch(&mut self, batch: &ColumnBatch<'_>) {
+        self.obj_id.extend_from_slice(batch.obj_id);
+        self.x.extend_from_slice(batch.x);
+        self.y.extend_from_slice(batch.y);
+        self.z.extend_from_slice(batch.z);
+        self.ra.extend_from_slice(batch.ra);
+        self.dec.extend_from_slice(batch.dec);
+        for (col, lane) in self.mags.iter_mut().zip(batch.mags.iter()) {
+            col.extend_from_slice(lane);
+        }
+        self.size.extend_from_slice(batch.size);
+        self.class.extend_from_slice(batch.class);
+        self.htm20.extend_from_slice(batch.htm20);
     }
 
     /// Rebuild row `i` as an owned record (the inverse projection).
@@ -150,33 +180,35 @@ impl ColumnChunk {
         }
     }
 
+    /// Rows `rows` of the chunk as one borrowed window.
+    pub fn window(&self, rows: Range<usize>) -> ColumnBatch<'_> {
+        let r = rows;
+        ColumnBatch {
+            base: r.start,
+            obj_id: &self.obj_id[r.clone()],
+            x: &self.x[r.clone()],
+            y: &self.y[r.clone()],
+            z: &self.z[r.clone()],
+            ra: &self.ra[r.clone()],
+            dec: &self.dec[r.clone()],
+            mags: [
+                &self.mags[0][r.clone()],
+                &self.mags[1][r.clone()],
+                &self.mags[2][r.clone()],
+                &self.mags[3][r.clone()],
+                &self.mags[4][r.clone()],
+            ],
+            size: &self.size[r.clone()],
+            class: &self.class[r.clone()],
+            htm20: &self.htm20[r],
+        }
+    }
+
     /// Iterate the chunk as [`ColumnBatch`]es of at most `rows` rows.
     pub fn batches(&self, rows: usize) -> impl Iterator<Item = ColumnBatch<'_>> {
         let rows = rows.max(1);
         let n = self.len();
-        (0..n.div_ceil(rows)).map(move |b| {
-            let lo = b * rows;
-            let hi = (lo + rows).min(n);
-            ColumnBatch {
-                base: lo,
-                obj_id: &self.obj_id[lo..hi],
-                x: &self.x[lo..hi],
-                y: &self.y[lo..hi],
-                z: &self.z[lo..hi],
-                ra: &self.ra[lo..hi],
-                dec: &self.dec[lo..hi],
-                mags: [
-                    &self.mags[0][lo..hi],
-                    &self.mags[1][lo..hi],
-                    &self.mags[2][lo..hi],
-                    &self.mags[3][lo..hi],
-                    &self.mags[4][lo..hi],
-                ],
-                size: &self.size[lo..hi],
-                class: &self.class[lo..hi],
-                htm20: &self.htm20[lo..hi],
-            }
-        })
+        (0..n.div_ceil(rows)).map(move |b| self.window(b * rows..((b + 1) * rows).min(n)))
     }
 }
 
@@ -198,7 +230,7 @@ pub struct ColumnBatch<'a> {
     pub htm20: &'a [u64],
 }
 
-impl ColumnBatch<'_> {
+impl<'a> ColumnBatch<'a> {
     pub fn len(&self) -> usize {
         self.obj_id.len()
     }
@@ -209,6 +241,25 @@ impl ColumnBatch<'_> {
 
     pub fn unit_vec(&self, i: usize) -> UnitVec3 {
         UnitVec3::new_unchecked(self.x[i], self.y[i], self.z[i])
+    }
+
+    /// Rows `rows` of this batch as a narrower window (its `base`
+    /// still counts from the start of the chunk).
+    pub fn window(&self, rows: Range<usize>) -> ColumnBatch<'a> {
+        let r = rows;
+        ColumnBatch {
+            base: self.base + r.start,
+            obj_id: &self.obj_id[r.clone()],
+            x: &self.x[r.clone()],
+            y: &self.y[r.clone()],
+            z: &self.z[r.clone()],
+            ra: &self.ra[r.clone()],
+            dec: &self.dec[r.clone()],
+            mags: self.mags.map(|lane| &lane[r.clone()]),
+            size: &self.size[r.clone()],
+            class: &self.class[r.clone()],
+            htm20: &self.htm20[r],
+        }
     }
 
     /// Rebuild row `i` of this batch as an owned record — the batch-

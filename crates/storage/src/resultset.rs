@@ -26,6 +26,7 @@
 use crate::column::{ColumnBatch, ColumnChunk, SelectionMask, BATCH_ROWS};
 use crate::store::RegionScan;
 use sdss_catalog::TagObject;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Default rows per chunk (= per scan morsel) of a materialized set.
@@ -133,23 +134,68 @@ impl ResultSetBuilder {
     /// The chunk derives the row's `ra`/`dec` lanes from x, y, z.
     pub fn push(&mut self, tag: &TagObject, htm20: u64) {
         self.current.push(tag, htm20);
-        self.row_pushed();
+        self.rows_pushed(1);
     }
 
     /// Append row `i` of a scan batch by copying its lanes, `ra`/`dec`
-    /// and `htm20` included (the direct columnar INTO path).
+    /// and `htm20` included.
     pub fn push_from(&mut self, batch: &ColumnBatch<'_>, i: usize) {
-        self.current.push_from(batch, i);
-        self.row_pushed();
+        self.push_rows(batch, &[i]);
     }
 
-    /// Count the row just appended and seal the open chunk once full.
-    fn row_pushed(&mut self) {
-        self.rows += 1;
+    /// Append rows `rows` (ascending) of a scan batch, copying lane by
+    /// lane (the direct columnar INTO path), sealing a chunk every
+    /// `chunk_rows` rows.
+    pub fn push_rows(&mut self, batch: &ColumnBatch<'_>, mut rows: &[usize]) {
+        while !rows.is_empty() {
+            let n = rows.len().min(self.chunk_rows - self.current.len());
+            self.current.push_rows(batch, &rows[..n]);
+            self.rows_pushed(n);
+            rows = &rows[n..];
+        }
+    }
+
+    /// Append rows `rows` of what `src` holds so far, in order, by
+    /// ranged lane copies.
+    pub fn extend_from(&mut self, src: &ResultSetBuilder, rows: Range<usize>) {
+        let mut start = 0;
+        for chunk in src.done.iter().map(|c| &**c).chain([&src.current]) {
+            let end = start + chunk.len();
+            let (lo, hi) = (rows.start.max(start), rows.end.min(end));
+            if lo < hi {
+                self.extend_from_batch(chunk.window(lo - start..hi - start));
+            }
+            if end >= rows.end {
+                break;
+            }
+            start = end;
+        }
+    }
+
+    /// Append every row of `batch`, sealing chunks on the way.
+    fn extend_from_batch(&mut self, mut batch: ColumnBatch<'_>) {
+        while !batch.is_empty() {
+            let n = batch.len().min(self.chunk_rows - self.current.len());
+            self.current.extend_from_batch(&batch.window(0..n));
+            self.rows_pushed(n);
+            batch = batch.window(n..batch.len());
+        }
+    }
+
+    /// Count the `n` rows just appended and seal the open chunk once
+    /// full.
+    fn rows_pushed(&mut self, n: usize) {
+        self.rows += n;
         if self.current.len() >= self.chunk_rows {
             self.done_bytes += self.current.bytes();
             self.done.push(Arc::new(std::mem::take(&mut self.current)));
         }
+    }
+
+    /// The object ids appended so far, in order.
+    pub fn obj_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        let chunks = self.done.iter().map(|c| &**c).chain([&self.current]);
+        chunks.flat_map(|c| c.obj_id.iter().copied())
     }
 
     /// Rows appended so far.
@@ -211,6 +257,61 @@ mod tests {
             set.chunks().iter().map(|c| c.bytes()).sum::<usize>()
         );
         assert_eq!(set.chunk_bytes().len(), 3);
+    }
+
+    /// Every lane of every row of a set, by bits, in row order.
+    fn lane_bits(set: &ResultSet) -> Vec<Vec<u64>> {
+        let mut rows = Vec::new();
+        for c in set.chunks() {
+            for i in 0..c.len() {
+                let mut row = vec![c.obj_id[i], c.htm20[i], c.class[i] as u64];
+                row.extend([c.x[i], c.y[i], c.z[i], c.ra[i], c.dec[i]].map(f64::to_bits));
+                row.extend(c.mags.iter().map(|m| m[i].to_bits() as u64));
+                row.push(c.size[i].to_bits() as u64);
+                rows.push(row);
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn lane_copies_cut_chunks_like_row_pushes() {
+        let rows = tags(1000, 12);
+        let mut source = ColumnChunk::new();
+        for (t, h) in &rows {
+            source.push(t, *h);
+        }
+        let batch = source.window(0..source.len());
+        // Scattered and contiguous selections, crossing chunk edges.
+        let picks: Vec<usize> = (0..rows.len()).filter(|i| i % 3 != 1).collect();
+        let mut want = ResultSetBuilder::new(70);
+        let mut got = ResultSetBuilder::new(70);
+        for part in picks.chunks(97).chain([&[][..], &[5, 6, 7, 8][..]]) {
+            part.iter().for_each(|&i| want.push(&rows[i].0, rows[i].1));
+            got.push_rows(&batch, part);
+        }
+        assert_eq!(got.bytes(), want.bytes());
+        let (want, got_set) = (want.finish(), got.finish());
+        assert_eq!(got_set.chunk_bytes(), want.chunk_bytes());
+        assert_eq!(lane_bits(&got_set), lane_bits(&want));
+
+        // Ranged copies out of a builder, across its chunk edges.
+        let mut src = ResultSetBuilder::new(70);
+        src.push_rows(&batch, &picks);
+        let mut copied = ResultSetBuilder::new(50);
+        let mut pushed = ResultSetBuilder::new(50);
+        for range in [0..0, 3..3, 65..140, 0..65, 140..picks.len()] {
+            copied.extend_from(&src, range.clone());
+            pushed.push_rows(&batch, &picks[range]);
+        }
+        let (copied, pushed) = (copied.finish(), pushed.finish());
+        assert_eq!(copied.chunk_bytes(), pushed.chunk_bytes());
+        assert_eq!(lane_bits(&copied), lane_bits(&pushed));
+        let ids: Vec<u64> = src.obj_ids().collect();
+        assert_eq!(
+            ids,
+            picks.iter().map(|&i| rows[i].0.obj_id).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -157,12 +157,17 @@ impl DecZoneIndex {
 
     /// Stream every indexed row within `radius_arcsec` of `probe` as
     /// `(row, separation arcsec)` — all pairs, not just the nearest.
-    /// Works for any radius (a larger one than the index was built for
-    /// visits more stripes). Returns the number of candidate separations
-    /// computed.
+    /// `(ra, dec)` is the probe's position in degrees, RA in `[0, 360)`:
+    /// a scan batch's derived lanes, so a probe runs no trig of its own.
+    /// Any rounding difference from this index's own conversion is far
+    /// inside the bounds' slack, and the exact test uses `probe`, so the
+    /// pairs and separations do not depend on it. Works for any radius (a
+    /// larger one than the index was built for visits more stripes).
+    /// Returns the number of candidate separations computed.
     pub fn neighbors_within(
         &self,
         probe: UnitVec3,
+        (ra, dec): (f64, f64),
         radius_arcsec: f64,
         mut f: impl FnMut(u32, f64),
     ) -> usize {
@@ -171,7 +176,6 @@ impl DecZoneIndex {
             return 0;
         }
         let r = radius_arcsec / 3600.0;
-        let (ra, dec) = ra_dec(probe);
         let zone = |dec: f64| ((dec + 90.0) / self.height_deg).floor() as i64 - self.first_zone;
         let mut z_lo = zone(dec - r - BOUND_SLACK_DEG).max(0);
         let mut z_hi = zone(dec + r + BOUND_SLACK_DEG).min(n_zones - 1);
@@ -407,7 +411,9 @@ mod tests {
     /// Every `(row, sep)` a probe yields, in row order.
     fn dec_zone_pairs(ix: &DecZoneIndex, probe: UnitVec3, radius: f64) -> Vec<(u32, u64)> {
         let mut v = Vec::new();
-        ix.neighbors_within(probe, radius, |ri, sep| v.push((ri, sep.to_bits())));
+        ix.neighbors_within(probe, ra_dec(probe), radius, |ri, sep| {
+            v.push((ri, sep.to_bits()))
+        });
         v.sort_unstable();
         v
     }
@@ -489,6 +495,63 @@ mod tests {
     }
 
     #[test]
+    fn lane_fed_probes_report_the_same_pairs() {
+        // Probes fed the scan lanes' (ra, dec) — `SkyPos::from_unit_vec`,
+        // which can round RA up to 360 — pair exactly like probes fed the
+        // index's own conversion: across RA 0/360, at both poles, and
+        // with caps whose edges land on stripe boundaries.
+        let lanes = |p: UnitVec3| {
+            let pos = SkyPos::from_unit_vec(p);
+            (pos.ra_deg(), pos.dec_deg())
+        };
+        // An equatorial strip across RA 0/360 (points close enough for
+        // the stripes to be one radius tall, so the caps below end on
+        // stripe edges), and one cluster at each pole.
+        let at = |ra: f64, dec: f64| SkyPos::new(ra, dec).unwrap().unit_vec();
+        let mut strip = vec![
+            UnitVec3::new_unchecked(1.0, -1e-300, 0.0),
+            UnitVec3::new_unchecked(1.0, -f64::EPSILON, 0.0),
+        ];
+        let mut north = vec![UnitVec3::new_unchecked(0.0, 0.0, 1.0)];
+        let mut south = vec![UnitVec3::new_unchecked(0.0, 0.0, -1.0)];
+        for i in 0..200 {
+            let ra = (359.95 + i as f64 * 0.0005).rem_euclid(360.0);
+            strip.push(at(ra, -0.2 + (i % 40) as f64 * 0.01));
+            north.push(at(i as f64 * 1.8, 89.99 + (i % 10) as f64 * 0.0005));
+            south.push(at(i as f64 * 1.8, -89.99 - (i % 10) as f64 * 0.0005));
+        }
+        for points in [&strip, &north, &south] {
+            for radius in [3.6, 36.0, 360.0] {
+                let r = radius / 3600.0;
+                let mut probes = points.clone();
+                for k in -4..=4 {
+                    let edge = k as f64 * r;
+                    for ra in [0.0, 359.9999999, 0.05] {
+                        for dec in [edge - r, edge + r, edge] {
+                            probes.push(at(ra, dec));
+                        }
+                    }
+                }
+                let ix = DecZoneIndex::build(points.iter().copied(), radius);
+                let mut pairs = 0;
+                for &probe in &probes {
+                    let mut got = Vec::new();
+                    ix.neighbors_within(probe, lanes(probe), radius, |ri, sep| {
+                        got.push((ri, sep.to_bits()))
+                    });
+                    let want = dec_zone_pairs(&ix, probe, radius);
+                    got.sort_unstable();
+                    assert_eq!(got, want, "radius {radius}, probe {probe:?}");
+                    assert_eq!(want, brute(points, probe, radius), "radius {radius}");
+                    pairs += got.len();
+                }
+                // More than each point's pair with itself.
+                assert!(pairs > points.len(), "radius {radius}: vacuous");
+            }
+        }
+    }
+
+    #[test]
     fn dec_zones_include_pairs_at_exactly_the_radius() {
         let points: Vec<UnitVec3> = (0..50)
             .map(|i| {
@@ -512,7 +575,10 @@ mod tests {
         let ix = DecZoneIndex::build(std::iter::empty(), 10.0);
         assert!(ix.is_empty());
         let probe = UnitVec3::new_unchecked(1.0, 0.0, 0.0);
-        assert_eq!(ix.neighbors_within(probe, 10.0, |_, _| panic!()), 0);
+        assert_eq!(
+            ix.neighbors_within(probe, ra_dec(probe), 10.0, |_, _| panic!()),
+            0
+        );
     }
 
     fn set_of(points: &[UnitVec3]) -> ResultSet {
