@@ -1094,21 +1094,21 @@ impl Prepared {
 
     /// The **direct columnar INTO path**: when the statement is a bare
     /// tag- or set-routed scan, or a `UNION`/`INTERSECT`/`EXCEPT` of two
-    /// such scans, and every leaf's predicate compiles, the
-    /// materialization copies whole tag records straight out of the
-    /// scans' [`sdss_storage::ColumnBatch`] lanes into the set — no
-    /// per-objid full-store fetch, no channel fabric, and no dedup hash
-    /// (tag containers and stored sets hold each object once); only a
-    /// set operation whose branches read different sources or domains
-    /// keys one hash on one branch's ids.
-    /// It runs under [`Prepared::planned_workers`] slots, each leaf
-    /// driven by every granted worker in turn, and commits the same set
+    /// such scans over one source and domain, and every leaf's predicate
+    /// compiles, the materialization copies whole tag records straight
+    /// out of the source's [`sdss_storage::ColumnChunk`] lanes into the
+    /// set — no per-objid full-store fetch, no channel fabric, and no
+    /// dedup hash (tag containers and stored sets hold each object
+    /// once, and a set operation runs as one scan selecting both
+    /// branches). It runs one scan under [`Prepared::planned_workers`]
+    /// slots, every granted worker draining it, then writes each kept
+    /// row once into the set's final chunks, and commits the same set
     /// at any worker count (see `exec::run_into`). Returns `Ok(None)`
     /// for every other shape (see `session::run_into`): the caller falls
     /// back to the stream-and-fetch route, which handles them all.
     ///
     /// Workers charge `budget` per batch for the rows they keep, so a
-    /// quota overrun stops the scans like the fetch route's mid-stream
+    /// quota overrun stops the scan like the fetch route's mid-stream
     /// check.
     pub(crate) fn run_into_columnar(
         &self,
@@ -1791,7 +1791,7 @@ mod tests {
             "SELECT a.objid, b.objid, sep_arcsec FROM MATCH(s, photoobj, 60)",
             "SELECT COUNT(*) FROM MATCH(s, s, 600)",
             "SELECT objid INTO t FROM photoobj WHERE r < 23",
-            "(SELECT objid FROM photoobj WHERE r < 22) UNION (SELECT objid FROM s) INTO t",
+            "(SELECT objid FROM photoobj WHERE r < 22) UNION (SELECT objid FROM photoobj WHERE gr > 0.3) INTO t",
             "(SELECT objid FROM s) INTERSECT (SELECT objid FROM photoobj WHERE gr > 0.3) INTO t",
             "(SELECT objid FROM photoobj WHERE r < 22) EXCEPT (SELECT objid FROM photoobj WHERE gr > 0.3) INTO t",
         ];

@@ -45,12 +45,12 @@ use crate::QueryError;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use sdss_catalog::{ObjClass, PhotoRecord, TagObject};
 use sdss_storage::{
-    sample_hash_keep, ColumnBatch, ColumnChunk, DecZoneIndex, MatchFootprint, MorselQueue,
-    ObjectStore, RegionScan, ResultSet, ResultSetBuilder, ScanPlan, SelectionMask, TagStore,
+    cut_runs, sample_hash_keep, ColumnBatch, ColumnChunk, DecZoneIndex, MatchFootprint,
+    MorselQueue, ObjectStore, RegionScan, ResultSet, ResultSetBuilder, ScanPlan, SelectionMask,
+    TagStore,
 };
 use std::collections::{HashMap, HashSet};
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One output row.
@@ -1098,6 +1098,7 @@ fn ship(ticket: &TicketCore, tx: &Sender<ResultBatch>, batch: ResultBatch) -> bo
 /// and set morsels stream column batches, which is what makes `FROM
 /// <set>` ride the same compiled path as a tag scan; full-store morsels
 /// stream in-place record views to the row interpreter.
+#[derive(Clone)]
 enum ScanSource {
     Tag(Arc<TagStore>, Arc<ScanPlan>),
     Set(Arc<ResultSet>),
@@ -1169,6 +1170,17 @@ impl ScanSource {
         match self {
             ScanSource::Tag(_, plan) | ScanSource::Full(_, plan) => plan.cover_cache_hit(),
             ScanSource::Set(_) => None,
+        }
+    }
+
+    /// The column chunk morsel `idx` of a tag or set source reads.
+    fn morsel_chunk(&self, idx: usize) -> &ColumnChunk {
+        match self {
+            ScanSource::Tag(store, plan) => store
+                .column_chunk(plan.morsels()[idx].container)
+                .expect("a planned morsel's container is stored"),
+            ScanSource::Set(set) => &set.chunks()[idx],
+            ScanSource::Full(..) => unreachable!("full-store morsels hold records, not lanes"),
         }
     }
 
@@ -1528,29 +1540,21 @@ impl MorselSink for FoldSink {
     }
 }
 
-/// The lane path's INTO plan: a bare scan, or a set operation over two
-/// scans, every leaf with a compiled row filter.
-pub(crate) enum IntoPlan {
-    Scan(IntoLeaf),
-    Set {
-        op: SetOp,
-        left: IntoLeaf,
-        right: IntoLeaf,
-    },
-}
-
-/// One scan leaf of an [`IntoPlan`].
-pub(crate) struct IntoLeaf {
+/// The lane path's INTO plan: one compiled scan, and for a set
+/// operation the right branch's filter over the same source and domain.
+pub(crate) struct IntoPlan {
     spec: ScanSpec,
     filter: Arc<RowFilter>,
+    set: Option<(SetOp, Arc<RowFilter>)>,
 }
 
 /// Lower an INTO statement's bound plan for the lane path: a bare scan,
-/// or `UNION`/`INTERSECT`/`EXCEPT` over two scans, whose every leaf
-/// passes [`compile_filter`] (tag or set sources, which hold each object
-/// once). A set operation's leaves must also project `objid` itself,
-/// since the stream route keys its set semantics on that column. `None`
-/// sends the statement down the stream-and-fetch route.
+/// or `UNION`/`INTERSECT`/`EXCEPT` over two scans of one source and
+/// domain, whose every leaf passes [`compile_filter`] (tag or set
+/// sources, which hold each object once). A set operation's leaves must
+/// also project `objid` itself, since the stream route keys its set
+/// semantics on that column. `None` sends the statement down the
+/// stream-and-fetch route.
 pub(crate) fn compile_into(
     root: PlanNode,
     tags_available: bool,
@@ -1565,36 +1569,32 @@ pub(crate) fn compile_into(
             return None;
         }
         let filter = Arc::new(compile_filter(&spec, tags_available, mode)?);
-        Some(IntoLeaf { spec, filter })
+        Some((spec, filter))
     };
     match root {
-        PlanNode::Set { op, left, right } => Some(IntoPlan::Set {
-            op,
-            left: leaf(*left, true)?,
-            right: leaf(*right, true)?,
-        }),
-        scan => Some(IntoPlan::Scan(leaf(scan, false)?)),
+        PlanNode::Set { op, left, right } => {
+            let (spec, filter) = leaf(*left, true)?;
+            let (right, right_filter) = leaf(*right, true)?;
+            let fused = spec.source == right.source && spec.domain == right.domain;
+            fused.then_some(IntoPlan {
+                spec,
+                filter,
+                set: Some((op, right_filter)),
+            })
+        }
+        scan => {
+            let (spec, filter) = leaf(scan, false)?;
+            Some(IntoPlan {
+                spec,
+                filter,
+                set: None,
+            })
+        }
     }
 }
 
-/// How an INTO drive routes each batch's kept rows to its two outputs.
-enum IntoRoute {
-    /// Every kept row, to output 0.
-    All,
-    /// The kept rows whose id is in `ids` (INTERSECT's left branch), or
-    /// not in it (EXCEPT's left branch, UNION's right one), to output 0:
-    /// a set operation whose branches read different sources or domains.
-    Ids { ids: HashSet<u64>, member: bool },
-    /// Both branches of a set operation over one source and domain, in
-    /// one pass; the filter is the right branch's. The source holds each
-    /// object once, so a row is in both branches exactly when its id is:
-    /// output 0 takes the left rows the operation keeps, and output 1
-    /// UNION's right-only rows.
-    Fused(SetOp, Arc<RowFilter>),
-}
-
-/// The session byte budget of one INTO, charged by every worker of
-/// every drive for the rows it will commit.
+/// The session byte budget of one INTO, charged by every worker for the
+/// rows it will commit.
 struct IntoQuota {
     budget: u64,
     charged: AtomicU64,
@@ -1612,174 +1612,94 @@ impl IntoQuota {
     }
 }
 
-/// One INTO worker's rows for one output: its lane buffer (cut into
-/// chunks every `chunk_rows` rows, like the set it feeds) and, per
-/// morsel it kept rows from, the buffer rows they landed in, in claim
-/// order.
-struct IntoPart {
-    rows: ResultSetBuilder,
-    morsels: Vec<(usize, Range<usize>)>,
-}
+/// The rows one morsel's scan keeps for the set: its index and, per
+/// output (the left rows; UNION's right-only rows), the kept rows'
+/// positions in the morsel's chunk.
+type KeptRows = (usize, [Vec<u32>; 2]);
 
-/// The INTO sink: kept rows copy their column lanes (`ra`/`dec` and
-/// `htm20` included) into the worker's own buffers, lane by lane — no
-/// per-objid full-store fetch, no record rebuilt. Each batch charges
-/// the shared quota for the rows it keeps; the first charge past the
-/// budget stops every worker.
+/// The INTO sink: selects each batch's rows and records the kept rows'
+/// chunk positions per morsel; no lane is copied during the scan (the
+/// commit writes each row once, see [`run_into`]). A fused set
+/// operation selects both branches per batch: the source holds each
+/// object once, so a row is in both branches exactly when its id is.
+/// Each batch charges the shared quota for the rows it keeps; the first
+/// charge past the budget stops every worker.
 struct IntoSink {
     rows: Selector,
-    /// The right branch's selector of a fused set operation.
-    right: Option<Selector>,
-    route: Arc<IntoRoute>,
+    /// A set operation's operator and right-branch selector.
+    right: Option<(SetOp, Selector)>,
     quota: Arc<IntoQuota>,
     ticket: Arc<TicketCore>,
-    kept: Vec<usize>,
-    morsel: usize,
-    outputs: [IntoPart; 2],
-}
-
-impl IntoSink {
-    /// Copy `rows` of `batch` into output `out`; `false` once over
-    /// budget.
-    fn copy(
-        &mut self,
-        out: usize,
-        batch: &ColumnBatch<'_>,
-        rows: impl Iterator<Item = usize>,
-    ) -> bool {
-        self.kept.clear();
-        self.kept.extend(rows);
-        if self.kept.is_empty() {
-            return true;
-        }
-        self.ticket.note_batch(self.kept.len());
-        let part = &mut self.outputs[out];
-        let lo = part.rows.rows();
-        part.rows.push_rows(batch, &self.kept);
-        let hi = part.rows.rows();
-        match part.morsels.last_mut() {
-            Some((m, rows)) if *m == self.morsel => rows.end = hi,
-            _ => part.morsels.push((self.morsel, lo..hi)),
-        }
-        self.quota.charge(self.kept.len())
-    }
+    kept: Vec<KeptRows>,
 }
 
 impl MorselSink for IntoSink {
-    type Partial = [IntoPart; 2];
+    type Partial = Vec<KeptRows>;
 
     fn begin_morsel(&mut self, idx: usize) {
-        self.morsel = idx;
+        self.kept.push((idx, Default::default()));
     }
 
     fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool {
         let mut left = self.rows.select(batch, sel);
-        let route = self.route.clone();
-        let op = match &*route {
-            IntoRoute::All => return self.copy(0, batch, left.iter_set()),
-            IntoRoute::Ids { ids, member } => {
-                let rows = left.iter_set();
-                let rows = rows.filter(|&i| ids.contains(&batch.obj_id[i]) == *member);
-                return self.copy(0, batch, rows);
+        let right_only = match &mut self.right {
+            None => None,
+            Some((op, right)) => {
+                let mut right = right.select(batch, sel);
+                match op {
+                    SetOp::Union => {
+                        let mut right_only = left.clone();
+                        right_only.invert();
+                        right_only.and_with(&right);
+                        Some(right_only)
+                    }
+                    SetOp::Intersect => {
+                        left.and_with(&right);
+                        None
+                    }
+                    SetOp::Except => {
+                        right.invert();
+                        left.and_with(&right);
+                        None
+                    }
+                }
             }
-            IntoRoute::Fused(op, _) => op,
         };
-        let right = self
-            .right
-            .as_mut()
-            .expect("a fused drive selects both branches");
-        let mut right = right.select(batch, sel);
-        match op {
-            SetOp::Union => {
-                let mut right_only = left.clone();
-                right_only.invert();
-                right_only.and_with(&right);
-                self.copy(0, batch, left.iter_set()) && self.copy(1, batch, right_only.iter_set())
-            }
-            SetOp::Intersect => {
-                left.and_with(&right);
-                self.copy(0, batch, left.iter_set())
-            }
-            SetOp::Except => {
-                right.invert();
-                left.and_with(&right);
-                self.copy(0, batch, left.iter_set())
+        let (_, kept) = self.kept.last_mut().expect("batches follow begin_morsel");
+        let before = kept[0].len() + kept[1].len();
+        for (out, mask) in kept.iter_mut().zip([Some(&left), right_only.as_ref()]) {
+            if let Some(mask) = mask {
+                out.extend(mask.iter_set().map(|i| (batch.base + i) as u32));
             }
         }
+        let n = kept[0].len() + kept[1].len() - before;
+        if n == 0 {
+            return true;
+        }
+        self.ticket.note_batch(n);
+        self.quota.charge(n)
     }
 
-    fn finish(self) -> (u64, [IntoPart; 2]) {
-        let rows = self.outputs.iter().map(|p| p.rows.rows() as u64).sum();
-        (rows, self.outputs)
-    }
-}
-
-/// The id collector of INTERSECT's and EXCEPT's right branch: the kept
-/// rows' object ids, no lanes.
-struct IdSink {
-    rows: Selector,
-    ids: Vec<u64>,
-}
-
-impl MorselSink for IdSink {
-    type Partial = Vec<u64>;
-
-    fn consume(&mut self, batch: &ColumnBatch<'_>, sel: &SelectionMask) -> bool {
-        let keep = self.rows.select(batch, sel);
-        self.ids.extend(keep.iter_set().map(|i| batch.obj_id[i]));
-        true
-    }
-
-    fn finish(self) -> (u64, Vec<u64>) {
-        (self.ids.len() as u64, self.ids)
+    fn finish(self) -> (u64, Vec<KeptRows>) {
+        let rows = self.kept.iter().map(|(_, k)| k[0].len() + k[1].len());
+        (rows.sum::<usize>() as u64, self.kept)
     }
 }
 
-/// Drive one INTO leaf at the execution's full worker count; a
-/// resolution failure or worker panic (both on the ticket) is `Err`.
-fn drive_leaf<S: MorselSink>(
-    env: &ExecEnv,
-    leaf: &IntoLeaf,
-    ticket: &Arc<TicketCore>,
-    make_sink: impl Fn(Selector) -> S + Send + Sync + 'static,
-) -> Result<Vec<S::Partial>, QueryError> {
-    let filter = leaf.filter.clone();
-    let partials = match scan_leaf(env, leaf.spec.clone())(ticket) {
-        Some((source, ())) => run_morsels(source, env.workers, ticket, move || {
-            make_sink(Selector::new(&filter))
-        }),
-        None => Vec::new(),
-    };
-    match ticket.failure() {
-        Some(msg) => Err(QueryError::Exec(msg)),
-        None => Ok(partials),
-    }
-}
-
-/// The direct columnar INTO path: drive an [`IntoPlan`] with
+/// The direct columnar INTO path: drive an [`IntoPlan`]'s scan with
 /// `env.workers` workers into a new result set of `chunk_rows`-row
 /// chunks, failing once it outgrows `budget` bytes.
 ///
-/// * A bare scan drives its leaf once.
-/// * A set operation whose branches scan the same source over the same
-///   domain drives it once, selecting both branches per batch
-///   ([`IntoRoute::Fused`]): no second scan, no id hash.
-/// * Otherwise `UNION` drives the left leaf, then the right one skipping
-///   the ids the left kept; `INTERSECT` and `EXCEPT` collect the right
-///   leaf's ids (no lanes), then drive the left leaf keeping ids in (not
-///   in) them.
-///
-/// Tag containers and stored sets hold each object at most once, so no
-/// leaf yields an id twice. Each worker buffers its kept rows; the
-/// commit appends the left rows, then UNION's right-only rows, each in
-/// morsel order, by ranged lane copies. A set's rows, row order and
-/// chunks are therefore the same at every worker count, and the same as
-/// the stream route's at one worker per leaf. A lone worker's buffer,
-/// when it is already in morsel order, becomes the set as it is (no
-/// second copy). The drives run one after the other, each with every
-/// granted worker, so the execution never runs more scan threads than
-/// it holds slots. A worker panic or quota overrun returns `Err` and
-/// builds no set.
+/// A set operation runs as the one scan, selecting both branches per
+/// batch: no second scan, no id hash. The workers record which rows
+/// each morsel keeps; the commit then knows every row's place in the
+/// set (the left rows, then UNION's right-only rows, each in morsel
+/// order), and the same number of writers build the set's chunks, each
+/// gathering a chunk's rows lane by lane into lanes allocated once
+/// ([`ColumnChunk::gather`]): every row is copied once. A set's rows,
+/// row order and chunks are therefore the same at every worker count,
+/// and the same as the stream route's at one worker per leaf. A worker
+/// panic or quota overrun returns `Err` and builds no set.
 pub(crate) fn run_into(
     env: &ExecEnv,
     plan: IntoPlan,
@@ -1788,105 +1708,74 @@ pub(crate) fn run_into(
     chunk_rows: usize,
     budget: u64,
 ) -> Result<ResultSet, QueryError> {
+    let failed = || QueryError::Exec(ticket.failure().unwrap_or_default());
+    let Some((source, ())) = scan_leaf(env, plan.spec)(ticket) else {
+        return Err(failed());
+    };
     let quota = Arc::new(IntoQuota {
         budget,
         charged: AtomicU64::new(0),
     });
-    let over_budget = |rows: u64| {
-        QueryError::Exec(format!(
+    let (filter, right) = (plan.filter, plan.set);
+    let (q, t) = (quota.clone(), ticket.clone());
+    let parts = run_morsels(source.clone(), env.workers, ticket, move || IntoSink {
+        rows: Selector::new(&filter),
+        right: right.as_ref().map(|(op, f)| (*op, Selector::new(f))),
+        quota: q.clone(),
+        ticket: t.clone(),
+        kept: Vec::new(),
+    });
+    if ticket.failure().is_some() {
+        return Err(failed());
+    }
+    let mut kept: Vec<KeptRows> = parts.into_iter().flatten().collect();
+    kept.sort_unstable_by_key(|(m, _)| *m);
+    let (source, kept) = (&source, &kept);
+    let runs = (0..2).flat_map(|out| {
+        let kept = kept.iter().filter(move |(_, rows)| !rows[out].is_empty());
+        kept.map(move |(m, rows)| (source.morsel_chunk(*m), &rows[out][..]))
+    });
+    let chunks = cut_runs(runs, chunk_rows);
+    let rows: usize = chunks.iter().flatten().map(|(_, rows)| rows.len()).sum();
+    if quota.exceeded() || (rows * ColumnChunk::ROW_BYTES) as u64 > budget {
+        return Err(QueryError::Exec(format!(
             "session byte quota exceeded materializing `{set_name}`: \
              {budget} bytes available, {rows} rows already folded",
-        ))
-    };
-    // One drive's outputs, each a list of worker parts.
-    let drive = |leaf: &IntoLeaf, route: IntoRoute| {
-        let right = match &route {
-            IntoRoute::Fused(_, right) => Some(right.clone()),
-            IntoRoute::All | IntoRoute::Ids { .. } => None,
-        };
-        let (q, t, route) = (quota.clone(), ticket.clone(), Arc::new(route));
-        let parts = drive_leaf(env, leaf, ticket, move |rows| IntoSink {
-            rows,
-            right: right.as_ref().map(Selector::new),
-            route: route.clone(),
-            quota: q.clone(),
-            ticket: t.clone(),
-            kept: Vec::new(),
-            morsel: 0,
-            outputs: std::array::from_fn(|_| IntoPart {
-                rows: ResultSetBuilder::new(chunk_rows),
-                morsels: Vec::new(),
-            }),
-        })?;
-        if quota.exceeded() {
-            let charged = quota.charged.load(Ordering::Relaxed);
-            return Err(over_budget(charged / ColumnChunk::ROW_BYTES as u64));
-        }
-        let (left, right): (Vec<_>, Vec<_>) = parts.into_iter().map(|[l, r]| (l, r)).unzip();
-        Ok(vec![left, right])
-    };
-    let outputs = match plan {
-        IntoPlan::Scan(leaf) => drive(&leaf, IntoRoute::All)?,
-        IntoPlan::Set { op, left, right }
-            if left.spec.source == right.spec.source && left.spec.domain == right.spec.domain =>
-        {
-            drive(&left, IntoRoute::Fused(op, right.filter))?
-        }
-        IntoPlan::Set {
-            op: SetOp::Union,
-            left,
-            right,
-        } => {
-            let mut left = drive(&left, IntoRoute::All)?;
-            let ids = left[0].iter().flat_map(|p| p.rows.obj_ids()).collect();
-            let member = false; // UNION's right branch skips the left's ids
-            left.extend(drive(&right, IntoRoute::Ids { ids, member })?);
-            left
-        }
-        IntoPlan::Set { op, left, right } => {
-            let ids = drive_leaf(env, &right, ticket, |rows| IdSink {
-                rows,
-                ids: Vec::new(),
-            })?;
-            let ids = ids.into_iter().flatten().collect();
-            let member = op == SetOp::Intersect;
-            drive(&left, IntoRoute::Ids { ids, member })?
-        }
-    };
-    let set = commit_into(outputs, chunk_rows);
-    if set.bytes() as u64 > budget {
-        return Err(over_budget(set.rows() as u64));
+        )));
     }
-    Ok(set.finish())
-}
-
-/// Concatenate the outputs' kept rows: output by output, morsels in
-/// index order. The first output whose rows sit in one buffer already
-/// in morsel order hands that buffer over whole; everything else is
-/// copied in ranges.
-fn commit_into(outputs: Vec<Vec<IntoPart>>, chunk_rows: usize) -> ResultSetBuilder {
-    let mut set: Option<ResultSetBuilder> = None;
-    for mut parts in outputs {
-        parts.retain(|p| !p.morsels.is_empty());
-        if parts.is_empty() {
-            continue;
+    // Each writer claims whole set chunks, so it allocates and fills its
+    // chunk's lanes once.
+    let next = AtomicUsize::new(0);
+    let write = || {
+        let mut built = Vec::new();
+        loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            let Some(pieces) = chunks.get(c) else {
+                return built;
+            };
+            built.push((c, ColumnChunk::gather(pieces)));
         }
-        let in_order = |p: &IntoPart| p.morsels.is_sorted_by_key(|(m, _)| *m);
-        if set.is_none() && parts.len() == 1 && in_order(&parts[0]) {
-            set = parts.pop().map(|p| p.rows);
-            continue;
-        }
-        let mut ranges: Vec<_> = parts
-            .iter()
-            .flat_map(|p| p.morsels.iter().map(move |(m, rows)| (*m, &p.rows, rows)))
+    };
+    let mut built = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..env.workers.min(chunks.len()))
+            .map(|_| s.spawn(write))
             .collect();
-        ranges.sort_unstable_by_key(|(m, _, _)| *m);
-        let set = set.get_or_insert_with(|| ResultSetBuilder::new(chunk_rows));
-        for (_, src, rows) in ranges {
-            set.extend_from(src, rows.clone());
+        let mut built = write();
+        for helper in helpers {
+            match helper.join() {
+                Ok(chunks) => built.extend(chunks),
+                Err(panic) => record_panic(ticket, panic),
+            }
         }
+        built
+    });
+    if ticket.failure().is_some() {
+        return Err(failed());
     }
-    set.unwrap_or_else(|| ResultSetBuilder::new(chunk_rows))
+    built.sort_unstable_by_key(|(c, _)| *c);
+    Ok(ResultSet::from_chunks(
+        built.into_iter().map(|(_, chunk)| chunk).collect(),
+    ))
 }
 
 // ---------------------------------------------------------------------

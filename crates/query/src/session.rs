@@ -330,13 +330,15 @@ impl Session {
 /// The `INTO` writer sink. Two routes materialize a set:
 ///
 /// * **Lanes** — a bare tag- or set-routed scan, or a `UNION`,
-///   `INTERSECT` or `EXCEPT` of two such scans, whose predicates all
-///   compile, copies whole tag records straight out of the scans' column
-///   lanes into the set ([`Prepared::run_into_columnar`]): no per-objid
-///   full-store fetch, no channel fabric. It runs on every granted
-///   worker and commits the rows in morsel order, so the set (rows, row
-///   order, chunks) is the same at any worker count and the same as the
-///   fetch route's at one worker per leaf.
+///   `INTERSECT` or `EXCEPT` of two such scans over one source and
+///   domain, whose predicates all compile, copies whole tag records
+///   straight out of the scanned column lanes into the set
+///   ([`Prepared::run_into_columnar`]): no per-objid full-store fetch,
+///   no channel fabric, and a set operation runs as one scan. It runs
+///   on every granted worker, then writes each kept row once, in morsel
+///   order, into the set's final chunks, so the set (rows, row order,
+///   chunks) is the same at any worker count and the same as the fetch
+///   route's at one worker per leaf.
 /// * **Stream-and-fetch** — every other shape drives the
 ///   admission-held stream and fetches one tag record per distinct
 ///   object pointer through the full store's id index. The fetch reads
@@ -344,7 +346,8 @@ impl Session {
 ///   ([`TagObject::from_record`]), never decoding the whole object.
 ///   The shapes left on it: full-store sources (a non-compilable
 ///   predicate included), `MATCH ... INTO`, `ORDER BY` or `LIMIT` over
-///   the scan, set operations with a branch that is not such a scan
+///   the scan, set operations whose branches read different sources
+///   or domains or include a branch that is not such a scan
 ///   (full-store, non-compilable, nested, or projecting something else
 ///   as `objid`), and every shape under
 ///   [`crate::ExecMode::Interpreted`], which keeps this route as the

@@ -303,41 +303,53 @@ fn into_fast_path_equals_fetch_path() {
     assert_eq!(session.set_info("refined").unwrap().rows, direct.rows.len());
 }
 
-/// The INTO shapes the lane path takes: bare tag and set scans, and
-/// every set operation over tag/tag, tag/set and set/set branches, each
-/// with branches over one source and domain (one fused scan) and over
-/// different ones (a scan per branch). `sa` and `sb` are stored sets
-/// each session builds first.
-fn lane_into_shapes() -> Vec<String> {
+/// The INTO shapes of the differential matrix, each with whether it
+/// takes the lane path: bare tag and set scans, and every set operation
+/// over tag/tag, tag/set and set/set branches. Branches over one source
+/// and domain run on lanes as one fused scan; branches over different
+/// sources or domains stay on the fetch route. `sa` and `sb` are stored
+/// sets each session builds first.
+fn into_matrix_shapes() -> Vec<(String, bool)> {
     let mut shapes = vec![
-        "SELECT objid INTO t FROM photoobj WHERE r < 21.5 AND gr > 0.1".to_string(),
-        "SELECT objid, r INTO t FROM sa WHERE ri > 0.1".to_string(),
+        (
+            "SELECT objid INTO t FROM photoobj WHERE r < 21.5 AND gr > 0.1".to_string(),
+            true,
+        ),
+        (
+            "SELECT objid, r INTO t FROM sa WHERE ri > 0.1".to_string(),
+            true,
+        ),
     ];
     let branches = [
         (
             "SELECT objid FROM photoobj WHERE r < 21.5",
             "SELECT objid FROM photoobj WHERE gr > 0.7",
+            true,
         ),
         (
             "SELECT objid FROM photoobj WHERE r < 21",
             "SELECT objid FROM photoobj WHERE gr > 0.5 AND CIRCLE(185, 15, 4)",
+            false,
         ),
         (
             "SELECT objid FROM photoobj WHERE gr > 0.3",
             "SELECT objid FROM sa WHERE r < 21",
+            false,
         ),
         (
             "SELECT objid FROM sa WHERE r < 21.5",
             "SELECT objid FROM sa WHERE gr > 0.7",
+            true,
         ),
         (
             "SELECT objid FROM sa WHERE r < 21.5",
             "SELECT objid FROM sb",
+            false,
         ),
     ];
     for op in ["UNION", "INTERSECT", "EXCEPT"] {
-        for (left, right) in branches {
-            shapes.push(format!("({left}) {op} ({right}) INTO t"));
+        for (left, right, lanes) in branches {
+            shapes.push((format!("({left}) {op} ({right}) INTO t"), lanes));
         }
     }
     shapes
@@ -408,34 +420,50 @@ fn lane_into_matches_the_fetch_route_at_every_worker_count() {
     );
     let oracle = matrix_session(&oracle, 1 << 30);
     let mut want = Vec::new();
-    for sql in lane_into_shapes() {
+    for (sql, lanes) in into_matrix_shapes() {
         let (_, stats) = oracle.run_with_stats(&sql).unwrap();
         assert!(stats.time_to_first_row.is_some(), "{sql}: oracle streamed");
         let info = oracle.set_info("t").unwrap();
         assert!(info.rows > 0 && info.chunks > 1, "{sql}: {info:?}");
-        want.push((sql, info, read_back(&oracle)));
+        want.push((sql, lanes, info, read_back(&oracle)));
     }
     for workers in [1, 2, 4] {
         let archive = archive_with_workers(&store, &tags, workers);
         let session = matrix_session(&archive, 1 << 30);
-        for (sql, info, rows) in &want {
+        for (sql, lanes, info, rows) in &want {
             let planned = explained_workers(&session, sql);
             let (_, stats) = session.run_with_stats(sql).unwrap();
             // The lane path streams nothing: it has no first row.
-            assert!(
+            assert_eq!(
                 stats.time_to_first_row.is_none(),
-                "{sql}: took the fetch route"
+                *lanes,
+                "{sql} at {workers}: wrong route"
             );
-            assert_eq!(stats.workers_granted, planned, "{sql} at {workers}");
-            if !sql.starts_with('(') {
-                assert_eq!(stats.workers_used, workers, "{sql}");
+            if *lanes {
+                // One scan, on every granted worker: a set operation's
+                // grant never drops below its two leaves.
+                let want = if sql.starts_with('(') {
+                    workers.max(2)
+                } else {
+                    workers
+                };
+                assert_eq!(stats.workers_granted, planned, "{sql} at {workers}");
+                assert_eq!(stats.workers_used, want, "{sql} at {workers}");
+                assert_eq!(stats.workers_used, planned, "{sql} at {workers}");
             }
             assert_eq!(stats.rows, info.rows, "{sql} at {workers}");
             assert_eq!(&session.set_info("t").unwrap(), info, "{sql} at {workers}");
-            assert!(
-                read_back(&session) == *rows,
-                "{sql} at {workers}: rows differ"
-            );
+            // The lane path commits rows in morsel order; the fetch
+            // route appends them as its leaves' workers deliver them.
+            let mut got = read_back(&session);
+            if !*lanes && workers > 1 {
+                got.sort_unstable();
+                let mut want = rows.clone();
+                want.sort_unstable();
+                assert!(got == want, "{sql} at {workers}: rows differ");
+            } else {
+                assert!(got == *rows, "{sql} at {workers}: rows differ");
+            }
         }
         assert_eq!(archive.admission().running, 0);
     }
@@ -444,7 +472,8 @@ fn lane_into_matches_the_fetch_route_at_every_worker_count() {
 #[test]
 fn lane_into_quota_counts_committed_rows_only() {
     let (store, tags) = build_stores(62, 2500);
-    // Overlapping branches: one fused scan, and a scan per branch.
+    // Overlapping branches: a tag/tag union (one fused scan on lanes)
+    // and a tag/set one (the fetch route).
     let branches = [
         "SELECT objid FROM photoobj WHERE r < 21.5",
         "SELECT objid FROM photoobj WHERE gr > 0.3",

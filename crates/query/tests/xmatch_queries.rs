@@ -654,7 +654,7 @@ fn archive_build_side_reports_its_bisected_containers() {
     let mut builder = ResultSetBuilder::new(RESULT_SET_CHUNK_ROWS);
     for (_, chunk) in tags.column_chunks() {
         for batch in chunk.batches(BATCH_ROWS) {
-            (0..batch.len()).for_each(|i| builder.push_from(&batch, i));
+            (0..batch.len()).for_each(|i| builder.push(&batch.row(i), batch.htm20[i]));
         }
     }
     let footprint = MatchFootprint::of_set(&builder.finish(), 30.0);

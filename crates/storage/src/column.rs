@@ -24,7 +24,6 @@
 
 use sdss_catalog::{ObjClass, TagObject};
 use sdss_skycoords::UnitVec3;
-use std::ops::Range;
 
 /// Rows per execution batch. 1024 rows keeps every column of a batch
 /// (8 KB for an f64 column) comfortably inside L1/L2 while amortizing
@@ -118,47 +117,30 @@ impl ColumnChunk {
         self.htm20.push(htm20);
     }
 
-    /// Append rows `rows` (ascending) of `batch`, copying lane by lane,
-    /// the derived `ra`/`dec` and `htm20` included — no record rebuilt,
-    /// no trig. A contiguous run copies as slices.
-    pub fn push_rows(&mut self, batch: &ColumnBatch<'_>, rows: &[usize]) {
-        let (Some(&first), Some(&last)) = (rows.first(), rows.last()) else {
-            return;
-        };
-        if last - first + 1 == rows.len() {
-            return self.extend_from_batch(&batch.window(first..last + 1));
+    /// A chunk of rows `rows` of each `(src, rows)` piece, in order,
+    /// copied lane by lane — the derived `ra`/`dec` and `htm20`
+    /// included, so no record is rebuilt and no trig runs — with every
+    /// lane allocated once at its final length.
+    pub fn gather(pieces: &[(&ColumnChunk, &[u32])]) -> ColumnChunk {
+        fn copy<T: Copy>(dst: &mut Vec<T>, src: &[T], rows: &[u32]) {
+            dst.extend(rows.iter().map(|&i| src[i as usize]));
         }
-        fn gather<T: Copy>(lane: &mut Vec<T>, src: &[T], rows: &[usize]) {
-            lane.extend(rows.iter().map(|&i| src[i]));
+        let mut chunk = ColumnChunk::with_capacity(pieces.iter().map(|(_, r)| r.len()).sum());
+        for &(src, rows) in pieces {
+            copy(&mut chunk.obj_id, &src.obj_id, rows);
+            copy(&mut chunk.x, &src.x, rows);
+            copy(&mut chunk.y, &src.y, rows);
+            copy(&mut chunk.z, &src.z, rows);
+            copy(&mut chunk.ra, &src.ra, rows);
+            copy(&mut chunk.dec, &src.dec, rows);
+            for (dst, lane) in chunk.mags.iter_mut().zip(&src.mags) {
+                copy(dst, lane, rows);
+            }
+            copy(&mut chunk.size, &src.size, rows);
+            copy(&mut chunk.class, &src.class, rows);
+            copy(&mut chunk.htm20, &src.htm20, rows);
         }
-        gather(&mut self.obj_id, batch.obj_id, rows);
-        gather(&mut self.x, batch.x, rows);
-        gather(&mut self.y, batch.y, rows);
-        gather(&mut self.z, batch.z, rows);
-        gather(&mut self.ra, batch.ra, rows);
-        gather(&mut self.dec, batch.dec, rows);
-        for (col, lane) in self.mags.iter_mut().zip(batch.mags.iter()) {
-            gather(col, lane, rows);
-        }
-        gather(&mut self.size, batch.size, rows);
-        gather(&mut self.class, batch.class, rows);
-        gather(&mut self.htm20, batch.htm20, rows);
-    }
-
-    /// Append every row of `batch`, one slice copy per lane.
-    pub fn extend_from_batch(&mut self, batch: &ColumnBatch<'_>) {
-        self.obj_id.extend_from_slice(batch.obj_id);
-        self.x.extend_from_slice(batch.x);
-        self.y.extend_from_slice(batch.y);
-        self.z.extend_from_slice(batch.z);
-        self.ra.extend_from_slice(batch.ra);
-        self.dec.extend_from_slice(batch.dec);
-        for (col, lane) in self.mags.iter_mut().zip(batch.mags.iter()) {
-            col.extend_from_slice(lane);
-        }
-        self.size.extend_from_slice(batch.size);
-        self.class.extend_from_slice(batch.class);
-        self.htm20.extend_from_slice(batch.htm20);
+        chunk
     }
 
     /// Rebuild row `i` as an owned record (the inverse projection).
@@ -180,35 +162,33 @@ impl ColumnChunk {
         }
     }
 
-    /// Rows `rows` of the chunk as one borrowed window.
-    pub fn window(&self, rows: Range<usize>) -> ColumnBatch<'_> {
-        let r = rows;
-        ColumnBatch {
-            base: r.start,
-            obj_id: &self.obj_id[r.clone()],
-            x: &self.x[r.clone()],
-            y: &self.y[r.clone()],
-            z: &self.z[r.clone()],
-            ra: &self.ra[r.clone()],
-            dec: &self.dec[r.clone()],
-            mags: [
-                &self.mags[0][r.clone()],
-                &self.mags[1][r.clone()],
-                &self.mags[2][r.clone()],
-                &self.mags[3][r.clone()],
-                &self.mags[4][r.clone()],
-            ],
-            size: &self.size[r.clone()],
-            class: &self.class[r.clone()],
-            htm20: &self.htm20[r],
-        }
-    }
-
     /// Iterate the chunk as [`ColumnBatch`]es of at most `rows` rows.
     pub fn batches(&self, rows: usize) -> impl Iterator<Item = ColumnBatch<'_>> {
         let rows = rows.max(1);
         let n = self.len();
-        (0..n.div_ceil(rows)).map(move |b| self.window(b * rows..((b + 1) * rows).min(n)))
+        (0..n.div_ceil(rows)).map(move |b| {
+            let lo = b * rows;
+            let hi = (lo + rows).min(n);
+            ColumnBatch {
+                base: lo,
+                obj_id: &self.obj_id[lo..hi],
+                x: &self.x[lo..hi],
+                y: &self.y[lo..hi],
+                z: &self.z[lo..hi],
+                ra: &self.ra[lo..hi],
+                dec: &self.dec[lo..hi],
+                mags: [
+                    &self.mags[0][lo..hi],
+                    &self.mags[1][lo..hi],
+                    &self.mags[2][lo..hi],
+                    &self.mags[3][lo..hi],
+                    &self.mags[4][lo..hi],
+                ],
+                size: &self.size[lo..hi],
+                class: &self.class[lo..hi],
+                htm20: &self.htm20[lo..hi],
+            }
+        })
     }
 }
 
@@ -230,7 +210,7 @@ pub struct ColumnBatch<'a> {
     pub htm20: &'a [u64],
 }
 
-impl<'a> ColumnBatch<'a> {
+impl ColumnBatch<'_> {
     pub fn len(&self) -> usize {
         self.obj_id.len()
     }
@@ -241,25 +221,6 @@ impl<'a> ColumnBatch<'a> {
 
     pub fn unit_vec(&self, i: usize) -> UnitVec3 {
         UnitVec3::new_unchecked(self.x[i], self.y[i], self.z[i])
-    }
-
-    /// Rows `rows` of this batch as a narrower window (its `base`
-    /// still counts from the start of the chunk).
-    pub fn window(&self, rows: Range<usize>) -> ColumnBatch<'a> {
-        let r = rows;
-        ColumnBatch {
-            base: self.base + r.start,
-            obj_id: &self.obj_id[r.clone()],
-            x: &self.x[r.clone()],
-            y: &self.y[r.clone()],
-            z: &self.z[r.clone()],
-            ra: &self.ra[r.clone()],
-            dec: &self.dec[r.clone()],
-            mags: self.mags.map(|lane| &lane[r.clone()]),
-            size: &self.size[r.clone()],
-            class: &self.class[r.clone()],
-            htm20: &self.htm20[r],
-        }
     }
 
     /// Rebuild row `i` of this batch as an owned record — the batch-
@@ -442,7 +403,7 @@ impl std::iter::FusedIterator for SetBits<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ObjectStore, ResultSetBuilder, StoreConfig, TagStore};
+    use crate::{cut_runs, ObjectStore, ResultSet, ResultSetBuilder, StoreConfig, TagStore};
     use sdss_catalog::{PhotoObj, SkyModel};
     use sdss_htm::HtmId;
     use sdss_skycoords::SkyPos;
@@ -533,17 +494,22 @@ mod tests {
         let tags = TagStore::from_store(&store);
 
         // A stored set built both ways: from rebuilt records (the fetch
-        // path's push) and by copying lanes (the INTO fast path's push).
-        let (mut pushed, mut copied) = (ResultSetBuilder::new(300), ResultSetBuilder::new(300));
+        // path's push) and by copying lanes (the INTO lane path's gather).
+        let mut pushed = ResultSetBuilder::new(300);
         for (_, chunk) in tags.column_chunks() {
             for batch in chunk.batches(BATCH_ROWS) {
                 for i in 0..batch.len() {
                     pushed.push(&batch.row(i), batch.htm20[i]);
-                    copied.push_from(&batch, i);
                 }
             }
         }
-        let (pushed, copied) = (pushed.finish(), copied.finish());
+        let pushed = pushed.finish();
+        let every: Vec<u32> = (0..objs.len() as u32).collect();
+        let runs = tags.column_chunks().map(|(_, c)| (&**c, &every[..c.len()]));
+        let copied = cut_runs(runs, 300)
+            .into_iter()
+            .map(|p| ColumnChunk::gather(&p));
+        let copied = ResultSet::from_chunks(copied.collect());
         assert_eq!(pushed.rows(), objs.len());
         assert_eq!(copied.rows(), objs.len());
         assert_eq!(copied.bytes(), objs.len() * 81);

@@ -56,7 +56,7 @@ pub use estimate::{ContainerSize, CostModel, QueryEstimate};
 pub use morsel::MorselQueue;
 pub use page::{Page, PageIter, PAGE_SIZE};
 pub use partition::PartitionMap;
-pub use resultset::{ResultSet, ResultSetBuilder, RESULT_SET_CHUNK_ROWS};
+pub use resultset::{cut_runs, ResultSet, ResultSetBuilder, RESULT_SET_CHUNK_ROWS};
 pub use sample::sample_hash_keep;
 pub use scan_plan::{ScanMorsel, ScanPlan};
 pub use store::{ObjectStore, RegionScan, StoreConfig, TouchCounters};

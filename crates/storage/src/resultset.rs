@@ -26,7 +26,6 @@
 use crate::column::{ColumnBatch, ColumnChunk, SelectionMask, BATCH_ROWS};
 use crate::store::RegionScan;
 use sdss_catalog::TagObject;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Default rows per chunk (= per scan morsel) of a materialized set.
@@ -76,6 +75,16 @@ impl ResultSet {
         self.chunks.iter().map(|c| c.bytes()).collect()
     }
 
+    /// The set of `chunks`, in order.
+    pub fn from_chunks(chunks: Vec<ColumnChunk>) -> ResultSet {
+        let rows = chunks.iter().map(ColumnChunk::len).sum();
+        ResultSet {
+            chunks: chunks.into_iter().map(Arc::new).collect(),
+            rows,
+            bytes: rows * ColumnChunk::ROW_BYTES,
+        }
+    }
+
     /// Scan one chunk of the set, streaming its [`ColumnBatch`]es with
     /// all-set selection masks — the stored-set analog of
     /// `TagStore::scan_morsel` (sets have no cover; every row is
@@ -104,10 +113,39 @@ impl ResultSet {
     }
 }
 
-/// Incremental [`ResultSet`] construction — the `INTO` writer sink's
-/// fold target. Rows append in arrival order; a new chunk opens every
-/// `chunk_rows` rows. Byte accounting is live so quota checks can run
-/// per batch while the source query is still streaming.
+/// Cut the rows of `runs` (rows `rows` of chunk `src`, run after run)
+/// every `chunk_rows` rows, as [`ResultSetBuilder`] cuts a set: per set
+/// chunk, the pieces of the runs it holds, for [`ColumnChunk::gather`].
+pub fn cut_runs<'a>(
+    runs: impl IntoIterator<Item = (&'a ColumnChunk, &'a [u32])>,
+    chunk_rows: usize,
+) -> Vec<Vec<(&'a ColumnChunk, &'a [u32])>> {
+    let chunk_rows = chunk_rows.max(1);
+    let mut chunks: Vec<Vec<_>> = Vec::new();
+    let mut room = 0;
+    for (src, mut rows) in runs {
+        while !rows.is_empty() {
+            if room == 0 {
+                chunks.push(Vec::new());
+                room = chunk_rows;
+            }
+            let (piece, rest) = rows.split_at(room.min(rows.len()));
+            chunks
+                .last_mut()
+                .expect("a chunk is open")
+                .push((src, piece));
+            room -= piece.len();
+            rows = rest;
+        }
+    }
+    chunks
+}
+
+/// Incremental [`ResultSet`] construction — the stream-and-fetch
+/// `INTO` route's fold target. Rows append in arrival order; a new
+/// chunk opens every `chunk_rows` rows. Byte accounting is live so
+/// quota checks can run per batch while the source query is still
+/// streaming.
 #[derive(Debug)]
 pub struct ResultSetBuilder {
     chunk_rows: usize,
@@ -134,68 +172,16 @@ impl ResultSetBuilder {
     /// The chunk derives the row's `ra`/`dec` lanes from x, y, z.
     pub fn push(&mut self, tag: &TagObject, htm20: u64) {
         self.current.push(tag, htm20);
-        self.rows_pushed(1);
+        self.row_pushed();
     }
 
-    /// Append row `i` of a scan batch by copying its lanes, `ra`/`dec`
-    /// and `htm20` included.
-    pub fn push_from(&mut self, batch: &ColumnBatch<'_>, i: usize) {
-        self.push_rows(batch, &[i]);
-    }
-
-    /// Append rows `rows` (ascending) of a scan batch, copying lane by
-    /// lane (the direct columnar INTO path), sealing a chunk every
-    /// `chunk_rows` rows.
-    pub fn push_rows(&mut self, batch: &ColumnBatch<'_>, mut rows: &[usize]) {
-        while !rows.is_empty() {
-            let n = rows.len().min(self.chunk_rows - self.current.len());
-            self.current.push_rows(batch, &rows[..n]);
-            self.rows_pushed(n);
-            rows = &rows[n..];
-        }
-    }
-
-    /// Append rows `rows` of what `src` holds so far, in order, by
-    /// ranged lane copies.
-    pub fn extend_from(&mut self, src: &ResultSetBuilder, rows: Range<usize>) {
-        let mut start = 0;
-        for chunk in src.done.iter().map(|c| &**c).chain([&src.current]) {
-            let end = start + chunk.len();
-            let (lo, hi) = (rows.start.max(start), rows.end.min(end));
-            if lo < hi {
-                self.extend_from_batch(chunk.window(lo - start..hi - start));
-            }
-            if end >= rows.end {
-                break;
-            }
-            start = end;
-        }
-    }
-
-    /// Append every row of `batch`, sealing chunks on the way.
-    fn extend_from_batch(&mut self, mut batch: ColumnBatch<'_>) {
-        while !batch.is_empty() {
-            let n = batch.len().min(self.chunk_rows - self.current.len());
-            self.current.extend_from_batch(&batch.window(0..n));
-            self.rows_pushed(n);
-            batch = batch.window(n..batch.len());
-        }
-    }
-
-    /// Count the `n` rows just appended and seal the open chunk once
-    /// full.
-    fn rows_pushed(&mut self, n: usize) {
-        self.rows += n;
+    /// Count the row just appended and seal the open chunk once full.
+    fn row_pushed(&mut self) {
+        self.rows += 1;
         if self.current.len() >= self.chunk_rows {
             self.done_bytes += self.current.bytes();
             self.done.push(Arc::new(std::mem::take(&mut self.current)));
         }
-    }
-
-    /// The object ids appended so far, in order.
-    pub fn obj_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        let chunks = self.done.iter().map(|c| &**c).chain([&self.current]);
-        chunks.flat_map(|c| c.obj_id.iter().copied())
     }
 
     /// Rows appended so far.
@@ -275,43 +261,40 @@ mod tests {
     }
 
     #[test]
-    fn lane_copies_cut_chunks_like_row_pushes() {
+    fn gathered_runs_cut_chunks_like_row_pushes() {
         let rows = tags(1000, 12);
-        let mut source = ColumnChunk::new();
-        for (t, h) in &rows {
-            source.push(t, *h);
+        let (mut even, mut odd) = (ColumnChunk::new(), ColumnChunk::new());
+        for (k, (t, h)) in rows.iter().enumerate() {
+            [&mut even, &mut odd][k % 2].push(t, *h);
         }
-        let batch = source.window(0..source.len());
-        // Scattered and contiguous selections, crossing chunk edges.
-        let picks: Vec<usize> = (0..rows.len()).filter(|i| i % 3 != 1).collect();
+        // Runs of scattered rows from two sources: empty runs, runs
+        // inside one set chunk, and runs crossing one or several edges.
+        let picks: Vec<u32> = (0..even.len() as u32).filter(|i| i % 3 != 1).collect();
+        let cuts = [0, 0, 5, 5, 69, 70, 71, 200, 200, picks.len()];
+        let mut runs = Vec::new();
         let mut want = ResultSetBuilder::new(70);
-        let mut got = ResultSetBuilder::new(70);
-        for part in picks.chunks(97).chain([&[][..], &[5, 6, 7, 8][..]]) {
-            part.iter().for_each(|&i| want.push(&rows[i].0, rows[i].1));
-            got.push_rows(&batch, part);
+        for (k, w) in cuts.windows(2).enumerate() {
+            let src = [&even, &odd][k % 2];
+            let run = &picks[w[0]..w[1]];
+            run.iter()
+                .for_each(|&i| want.push(&src.row(i as usize), src.htm20[i as usize]));
+            runs.push((src, run));
         }
-        assert_eq!(got.bytes(), want.bytes());
-        let (want, got_set) = (want.finish(), got.finish());
-        assert_eq!(got_set.chunk_bytes(), want.chunk_bytes());
-        assert_eq!(lane_bits(&got_set), lane_bits(&want));
-
-        // Ranged copies out of a builder, across its chunk edges.
-        let mut src = ResultSetBuilder::new(70);
-        src.push_rows(&batch, &picks);
-        let mut copied = ResultSetBuilder::new(50);
-        let mut pushed = ResultSetBuilder::new(50);
-        for range in [0..0, 3..3, 65..140, 0..65, 140..picks.len()] {
-            copied.extend_from(&src, range.clone());
-            pushed.push_rows(&batch, &picks[range]);
-        }
-        let (copied, pushed) = (copied.finish(), pushed.finish());
-        assert_eq!(copied.chunk_bytes(), pushed.chunk_bytes());
-        assert_eq!(lane_bits(&copied), lane_bits(&pushed));
-        let ids: Vec<u64> = src.obj_ids().collect();
-        assert_eq!(
-            ids,
-            picks.iter().map(|&i| rows[i].0.obj_id).collect::<Vec<_>>()
+        let set = ResultSet::from_chunks(
+            cut_runs(runs, 70)
+                .iter()
+                .map(|pieces| ColumnChunk::gather(pieces))
+                .collect(),
         );
+        let want = want.finish();
+        assert!(set.n_chunks() > 2);
+        assert_eq!(set.rows(), want.rows());
+        assert_eq!(set.bytes(), want.bytes());
+        assert_eq!(set.chunk_bytes(), want.chunk_bytes());
+        assert_eq!(lane_bits(&set), lane_bits(&want));
+
+        assert!(cut_runs([(&even, &[][..]), (&odd, &[][..])], 70).is_empty());
+        assert!(ResultSet::from_chunks(Vec::new()).is_empty());
     }
 
     #[test]
