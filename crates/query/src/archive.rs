@@ -539,6 +539,16 @@ impl Archive {
             self.inner.tags.is_some(),
             self.inner.config.mode,
         );
+        // The INTO route is decided here, so the worker grant knows it:
+        // the lane route runs a set operation as one scan. Binding can
+        // only widen what compiles, so a bound plan takes the same route.
+        let lane_into = query_plan.into.is_some()
+            && compile_into(
+                query_plan.root.clone(),
+                self.inner.tags.is_some(),
+                self.inner.config.mode,
+            )
+            .is_some();
         let (estimate, match_surface) = self.estimate_plan(&query_plan.root, &sets)?;
         let heavy = estimate.est_bytes >= self.inner.config.admission.heavy_bytes;
         let (match_probe_morsels, match_est_containers) =
@@ -552,6 +562,7 @@ impl Archive {
             workspace,
             route,
             columnar,
+            lane_into,
             estimate,
             heavy,
             match_probe_morsels,
@@ -792,6 +803,9 @@ pub struct Prepared {
     workspace: Option<Arc<SessionShared>>,
     route: RouteChoice,
     columnar: bool,
+    /// An `INTO` statement that materializes on the lane route (see
+    /// [`Prepared::run_into_columnar`]), decided at prepare time.
+    lane_into: bool,
     estimate: CostEstimate,
     heavy: bool,
     /// Probe-side morsel count summed over MATCH leaves (0 when the
@@ -888,12 +902,18 @@ impl Prepared {
     /// Scan workers an execution will be granted — and the worker-thread
     /// slots it will hold while running. Every scan leaf needs at least
     /// one thread (set operations run their sides concurrently), so the
-    /// grant never drops below the leaf count; beyond that, only
+    /// grant never drops below the leaf count; an `INTO` on the lane
+    /// route runs a set operation as one scan, so it counts one leaf.
+    /// Beyond that, only
     /// compiled columnar plans parallelize, bounded by the per-query
     /// cap, the pool size, and the number of touched containers (a
     /// one-container cone search gains nothing from a second worker).
     pub fn planned_workers(&self) -> usize {
-        let leaves = count_scan_leaves(&self.plan.root).max(1);
+        let leaves = if self.lane_into {
+            1
+        } else {
+            count_scan_leaves(&self.plan.root).max(1)
+        };
         let has_match = plan_has_match(&self.plan.root);
         if !self.columnar && !has_match {
             return leaves;
@@ -1104,8 +1124,9 @@ impl Prepared {
     /// slots, every granted worker draining it, then writes each kept
     /// row once into the set's final chunks, and commits the same set
     /// at any worker count (see `exec::run_into`). Returns `Ok(None)`
-    /// for every other shape (see `session::run_into`): the caller falls
-    /// back to the stream-and-fetch route, which handles them all.
+    /// for every other shape, as judged at prepare time (see
+    /// `session::run_into`): the caller falls back to the
+    /// stream-and-fetch route, which handles them all.
     ///
     /// Workers charge `budget` per batch for the rows they keep, so a
     /// quota overrun stops the scan like the fetch route's mid-stream
@@ -1118,6 +1139,9 @@ impl Prepared {
         budget: u64,
     ) -> Result<Option<(ResultSet, QueryStats)>, QueryError> {
         let inner = &self.archive.inner;
+        if !self.lane_into {
+            return Ok(None);
+        }
         let root = self.bind_root(params)?;
         let Some(plan) = compile_into(root, inner.tags.is_some(), inner.config.mode) else {
             return Ok(None);

@@ -1841,10 +1841,22 @@ pub(crate) fn match_builds_on_a(a_bytes: u64, b_bytes: u64) -> bool {
     a_bytes < b_bytes
 }
 
+/// A MATCH's collected build rows and each row's `(ra, dec)` lanes.
+type BuildRows = (Vec<TagObject>, Vec<(f64, f64)>);
+
 /// The build half of one MATCH execution: the collected build rows with
 /// their [`DecZoneIndex`] and the join parameters, shared read-only by
 /// every probe worker. The probe side is a plain [`ScanSource`] that the
 /// morsel driver drains like any columnar scan.
+///
+/// The index is built from the build batches' `ra`/`dec` lanes, and it
+/// carries an occupancy filter when a stored set builds and the archive
+/// probes. That is the set-vs-archive shape, where the archive inside
+/// the set's footprint mostly holds rows with no partner, and the filter
+/// turns them away before any stripe search. Self-joins skip it: every
+/// probe row pairs at least with itself, so the filter would reject
+/// nothing and only add its build. Joins of two different sets skip it
+/// too; no workload runs one.
 struct MatchJoin {
     predicate: Option<Expr>,
     /// The sample clause when it filters probe rows (`a` probes).
@@ -1881,8 +1893,20 @@ impl MatchJoin {
         // The sample clause filters `a` rows: on the probe side when `a`
         // probes, here when it is the build side.
         let build_sample = spec.sample.filter(|_| build_is_a);
-        let build = Self::collect_build(&build_side, build_sample, ticket)?;
-        let index = DecZoneIndex::build(build.iter().map(TagObject::unit_vec), m.radius_arcsec);
+        let (build, at) = Self::collect_build(&build_side, build_sample, ticket)?;
+        // The occupancy filter pays only where the archive probes a set
+        // (see the type's docs).
+        let (probe_input, build_input) = if build_is_a {
+            (&m.b, &m.a)
+        } else {
+            (&m.a, &m.b)
+        };
+        let occupancy = matches!(
+            (probe_input, build_input),
+            (MatchInput::Archive, MatchInput::Set(_))
+        );
+        let points = build.iter().zip(at).map(|(row, at)| (row.unit_vec(), at));
+        let index = DecZoneIndex::build(points, m.radius_arcsec, occupancy);
         let join = MatchJoin {
             predicate: spec.predicate.clone(),
             probe_sample: spec.sample.filter(|_| !build_is_a),
@@ -1923,24 +1947,26 @@ impl MatchJoin {
         ScanSource::resolve(None, tags, sets, &spec, None, ticket)
     }
 
-    /// Materialize the build side once as owned tag rows: every morsel's
-    /// selected rows (a footprint-restricted archive scan clears the
-    /// rows of bisected containers outside the cap), filtered by the
-    /// sample when it applies to this side. Cancellation is checked per
-    /// morsel — a whole-archive build side is the most expensive thing
-    /// a cancelled MATCH could otherwise keep doing. Its bytes count
-    /// toward the execution totals but toward no probe worker.
+    /// Materialize the build side once as owned tag rows, with each
+    /// row's `(ra, dec)` from the batch lanes: every morsel's selected
+    /// rows (a footprint-restricted archive scan clears the rows of
+    /// bisected containers outside the cap), filtered by the sample when
+    /// it applies to this side. Cancellation is checked per morsel — a
+    /// whole-archive build side is the most expensive thing a cancelled
+    /// MATCH could otherwise keep doing. Its bytes count toward the
+    /// execution totals but toward no probe worker.
     fn collect_build(
         source: &ScanSource,
         sample: Option<f64>,
         ticket: &TicketCore,
-    ) -> Option<Vec<TagObject>> {
-        let mut rows = Vec::new();
+    ) -> Option<BuildRows> {
+        let (mut rows, mut at) = (Vec::new(), Vec::new());
         let mut collect = |batch: &ColumnBatch<'_>, sel: &SelectionMask| {
             let kept = sel.iter_set();
-            let kept =
-                kept.filter(|&i| sample.is_none_or(|f| sample_hash_keep(batch.obj_id[i], f)));
-            rows.extend(kept.map(|i| batch.row(i)));
+            for i in kept.filter(|&i| sample.is_none_or(|f| sample_hash_keep(batch.obj_id[i], f))) {
+                rows.push(batch.row(i));
+                at.push((batch.ra[i], batch.dec[i]));
+            }
             true
         };
         // Each morsel's own accounting: a footprint cap's bisected
@@ -1954,7 +1980,7 @@ impl MatchJoin {
             total.merge(&stats);
         }
         ticket.absorb_scan(&total);
-        Some(rows)
+        Some((rows, at))
     }
 
     /// Join the selected probe rows of one batch against the zone index

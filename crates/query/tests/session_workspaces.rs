@@ -440,15 +440,11 @@ fn lane_into_matches_the_fetch_route_at_every_worker_count() {
                 "{sql} at {workers}: wrong route"
             );
             if *lanes {
-                // One scan, on every granted worker: a set operation's
-                // grant never drops below its two leaves.
-                let want = if sql.starts_with('(') {
-                    workers.max(2)
-                } else {
-                    workers
-                };
+                // One scan, on every granted worker: a set operation on
+                // lanes is one scan, so it holds no more workers than the
+                // cap, one at a cap of 1.
                 assert_eq!(stats.workers_granted, planned, "{sql} at {workers}");
-                assert_eq!(stats.workers_used, want, "{sql} at {workers}");
+                assert_eq!(stats.workers_used, workers, "{sql} at {workers}");
                 assert_eq!(stats.workers_used, planned, "{sql} at {workers}");
             }
             assert_eq!(stats.rows, info.rows, "{sql} at {workers}");

@@ -746,3 +746,61 @@ fn set_spread_over_a_hemisphere_falls_back_to_the_whole_archive() {
         }
     }
 }
+
+/// Sparse sets against the archive around them: the set builds and the
+/// archive probes, the shape whose zone index carries an occupancy
+/// filter that turns away probes with no partner. Pairs and
+/// `sep_arcsec` bits equal the oracle's at 1, 2 and 4 workers, with the
+/// set across RA 0/360, near the north pole, and at the south pole
+/// (caps that reach a pole build no filter).
+#[test]
+fn sparse_set_vs_archive_match_is_exact_at_every_worker_count() {
+    let skies = [
+        GenRegion::Cap {
+            ra_deg: 0.0,
+            dec_deg: 0.3,
+            radius_deg: 1.0,
+        },
+        GenRegion::Cap {
+            ra_deg: 200.0,
+            dec_deg: 87.0,
+            radius_deg: 1.5,
+        },
+        GenRegion::Cap {
+            ra_deg: 0.0,
+            dec_deg: -90.0,
+            radius_deg: 0.3,
+        },
+    ];
+    for (k, region) in skies.into_iter().enumerate() {
+        let (store, tags, objs) = build_region_stores(91 + k as u64, region, 900);
+        let cut = r_cut(&objs, 0.04);
+        let s: Vec<&PhotoObj> = objs.iter().filter(|o| (o.mag(2) as f64) < cut).collect();
+        if k == 0 {
+            assert!(s.iter().any(|o| o.ra_deg > 359.0) && s.iter().any(|o| o.ra_deg < 1.0));
+        }
+        let sky: Vec<&PhotoObj> = objs.iter().collect();
+        for workers in [1, 2, 4] {
+            let archive = archive_with_workers(&store, &tags, workers);
+            let session = small_chunk_session(&archive);
+            session
+                .run(&format!(
+                    "SELECT objid INTO s FROM photoobj WHERE r < {cut:?}"
+                ))
+                .unwrap();
+            let set_bytes = session.set_info("s").unwrap().bytes as u64;
+            let mut pairs = 0;
+            for radius in [3.0, 30.0, 120.0] {
+                let ctx = format!("sky {k}, {workers} workers");
+                // The archive side outweighs the set, so the set builds.
+                let sql = format!("SELECT COUNT(*) FROM MATCH(s, photoobj, {radius:?})");
+                let est = session.prepare(&sql).unwrap().estimate().est_bytes;
+                assert!(est > 2 * set_bytes, "{ctx}: {est} vs {set_bytes}");
+                pairs += assert_match_exact(&session, ("s", &s), ("photoobj", &sky), radius, &ctx);
+                assert_match_exact(&session, ("photoobj", &sky), ("s", &s), radius, &ctx);
+            }
+            assert!(pairs > 0, "sky {k}: vacuous");
+            assert_eq!(archive.admission().running, 0, "slots leaked");
+        }
+    }
+}

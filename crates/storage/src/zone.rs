@@ -11,7 +11,12 @@
 //!   in declination stripes ("zones", the layout Gray et al. adopted for
 //!   the SkyServer neighbours table), each stripe sorted by RA. A probe
 //!   visits the stripes within `dec ± r` and binary-searches each for the
-//!   RA window `ra ± α(dec, r)` — no per-probe HTM cover at all.
+//!   RA window `ra ± α(dec, r)` — no per-probe HTM cover at all. The
+//!   index is built from the rows' `(ra, dec)` scan lanes, with no trig
+//!   per row. Where most probes have no partner (a sparse set probed by
+//!   the archive around it), an **occupancy filter** marks the
+//!   `(stripe, RA cell)`s within the radius of some build row, and a
+//!   probe whose own cell is clear returns before any stripe search.
 //! * [`ZoneIndex`] — HTM buckets at a radius-matched level; each probe
 //!   expands into a small HTM cover of its match cap (the hash machine's
 //!   one-sided replication argument — expanding one side suffices for
@@ -47,6 +52,22 @@ const POLAR_MARGIN_DEG: f64 = 1e-3;
 /// in stripes of constant declination height, each stripe sorted by
 /// right ascension. Row `i` is the `i`-th point the index was built
 /// from; [`DecZoneIndex::neighbors_within`] reports rows by that number.
+///
+/// An index may carry an **occupancy filter** (see
+/// [`DecZoneIndex::build`]): a bitset over `(stripe, RA cell)` marking
+/// every cell within the index radius of some build row. RA cells are
+/// no wider than the RA half-width of any row's cap, so a row marks
+/// about nine cells. A probe at the index radius whose own cell is clear
+/// returns before any stripe search.
+///
+/// * **Memory** is bounded by 256 bits (32 bytes) per build row,
+///   whatever the area the rows span: one bit per cell of the rows'
+///   bounding box. Rows spread too wide for that get coarser cells,
+///   which only send more probes on to the normal search.
+/// * **No false negatives.** A cell is marked wherever a partner could
+///   lie, with the slack of every other bound. The filter never rejects
+///   a probe that has a partner, so it changes no pair and no
+///   separation.
 #[derive(Debug, Clone)]
 pub struct DecZoneIndex {
     /// Stripe height, degrees. Stripe `k` covers declinations
@@ -67,41 +88,217 @@ pub struct DecZoneIndex {
     /// numerator, reused by every probe at that radius).
     radius_arcsec: f64,
     sin_radius: f64,
+    occupancy: Option<Occupancy>,
 }
 
-/// `(ra, dec)` in degrees, RA in `[0, 360)`. `asin` loses precision only
-/// within a hair of a pole, where probes scan whole stripes up to the
-/// pole anyway.
-fn ra_dec(p: UnitVec3) -> (f64, f64) {
-    let mut ra = p.y().atan2(p.x()).to_degrees();
-    if ra < 0.0 {
-        ra += 360.0;
+/// Half-width in degrees of the RA window that holds every point within
+/// `asin(sin_r)` of a position at declination `acos(cos_dec)`, or `None`
+/// when the window would wrap all the way round. sin α = sin r / cos δ
+/// bounds the RA offset of every point of the cap, and α ≤ tan α =
+/// s / √(1 − s²) bounds α without another trig call.
+fn ra_half_width(sin_r: f64, cos_dec: f64) -> Option<f64> {
+    let s = sin_r / cos_dec;
+    let a = (s / (1.0 - s * s).sqrt()).to_degrees() + BOUND_SLACK_DEG;
+    (s < 1.0 && a < 180.0).then_some(a)
+}
+
+/// The occupancy filter of a [`DecZoneIndex`]: one bit per
+/// `(zone, RA cell)` of the box round the build rows, set for every cell
+/// within the index radius of a row.
+#[derive(Debug, Clone)]
+struct Occupancy {
+    /// Zones per degree of declination, and the box's first zone and
+    /// zone count.
+    zones_per_deg: f64,
+    first_zone: i64,
+    zones: i64,
+    /// RA cells round the sky and their number per degree, and the
+    /// box's first cell and cell count (wrapping round RA 360).
+    cells: i64,
+    cells_per_deg: f64,
+    first_cell: i64,
+    width: i64,
+    bits: Vec<u64>,
+}
+
+impl Occupancy {
+    /// The memory bound, in bits per build row.
+    const BITS_PER_ROW: usize = 256;
+
+    /// The filter over `points` (`(ra, dec, position)`, RA in `[0, 360)`,
+    /// declinations in `[dec_lo, dec_hi]`) for caps of `r` degrees (sine
+    /// `sin_r`) round them. `None` when a cap reaches within
+    /// [`POLAR_MARGIN_DEG`] of a pole, where probes scan whole stripes,
+    /// or when its RA window would wrap all the way round.
+    ///
+    /// Zones start as the index's stripes (`height_deg` tall) and cells
+    /// as wide as the widest cap's RA window, so a row marks about nine
+    /// cells. Rows spread too wide for that box within the memory bound
+    /// get zones and cells twice, four times, ... as large.
+    fn build(
+        points: &[(f64, f64, UnitVec3)],
+        (dec_lo, dec_hi): (f64, f64),
+        r: f64,
+        sin_r: f64,
+        height_deg: f64,
+    ) -> Option<Occupancy> {
+        let reach = dec_hi.max(-dec_lo) + r + BOUND_SLACK_DEG;
+        if points.is_empty() || reach.is_nan() || reach >= 90.0 - POLAR_MARGIN_DEG {
+            return None;
+        }
+        // Any pair's RA offset is within the window of a cap centred on
+        // its build row, and that window is widest at the largest |dec|.
+        let a = ra_half_width(sin_r, dec_hi.max(-dec_lo).to_radians().cos())?;
+        // The rows' RA arc: the shorter of the spans without and with
+        // RAs below 180 moved past 360.
+        let span = |shift: bool| {
+            points
+                .iter()
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
+                    let ra = p.0 + if shift && p.0 < 180.0 { 360.0 } else { 0.0 };
+                    (lo.min(ra), hi.max(ra))
+                })
+        };
+        let (plain, shifted) = (span(false), span(true));
+        let (ra_lo, ra_hi) = if plain.1 - plain.0 <= shifted.1 - shifted.0 {
+            plain
+        } else {
+            shifted
+        };
+        let n_bits = (points.len() * Self::BITS_PER_ROW) as i64;
+        let mut scale = 1.0;
+        loop {
+            let zones_per_deg = 1.0 / (height_deg * scale);
+            let zone = |dec: f64| ((dec + 90.0) * zones_per_deg) as i64;
+            let first_zone = zone(dec_lo - r - BOUND_SLACK_DEG);
+            let zones = zone(dec_hi + r + BOUND_SLACK_DEG) - first_zone + 1;
+            let cells = (360.0 / (a * scale)).ceil() as i64;
+            let cells_per_deg = cells as f64 / 360.0;
+            // A cell of margin each side absorbs rounding between the
+            // arc's frame and the cells'.
+            let lo = ((ra_lo - a) * cells_per_deg).floor() as i64 - 1;
+            let hi = ((ra_hi + a) * cells_per_deg).floor() as i64 + 1;
+            let (first_cell, width) = if hi - lo + 1 >= cells {
+                (0, cells)
+            } else {
+                (lo.rem_euclid(cells), hi - lo + 1)
+            };
+            if zones.saturating_mul(width) <= n_bits {
+                let occupancy = Occupancy {
+                    zones_per_deg,
+                    first_zone,
+                    zones,
+                    cells,
+                    cells_per_deg,
+                    first_cell,
+                    width,
+                    bits: vec![0u64; (zones * width) as usize / 64 + 1],
+                };
+                return occupancy.mark_all(points, r, a);
+            }
+            scale *= 2.0;
+        }
     }
-    if ra >= 360.0 {
-        ra -= 360.0;
+
+    /// Mark every cell within `a` degrees of RA and `r` of declination
+    /// of a row. `None` if the box misses a marked cell (it is sized to
+    /// hold them all, so this only guards against rounding).
+    fn mark_all(mut self, points: &[(f64, f64, UnitVec3)], r: f64, a: f64) -> Option<Occupancy> {
+        for &(ra, dec, _) in points {
+            let (lo, hi) = (ra - a, ra + a);
+            let z_lo = self.zone(dec - r - BOUND_SLACK_DEG);
+            let z_hi = self.zone(dec + r + BOUND_SLACK_DEG);
+            for z in z_lo..=z_hi {
+                let marked = if lo < 0.0 {
+                    self.mark(z, lo + 360.0, 360.0) && self.mark(z, 0.0, hi)
+                } else if hi > 360.0 {
+                    self.mark(z, lo, 360.0) && self.mark(z, 0.0, hi - 360.0)
+                } else {
+                    self.mark(z, lo, hi)
+                };
+                if !marked {
+                    return None;
+                }
+            }
+        }
+        Some(self)
     }
-    (ra, p.z().clamp(-1.0, 1.0).asin().to_degrees())
+
+    /// The zone of a declination. Every declination the filter sees is
+    /// above -90 (no cap reaches a pole), so truncation is the floor; it
+    /// is monotonic, so every declination of a span lands between its
+    /// ends' zones.
+    fn zone(&self, dec: f64) -> i64 {
+        ((dec + 90.0) * self.zones_per_deg) as i64
+    }
+
+    /// The unfolded cell of an RA in `[0, 360]`, monotonic like
+    /// [`Occupancy::zone`]. RA 360 may land one past the last cell;
+    /// [`Occupancy::bit`] folds it.
+    fn cell(&self, ra: f64) -> i64 {
+        (ra * self.cells_per_deg) as i64
+    }
+
+    /// The bit of a cell, `None` outside the box.
+    fn bit(&self, zone: i64, cell: i64) -> Option<usize> {
+        let z = zone - self.first_zone;
+        let mut c = cell - self.first_cell;
+        if cell >= self.cells {
+            c -= self.cells;
+        }
+        if c < 0 {
+            c += self.cells;
+        }
+        ((0..self.zones).contains(&z) && c < self.width).then(|| (z * self.width + c) as usize)
+    }
+
+    /// Mark the cells of `zone` that hold RAs in `[lo, hi]`; `false` if
+    /// one falls outside the box.
+    fn mark(&mut self, zone: i64, lo: f64, hi: f64) -> bool {
+        for cell in self.cell(lo)..=self.cell(hi) {
+            let Some(b) = self.bit(zone, cell) else {
+                return false;
+            };
+            self.bits[b / 64] |= 1 << (b % 64);
+        }
+        true
+    }
+
+    /// Could a point at `(ra, dec)` have a partner?
+    fn admits(&self, (ra, dec): (f64, f64)) -> bool {
+        self.bit(self.zone(dec), self.cell(ra))
+            .is_some_and(|b| self.bits[b / 64] & (1 << (b % 64)) != 0)
+    }
 }
 
 impl DecZoneIndex {
-    /// Index `points` for probes of `radius_arcsec`. The stripe height is
-    /// the radius, so a probe visits two or three stripes; it only grows
-    /// where the build side is so sparse that there would be more stripes
-    /// than rows.
-    pub fn build(points: impl IntoIterator<Item = UnitVec3>, radius_arcsec: f64) -> DecZoneIndex {
+    /// Index `points`, each a position and its `(ra, dec)` in degrees
+    /// (a scan batch's derived lanes, so the build runs no trig per
+    /// row; an RA of 360 folds to 0), for probes of `radius_arcsec`.
+    /// The stripe height is the radius, so a probe visits two or three
+    /// stripes; it only grows where the build side is so sparse that
+    /// there would be more stripes than rows.
+    ///
+    /// `occupancy` also builds the occupancy filter, in at most 32 bytes
+    /// per build row. It pays where most probes have no partner, and
+    /// costs its build where every probe has one. No filter is built
+    /// when a row's cap reaches within a hair of a pole.
+    pub fn build(
+        points: impl IntoIterator<Item = (UnitVec3, (f64, f64))>,
+        radius_arcsec: f64,
+        occupancy: bool,
+    ) -> DecZoneIndex {
         let points: Vec<(f64, f64, UnitVec3)> = points
             .into_iter()
-            .map(|p| {
-                let (ra, dec) = ra_dec(p);
-                (ra, dec, p)
-            })
+            .map(|(p, (ra, dec))| (if ra >= 360.0 { ra - 360.0 } else { ra }, dec, p))
             .collect();
         let (lo, hi) = points
             .iter()
             .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
                 (lo.min(p.1), hi.max(p.1))
             });
-        let mut height_deg = (radius_arcsec / 3600.0).max((hi - lo) / points.len().max(1) as f64);
+        let r = radius_arcsec / 3600.0;
+        let mut height_deg = r.max((hi - lo) / points.len().max(1) as f64);
         if !(height_deg > 0.0 && height_deg.is_finite()) {
             height_deg = 1.0; // a zero radius over coincident rows
         }
@@ -134,6 +331,12 @@ impl DecZoneIndex {
             order[starts[z] as usize..starts[z + 1] as usize]
                 .sort_unstable_by(|&a, &b| points[a as usize].0.total_cmp(&points[b as usize].0));
         }
+        let sin_radius = r.to_radians().sin();
+        let occupancy = if occupancy {
+            Occupancy::build(&points, (lo, hi), r, sin_radius, height_deg)
+        } else {
+            None
+        };
         DecZoneIndex {
             height_deg,
             first_zone,
@@ -142,7 +345,8 @@ impl DecZoneIndex {
             pos: order.iter().map(|&i| points[i as usize].2).collect(),
             row: order,
             radius_arcsec,
-            sin_radius: (radius_arcsec / 3600.0).to_radians().sin(),
+            sin_radius,
+            occupancy,
         }
     }
 
@@ -155,15 +359,24 @@ impl DecZoneIndex {
         self.row.is_empty()
     }
 
+    /// Whether the occupancy filter shows that a probe at `(ra, dec)`
+    /// has no partner within `radius_arcsec` (at most the index radius).
+    fn turns_away(&self, at: (f64, f64), radius_arcsec: f64) -> bool {
+        self.occupancy
+            .as_ref()
+            .is_some_and(|occupancy| radius_arcsec <= self.radius_arcsec && !occupancy.admits(at))
+    }
+
     /// Stream every indexed row within `radius_arcsec` of `probe` as
     /// `(row, separation arcsec)` — all pairs, not just the nearest.
-    /// `(ra, dec)` is the probe's position in degrees, RA in `[0, 360)`:
+    /// `(ra, dec)` is the probe's position in degrees, RA in `[0, 360]`:
     /// a scan batch's derived lanes, so a probe runs no trig of its own.
-    /// Any rounding difference from this index's own conversion is far
+    /// Any rounding difference from the build rows' own lanes is far
     /// inside the bounds' slack, and the exact test uses `probe`, so the
     /// pairs and separations do not depend on it. Works for any radius (a
-    /// larger one than the index was built for visits more stripes).
-    /// Returns the number of candidate separations computed.
+    /// larger one than the index was built for visits more stripes, and
+    /// skips the occupancy filter). Returns the number of candidate
+    /// separations computed.
     pub fn neighbors_within(
         &self,
         probe: UnitVec3,
@@ -175,15 +388,16 @@ impl DecZoneIndex {
         if n_zones <= 0 {
             return 0;
         }
+        if self.turns_away((ra, dec), radius_arcsec) {
+            return 0;
+        }
         let r = radius_arcsec / 3600.0;
         let zone = |dec: f64| ((dec + 90.0) / self.height_deg).floor() as i64 - self.first_zone;
         let mut z_lo = zone(dec - r - BOUND_SLACK_DEG).max(0);
         let mut z_hi = zone(dec + r + BOUND_SLACK_DEG).min(n_zones - 1);
-        // Half-width of the RA window: sin α = sin r / cos δ bounds the
-        // RA offset of every point of the cap, and α ≤ tan α =
-        // s / √(1 − s²) bounds α without another trig call. `None` scans
-        // whole stripes — up to the pole when the cap reaches one, or
-        // when the window would wrap all the way round.
+        // The RA window's half-width. `None` scans whole stripes — up to
+        // the pole when the cap reaches one, or when the window would
+        // wrap all the way round.
         let half_width = if dec.abs() + r >= 90.0 - POLAR_MARGIN_DEG {
             if dec > 0.0 {
                 z_hi = n_zones - 1;
@@ -198,9 +412,7 @@ impl DecZoneIndex {
             } else {
                 r.to_radians().sin()
             };
-            let s = sin_r / cos_dec;
-            let a = (s / (1.0 - s * s).sqrt()).to_degrees() + BOUND_SLACK_DEG;
-            (s < 1.0 && a < 180.0).then_some(a)
+            ra_half_width(sin_r, cos_dec)
         };
         let mut comparisons = 0usize;
         // Test the entries of stripe `s..e` with RA in `[lo, hi]`.
@@ -408,14 +620,55 @@ mod tests {
     use sdss_catalog::SkyModel;
     use sdss_skycoords::SkyPos;
 
-    /// Every `(row, sep)` a probe yields, in row order.
-    fn dec_zone_pairs(ix: &DecZoneIndex, probe: UnitVec3, radius: f64) -> Vec<(u32, u64)> {
+    /// `(ra, dec)` in degrees by trig on the vector, RA in `[0, 360)`:
+    /// the reference that lane positions are checked against.
+    fn ra_dec(p: UnitVec3) -> (f64, f64) {
+        let mut ra = p.y().atan2(p.x()).to_degrees();
+        if ra < 0.0 {
+            ra += 360.0;
+        }
+        if ra >= 360.0 {
+            ra -= 360.0;
+        }
+        (ra, p.z().clamp(-1.0, 1.0).asin().to_degrees())
+    }
+
+    /// The `(ra, dec)` a scan batch's lanes carry:
+    /// `SkyPos::from_unit_vec`, which can round RA up to 360.
+    fn lanes(p: UnitVec3) -> (f64, f64) {
+        let pos = SkyPos::from_unit_vec(p);
+        (pos.ra_deg(), pos.dec_deg())
+    }
+
+    /// An index over `points` positioned by `at`.
+    fn index_at(
+        points: &[UnitVec3],
+        at: fn(UnitVec3) -> (f64, f64),
+        radius: f64,
+        occupancy: bool,
+    ) -> DecZoneIndex {
+        DecZoneIndex::build(points.iter().map(|&p| (p, at(p))), radius, occupancy)
+    }
+
+    /// Every `(row, sep)` a probe positioned by `at` yields, in row order.
+    fn pairs_at(
+        ix: &DecZoneIndex,
+        probe: UnitVec3,
+        at: fn(UnitVec3) -> (f64, f64),
+        radius: f64,
+    ) -> Vec<(u32, u64)> {
         let mut v = Vec::new();
-        ix.neighbors_within(probe, ra_dec(probe), radius, |ri, sep| {
+        ix.neighbors_within(probe, at(probe), radius, |ri, sep| {
             v.push((ri, sep.to_bits()))
         });
         v.sort_unstable();
         v
+    }
+
+    /// Every `(row, sep)` a probe yields, with trig-derived positions on
+    /// both sides.
+    fn dec_zone_pairs(ix: &DecZoneIndex, probe: UnitVec3, radius: f64) -> Vec<(u32, u64)> {
+        pairs_at(ix, probe, ra_dec, radius)
     }
 
     #[test]
@@ -424,10 +677,11 @@ mod tests {
         // of every HTM bucket-level boundary.
         let objs = SkyModel::small(31).generate().unwrap();
         let tags: Vec<TagObject> = objs.iter().map(TagObject::from_photo).collect();
+        let points: Vec<UnitVec3> = tags.iter().map(TagObject::unit_vec).collect();
         let deep: Vec<u64> = objs.iter().map(|o| o.htm20).collect();
         for radius in [0.5, 10.0, 200.0, 900.0, 3600.0, 5400.0] {
             let zones = ZoneIndex::build_from_deep(&deep, ZoneIndex::level_for_radius(radius));
-            let stripes = DecZoneIndex::build(tags.iter().map(TagObject::unit_vec), radius);
+            let stripes = index_at(&points, ra_dec, radius, false);
             assert_eq!(stripes.len(), tags.len());
             let mut pairs = 0usize;
             for probe in tags.iter().step_by(7) {
@@ -483,7 +737,7 @@ mod tests {
         }
         points.push(UnitVec3::new_unchecked(0.0, 0.0, 1.0));
         for radius in [0.5, 2.0, 7.5, 40.0, 400.0, 4000.0] {
-            let ix = DecZoneIndex::build(points.iter().copied(), radius);
+            let ix = index_at(&points, ra_dec, radius, false);
             for &probe in points.iter().step_by(3) {
                 assert_eq!(
                     dec_zone_pairs(&ix, probe, radius),
@@ -494,24 +748,48 @@ mod tests {
         }
     }
 
+    /// The probes of a filter test around `points`: each point itself,
+    /// points `radius` away from it in eight directions, and a grid whose
+    /// declinations are whole multiples of the radius (the stripe edges
+    /// of an index one radius tall), at RAs either side of 0/360.
+    fn probes_around(points: &[UnitVec3], radius: f64) -> Vec<UnitVec3> {
+        let at = |ra: f64, dec: f64| SkyPos::new(ra, dec).unwrap().unit_vec();
+        let r = radius / 3600.0;
+        let mut probes = points.to_vec();
+        for &p in points {
+            let pos = SkyPos::from_unit_vec(p);
+            for k in 0..8 {
+                probes.push(pos.offset_by(k as f64 * 45.0, r).unit_vec());
+            }
+        }
+        let dec = SkyPos::from_unit_vec(points[0]).dec_deg();
+        let edge = (dec / r).round() * r;
+        for k in -4..=4 {
+            for ra in [0.0, 359.9999999, 0.05] {
+                let dec = (edge + k as f64 * r).clamp(-90.0, 90.0);
+                probes.push(at(ra, dec));
+            }
+        }
+        probes
+    }
+
     #[test]
     fn lane_fed_probes_report_the_same_pairs() {
-        // Probes fed the scan lanes' (ra, dec) — `SkyPos::from_unit_vec`,
-        // which can round RA up to 360 — pair exactly like probes fed the
-        // index's own conversion: across RA 0/360, at both poles, and
-        // with caps whose edges land on stripe boundaries.
-        let lanes = |p: UnitVec3| {
-            let pos = SkyPos::from_unit_vec(p);
-            (pos.ra_deg(), pos.dec_deg())
-        };
+        // Build rows and probes fed the scan lanes' (ra, dec) —
+        // `SkyPos::from_unit_vec`, which can round RA up to 360 — pair
+        // exactly like rows and probes fed trig on the vectors: across
+        // RA 0/360, at both poles, and with caps whose edges land on
+        // stripe boundaries.
+        let at = |ra: f64, dec: f64| SkyPos::new(ra, dec).unwrap().unit_vec();
         // An equatorial strip across RA 0/360 (points close enough for
         // the stripes to be one radius tall, so the caps below end on
-        // stripe edges), and one cluster at each pole.
-        let at = |ra: f64, dec: f64| SkyPos::new(ra, dec).unwrap().unit_vec();
+        // stripe edges), and one cluster at each pole. The first two
+        // strip points have lane RA 360.
         let mut strip = vec![
             UnitVec3::new_unchecked(1.0, -1e-300, 0.0),
             UnitVec3::new_unchecked(1.0, -f64::EPSILON, 0.0),
         ];
+        assert_eq!(lanes(strip[1]).0, 360.0);
         let mut north = vec![UnitVec3::new_unchecked(0.0, 0.0, 1.0)];
         let mut south = vec![UnitVec3::new_unchecked(0.0, 0.0, -1.0)];
         for i in 0..200 {
@@ -522,33 +800,147 @@ mod tests {
         }
         for points in [&strip, &north, &south] {
             for radius in [3.6, 36.0, 360.0] {
-                let r = radius / 3600.0;
-                let mut probes = points.clone();
-                for k in -4..=4 {
-                    let edge = k as f64 * r;
-                    for ra in [0.0, 359.9999999, 0.05] {
-                        for dec in [edge - r, edge + r, edge] {
-                            probes.push(at(ra, dec));
-                        }
-                    }
-                }
-                let ix = DecZoneIndex::build(points.iter().copied(), radius);
+                let probes = probes_around(points, radius);
+                let by_trig = index_at(points, ra_dec, radius, false);
+                let by_lanes = index_at(points, lanes, radius, false);
                 let mut pairs = 0;
                 for &probe in &probes {
-                    let mut got = Vec::new();
-                    ix.neighbors_within(probe, lanes(probe), radius, |ri, sep| {
-                        got.push((ri, sep.to_bits()))
-                    });
-                    let want = dec_zone_pairs(&ix, probe, radius);
-                    got.sort_unstable();
-                    assert_eq!(got, want, "radius {radius}, probe {probe:?}");
+                    let want = dec_zone_pairs(&by_trig, probe, radius);
                     assert_eq!(want, brute(points, probe, radius), "radius {radius}");
-                    pairs += got.len();
+                    for (ix, at) in [
+                        (&by_trig, lanes as fn(_) -> _),
+                        (&by_lanes, ra_dec),
+                        (&by_lanes, lanes),
+                    ] {
+                        assert_eq!(
+                            pairs_at(ix, probe, at, radius),
+                            want,
+                            "radius {radius}, probe {probe:?}"
+                        );
+                    }
+                    pairs += want.len();
                 }
                 // More than each point's pair with itself.
                 assert!(pairs > points.len(), "radius {radius}: vacuous");
             }
         }
+    }
+
+    /// A small deterministic generator of uniform deviates.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            lo + (hi - lo) * ((self.0 >> 11) as f64 / (1u64 << 53) as f64)
+        }
+
+        /// A position with RA `ra ± half_ra` (wrapped) and dec in
+        /// `[dec_lo, dec_hi]`.
+        fn around(&mut self, ra: f64, half_ra: f64, dec_lo: f64, dec_hi: f64) -> UnitVec3 {
+            let ra = (ra + self.uniform(-half_ra, half_ra)).rem_euclid(360.0);
+            SkyPos::new(ra, self.uniform(dec_lo, dec_hi))
+                .unwrap()
+                .unit_vec()
+        }
+    }
+
+    #[test]
+    fn occupancy_filter_never_drops_a_pair() {
+        // Sparse build rows (the set-vs-archive shape): filtered and
+        // unfiltered lane-built indexes report the same (row, sep bits)
+        // for every probe, both equal to brute force, for probes on the
+        // rows, exactly one radius from them, on stripe edges and at
+        // random in a wider field. Compact rows get a filter of the
+        // index's stripes, spread ones a coarser one, and rows all round
+        // the sky one whose box is the whole circle.
+        let mut rng = Lcg(7);
+        let mut layouts = (0, 0, 0);
+        // (RA centre, RA half-width, dec range, whether a filter is built)
+        let fields = [
+            (0.0, 1.0, (-1.0, 1.0), true), // across RA 0/360
+            (120.0, 40.0, (85.0, 88.0), true),
+            (300.0, 40.0, (-88.0, -85.0), true),
+            (180.0, 180.0, (60.0, 70.0), true), // all round the sky
+            (0.0, 180.0, (89.95, 89.9999), false), // caps reach the poles
+            (0.0, 180.0, (-89.9999, -89.95), false),
+        ];
+        for (k, &(ra, half_ra, (dec_lo, dec_hi), filtered)) in fields.iter().enumerate() {
+            let mut points: Vec<UnitVec3> = (0..300)
+                .map(|_| rng.around(ra, half_ra, dec_lo, dec_hi))
+                .collect();
+            if filtered && half_ra == 180.0 {
+                // Rows next to RA 0, 180 and 360: no arc shorter than the
+                // whole circle holds them.
+                for ra in [0.0001, 179.9999, 180.0001, 359.9999] {
+                    points.push(SkyPos::new(ra, 65.0).unwrap().unit_vec());
+                }
+            }
+            let mut probes: Vec<UnitVec3> = (0..3000)
+                .map(|_| {
+                    let (lo, hi) = ((dec_lo - 0.1f64).max(-90.0), (dec_hi + 0.1f64).min(90.0));
+                    rng.around(ra, half_ra + 0.1, lo, hi)
+                })
+                .collect();
+            // A probe exactly at the radius from row 0: the radius is
+            // its computed separation.
+            let p0 = SkyPos::from_unit_vec(points[0]);
+            let at_radius = p0.offset_by(37.0, 25.0 / 3600.0).unit_vec();
+            let exact = points[0].separation_deg(at_radius) * 3600.0;
+            probes.push(at_radius);
+            for radius in [3.6, exact, 30.0, 36.0, 360.0] {
+                let ctx = format!("field {k}, radius {radius}");
+                let plain = index_at(&points, lanes, radius, false);
+                let filter = index_at(&points, lanes, radius, true);
+                assert_eq!(filter.occupancy.is_some(), filtered, "{ctx}");
+                // Fine boxes (zones the index's stripes) and coarse ones.
+                if let Some(o) = &filter.occupancy {
+                    if o.zones_per_deg == 1.0 / filter.height_deg {
+                        layouts.0 += 1;
+                    } else {
+                        layouts.1 += 1;
+                    }
+                    layouts.2 += usize::from(o.width == o.cells);
+                }
+                let mut probes = probes.clone();
+                probes.extend(probes_around(&points, radius));
+                let (mut pairs, mut turned_away) = (0, 0);
+                for &probe in &probes {
+                    let got = pairs_at(&filter, probe, lanes, radius);
+                    let want = pairs_at(&plain, probe, lanes, radius);
+                    turned_away += usize::from(filter.turns_away(lanes(probe), radius));
+                    assert_eq!(got, want, "{ctx}, probe {probe:?}");
+                    assert_eq!(
+                        want,
+                        brute(&points, probe, radius),
+                        "{ctx}, probe {probe:?}"
+                    );
+                    pairs += want.len();
+                }
+                if radius == exact {
+                    let got = pairs_at(&filter, at_radius, lanes, radius);
+                    assert!(
+                        got.iter().any(|&(ri, _)| ri == 0),
+                        "{ctx}: lost the pair at the radius"
+                    );
+                }
+                assert!(pairs > points.len(), "{ctx}: vacuous");
+                // Where the rows are sparse the filter turns most of the
+                // 3000 random probes away before any stripe search.
+                if filtered && radius <= 36.0 {
+                    assert!(turned_away > 1500, "{ctx}: {turned_away}");
+                } else if !filtered {
+                    assert_eq!(turned_away, 0, "{ctx}");
+                }
+            }
+        }
+        assert!(
+            layouts.0 >= 3 && layouts.1 >= 3 && layouts.2 >= 3,
+            "{layouts:?}"
+        );
     }
 
     #[test]
@@ -563,22 +955,26 @@ mod tests {
         for k in [1usize, 5, 20] {
             // The radius is one pair's own computed separation.
             let radius = points[0].separation_deg(points[k]) * 3600.0;
-            let ix = DecZoneIndex::build(points.iter().copied(), radius);
-            let got = dec_zone_pairs(&ix, points[0], radius);
-            assert!(got.iter().any(|&(ri, _)| ri as usize == k));
-            assert_eq!(got, brute(&points, points[0], radius));
+            for occupancy in [false, true] {
+                let ix = index_at(&points, ra_dec, radius, occupancy);
+                let got = dec_zone_pairs(&ix, points[0], radius);
+                assert!(got.iter().any(|&(ri, _)| ri as usize == k));
+                assert_eq!(got, brute(&points, points[0], radius));
+            }
         }
     }
 
     #[test]
     fn empty_dec_zone_index_yields_nothing() {
-        let ix = DecZoneIndex::build(std::iter::empty(), 10.0);
-        assert!(ix.is_empty());
-        let probe = UnitVec3::new_unchecked(1.0, 0.0, 0.0);
-        assert_eq!(
-            ix.neighbors_within(probe, ra_dec(probe), 10.0, |_, _| panic!()),
-            0
-        );
+        for occupancy in [false, true] {
+            let ix = DecZoneIndex::build(std::iter::empty(), 10.0, occupancy);
+            assert!(ix.is_empty() && ix.occupancy.is_none());
+            let probe = UnitVec3::new_unchecked(1.0, 0.0, 0.0);
+            assert_eq!(
+                ix.neighbors_within(probe, ra_dec(probe), 10.0, |_, _| panic!()),
+                0
+            );
+        }
     }
 
     fn set_of(points: &[UnitVec3]) -> ResultSet {
