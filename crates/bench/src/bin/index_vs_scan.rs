@@ -6,6 +6,9 @@
 //! outside or bisected by our query. Only the bisected container category
 //! is searched [...] A prediction of the output data volume and search
 //! time can be computed from the intersection volume."
+//!
+//! The prediction reads the scan's own plan, so its bytes must equal the
+//! bytes the scan reads at every radius; the run fails otherwise.
 
 use sdss_bench::{build_stores, standard_sky};
 use sdss_htm::Region;
@@ -30,10 +33,14 @@ fn main() {
     println!("{}", "-".repeat(82));
     for radius in [0.1, 0.25, 0.5, 1.0, 2.0, 4.0] {
         let domain = Region::circle(185.0, 15.0, radius).unwrap();
-        let est = model.estimate(&store, &domain).unwrap();
+        let est = model.estimate(&store.plan_scan(Some(&domain), None).unwrap());
         let t = Instant::now();
         let (rows, stats) = store.query_region(&domain, None).unwrap();
         let ms = t.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(
+            est.est_bytes, stats.bytes_scanned as u64,
+            "radius {radius}: the estimate and the scan read different bytes"
+        );
         println!(
             "{:>7}d {:>8} {:>9.0} {:>9.2} {:>11} {:>8.1}% {:>9} {:>10.2}",
             radius,

@@ -9,10 +9,12 @@
 //!   live behind `Arc` and any number of threads submit queries
 //!   concurrently.
 //! * [`Prepared`] — parse + plan exactly once ([`Archive::prepare`]),
-//!   inspect the plan and its plan-time [`CostEstimate`] (rows / bytes /
-//!   containers touched, from the container density map + HTM cover),
-//!   then execute repeatedly with `$1`-style numeric parameters re-bound
-//!   per execution — no re-parse, no re-plan.
+//!   each base-store scan's HTM cover resolved once into the scan plan
+//!   every execution drains; inspect the plan and its plan-time
+//!   [`CostEstimate`] (rows / bytes / containers touched, read from those
+//!   scan plans), then execute repeatedly with `$1`-style numeric
+//!   parameters re-bound per execution — no re-parse, no re-plan, no
+//!   cover lookup.
 //! * [`ResultStream`] — a pull-based stream of [`ResultBatch`]es; the
 //!   columnar scan path delivers struct-of-arrays batches end to end and
 //!   rows materialize only when the consumer asks
@@ -29,13 +31,14 @@
 
 use crate::exec::{
     compile_into, launch, match_archive_footprint, match_builds_on_a, plan_uses_columnar, run_into,
-    BatchHandle, ExecEnv, ExecMode, ResultBatch, Row, ScanTotals, TicketCore,
+    BatchHandle, ExecEnv, ExecMode, LeafPlans, ResultBatch, Row, ScanTotals, TicketCore,
 };
 use crate::parser::parse_statement;
 use crate::plan::{plan, MatchInput, PlanNode, QueryPlan, QuerySource};
 use crate::session::{Session, SessionConfig, SessionInfo, SessionShared};
 use crate::QueryError;
-use sdss_storage::{ContainerSize, CostModel, MatchFootprint, ObjectStore, ResultSet, TagStore};
+use sdss_htm::Domain;
+use sdss_storage::{CostModel, MatchFootprint, ObjectStore, QueryEstimate, ResultSet, TagStore};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -549,7 +552,8 @@ impl Archive {
                 self.inner.config.mode,
             )
             .is_some();
-        let (estimate, match_surface) = self.estimate_plan(&query_plan.root, &sets)?;
+        let (estimate, match_surface, plans) =
+            self.estimate_plan(&query_plan.root, &sets, lane_into)?;
         let heavy = estimate.est_bytes >= self.inner.config.admission.heavy_bytes;
         let (match_probe_morsels, match_est_containers) =
             (match_surface.probe_morsels, match_surface.est_containers);
@@ -559,6 +563,7 @@ impl Archive {
             into: query_plan.into.clone(),
             plan: Arc::new(query_plan),
             sets,
+            plans: Arc::new(plans),
             workspace,
             route,
             columnar,
@@ -588,20 +593,55 @@ impl Archive {
         Ok((output, stats))
     }
 
-    /// Sum per-scan-leaf estimates from container statistics + the HTM
-    /// cover (base stores) or materialized row/byte/chunk counts (stored
-    /// sets — exact, the set is resident). Reads no object data; covers
-    /// memoize in the stores' cover caches, so repeated prepares of a
-    /// hot region cost nothing.
+    /// Plan every base-store scan leaf once, into the [`LeafPlans`] the
+    /// executions reuse, and sum the leaves' estimates: a tag or
+    /// full-store leaf's is read from its own scan plan
+    /// ([`CostModel::estimate`]), a stored set's from its row, byte and
+    /// chunk counts (exact: the set is resident). An `INTO` on the lane
+    /// route (`lane_into`) runs a set operation as one scan of its left
+    /// branch's source and domain, so only that scan is planned and
+    /// priced. Reads no object data.
     fn estimate_plan(
         &self,
         node: &PlanNode,
         sets: &HashMap<String, Arc<ResultSet>>,
-    ) -> Result<(CostEstimate, MatchSurface), QueryError> {
+        lane_into: bool,
+    ) -> Result<(CostEstimate, MatchSurface, LeafPlans), QueryError> {
+        let node = match node {
+            PlanNode::Set { left, .. } if lane_into => left,
+            node => node,
+        };
         let mut est = CostEstimate::default();
         let mut surface = MatchSurface::default();
-        self.accumulate_estimate(node, sets, &mut est, &mut surface)?;
-        Ok((est, surface))
+        let mut plans = LeafPlans::default();
+        self.accumulate_estimate(node, sets, &mut est, &mut surface, &mut plans)?;
+        Ok((est, surface, plans))
+    }
+
+    /// Plan a scan of the full store (`full`) or the tag store over
+    /// `domain` at `cover_level` into `plans` and estimate it.
+    fn estimate_base(
+        &self,
+        plans: &mut LeafPlans,
+        full: bool,
+        domain: Option<&Domain>,
+        cover_level: Option<u8>,
+    ) -> Result<QueryEstimate, QueryError> {
+        let inner = &self.inner;
+        let plan = if full {
+            plans.add(true, domain, cover_level, || {
+                inner.store.plan_scan(domain, cover_level)
+            })?
+        } else {
+            let tags = inner
+                .tags
+                .as_ref()
+                .expect("the planner routes to tags only when present");
+            plans.add(false, domain, cover_level, || {
+                tags.plan_batch_scan(domain, cover_level)
+            })?
+        };
+        Ok(inner.config.cost_model.estimate(&plan))
     }
 
     fn accumulate_estimate(
@@ -610,17 +650,25 @@ impl Archive {
         sets: &HashMap<String, Arc<ResultSet>>,
         est: &mut CostEstimate,
         surface: &mut MatchSurface,
+        plans: &mut LeafPlans,
     ) -> Result<(), QueryError> {
+        let model = &self.inner.config.cost_model;
+        let set_of = |name: &String| {
+            sets.get(name).ok_or_else(|| {
+                QueryError::Unknown(format!(
+                    "stored set {name} (prepare through a session workspace that holds it)"
+                ))
+            })
+        };
         match node {
             PlanNode::Scan(s) => {
-                let model = &self.inner.config.cost_model;
                 if let QuerySource::Match(m) = &s.source {
                     // Cost from both inputs' exact row counts: stored
                     // sets are resident (exact); an archive input prices
-                    // the same footprint the execution reads — the
-                    // cover of the other input's cap, nothing for an
-                    // empty set, else a whole tag sweep. Pair
-                    // multiplicity is data-dependent, so est_rows
+                    // the plan of the footprint the execution reads — the
+                    // other input's cap, nothing for an empty set, else a
+                    // whole tag sweep — at the store's scan cover level.
+                    // Pair multiplicity is data-dependent, so est_rows
                     // carries the probe-side row count (the scan
                     // driver), and est_seconds adds a per-probe term on
                     // top of the byte cost of reading both sides.
@@ -629,31 +677,16 @@ impl Archive {
                     for (side, input) in sides.iter_mut().zip([&m.a, &m.b]) {
                         *side = match input {
                             MatchInput::Set(name) => {
-                                let set = sets.get(name).ok_or_else(|| {
-                                    QueryError::Unknown(format!(
-                                        "stored set {name} (prepare through a session \
-                                         workspace that holds it)"
-                                    ))
-                                })?;
+                                let set = set_of(name)?;
                                 (set.rows() as f64, set.bytes() as u64, set.n_chunks(), 0)
                             }
+                            MatchInput::Archive if footprint == MatchFootprint::Empty => {
+                                (0.0, 0, 0, 0)
+                            }
                             MatchInput::Archive => {
-                                let tags = self.inner.tags.as_ref().ok_or_else(|| {
-                                    QueryError::Type(
-                                        "MATCH against the archive requires the tag store"
-                                            .to_string(),
-                                    )
-                                })?;
-                                let leaf = match &footprint {
-                                    MatchFootprint::Cap(cap) => model.estimate_tags(tags, cap)?,
-                                    MatchFootprint::Empty => {
-                                        model.estimate_sweep(std::iter::empty())
-                                    }
-                                    MatchFootprint::Whole => {
-                                        est.full_sweep = true;
-                                        model.estimate_sweep(tags.container_sizes())
-                                    }
-                                };
+                                let domain = footprint.domain();
+                                est.full_sweep |= domain.is_none();
+                                let leaf = self.estimate_base(plans, false, domain, None)?;
                                 (
                                     leaf.est_rows,
                                     leaf.est_bytes,
@@ -694,35 +727,17 @@ impl Archive {
                 if let QuerySource::Set(name) = &s.source {
                     // Stored-set stats are exact: the set is resident and
                     // scans read it whole (chunks are the containers).
-                    let set = sets.get(name).ok_or_else(|| {
-                        QueryError::Unknown(format!(
-                            "stored set {name} (prepare through a session workspace \
-                             that holds it)"
-                        ))
-                    })?;
+                    let set = set_of(name)?;
                     est.est_rows += set.rows() as f64;
                     est.est_bytes += set.bytes() as u64;
                     est.est_seconds += set.bytes() as f64 / model.scan_bandwidth_bps;
                     est.containers_full += set.n_chunks();
                     return Ok(());
                 }
-                let tag_route = s.source == QuerySource::Tag && self.inner.tags.is_some();
-                let leaf = match (&s.domain, tag_route) {
-                    (Some(domain), true) => {
-                        let tags = self.inner.tags.as_ref().expect("tag_route checked");
-                        model.estimate_tags(tags, domain)?
-                    }
-                    (Some(domain), false) => model.estimate(&self.inner.store, domain)?,
-                    (None, true) => {
-                        est.full_sweep = true;
-                        let tags = self.inner.tags.as_ref().expect("tag_route checked");
-                        model.estimate_sweep(tags.container_sizes())
-                    }
-                    (None, false) => {
-                        est.full_sweep = true;
-                        model.estimate_sweep(self.inner.store.containers().map(ContainerSize::from))
-                    }
-                };
+                let full = s.source == QuerySource::Full;
+                let level = self.inner.config.cover_level;
+                let leaf = self.estimate_base(plans, full, s.domain.as_ref(), level)?;
+                est.full_sweep |= s.domain.is_none();
                 est.est_rows += leaf.est_rows;
                 est.est_bytes += leaf.est_bytes;
                 est.est_seconds += leaf.est_seconds;
@@ -732,11 +747,11 @@ impl Archive {
             PlanNode::Sort { child, .. }
             | PlanNode::Limit { child, .. }
             | PlanNode::Aggregate { child, .. } => {
-                self.accumulate_estimate(child, sets, est, surface)?
+                self.accumulate_estimate(child, sets, est, surface, plans)?
             }
             PlanNode::Set { left, right, .. } => {
-                self.accumulate_estimate(left, sets, est, surface)?;
-                self.accumulate_estimate(right, sets, est, surface)?;
+                self.accumulate_estimate(left, sets, est, surface, plans)?;
+                self.accumulate_estimate(right, sets, est, surface, plans)?;
             }
         }
         Ok(())
@@ -795,6 +810,9 @@ pub struct Prepared {
     /// these snapshots even if the session later drops or replaces the
     /// name (the `Arc` keeps the data alive).
     sets: Arc<HashMap<String, Arc<ResultSet>>>,
+    /// The base-store scan plans made at prepare: every execution drains
+    /// these, so it makes no cover lookup.
+    plans: Arc<LeafPlans>,
     /// `INTO <name>` target, when this statement materializes a set.
     into: Option<String>,
     /// The session workspace this statement runs under (set when
@@ -868,7 +886,10 @@ impl Prepared {
         self.workspace.as_ref()
     }
 
-    /// The plan-time cost prediction (rows / bytes / containers).
+    /// The plan-time cost prediction (rows / bytes / containers), read
+    /// from the scan plans the executions drain: its bytes and its full
+    /// and bisected containers are what an execution that runs to
+    /// completion reads. A stored set is priced from its exact counts.
     pub fn estimate(&self) -> &CostEstimate {
         &self.estimate
     }
@@ -946,7 +967,8 @@ impl Prepared {
 
     /// Execute with `$N` parameters bound positionally (`params[0]` is
     /// `$1`). Binding substitutes literals into a clone of the plan —
-    /// no re-parse, no re-plan, spatial covers and routing reused as-is.
+    /// no re-parse, no re-plan, the prepared scan plans and routing reused
+    /// as-is.
     /// Blocks while the admission pool is full (the queue), then
     /// launches execution threads and returns the pull end.
     ///
@@ -1073,6 +1095,7 @@ impl Prepared {
             tags: inner.tags.clone(),
             sets: self.sets.clone(),
             cover_level: inner.config.cover_level,
+            plans: self.plans.clone(),
             mode: inner.config.mode,
             workers,
         }

@@ -44,10 +44,11 @@ use crate::plan::{AggSpec, MatchInput, MatchSpec, PlanNode, QuerySource, ScanSpe
 use crate::QueryError;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use sdss_catalog::{ObjClass, PhotoRecord, TagObject};
+use sdss_htm::Domain;
 use sdss_storage::{
     cut_runs, sample_hash_keep, ColumnBatch, ColumnChunk, DecZoneIndex, MatchFootprint,
     MorselQueue, ObjectStore, RegionScan, ResultSet, ResultSetBuilder, ScanPlan, SelectionMask,
-    TagStore,
+    StorageError, TagStore,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -545,6 +546,8 @@ pub struct ExecEnv {
     pub sets: Arc<HashMap<String, Arc<ResultSet>>>,
     /// Cover level override for scans.
     pub cover_level: Option<u8>,
+    /// The statement's base-store scan plans, made at prepare.
+    pub(crate) plans: Arc<LeafPlans>,
     pub mode: ExecMode,
     /// Scan workers each scan leaf may use (≥ 1). The caller
     /// holds this many admission slots per leaf — see the morsel
@@ -1091,6 +1094,80 @@ fn ship(ticket: &TicketCore, tx: &Sender<ResultBatch>, batch: ResultBatch) -> bo
     tx.send(batch).is_ok()
 }
 
+/// The scan plans of one prepared statement's base-store leaves — tag
+/// and full-store scans and a MATCH's archive input — each HTM cover
+/// resolved once, at prepare, at the cover level its scan reads. The
+/// cost estimate reads these plans and every execution drains them, so
+/// an execution makes no cover lookup. A plan is keyed by what decides
+/// it (the store, the domain and the cover level): leaves of one domain
+/// share it, and a leaf whose bound domain no plan was made for plans
+/// afresh rather than reusing a stale plan. Domains are numeric literals
+/// (the parser rejects a parameter in one), so binding never changes a
+/// domain today.
+#[derive(Debug, Default)]
+pub(crate) struct LeafPlans(Vec<LeafPlan>);
+
+/// One planned base-store scan and its key.
+#[derive(Debug)]
+struct LeafPlan {
+    full: bool,
+    domain: Option<Domain>,
+    cover_level: Option<u8>,
+    plan: Arc<ScanPlan>,
+}
+
+impl LeafPlans {
+    fn find(
+        &self,
+        full: bool,
+        domain: Option<&Domain>,
+        cover_level: Option<u8>,
+    ) -> Option<&Arc<ScanPlan>> {
+        let key = |p: &&LeafPlan| {
+            p.full == full && p.domain.as_ref() == domain && p.cover_level == cover_level
+        };
+        self.0.iter().find(key).map(|p| &p.plan)
+    }
+
+    /// Prepare's half: the plan of a scan of the full store (`full`) or
+    /// the tag store over `domain` at `cover_level`, made by `plan`
+    /// unless an equal one already was.
+    pub(crate) fn add(
+        &mut self,
+        full: bool,
+        domain: Option<&Domain>,
+        cover_level: Option<u8>,
+        plan: impl FnOnce() -> Result<ScanPlan, StorageError>,
+    ) -> Result<Arc<ScanPlan>, StorageError> {
+        if let Some(planned) = self.find(full, domain, cover_level) {
+            return Ok(planned.clone());
+        }
+        let planned = Arc::new(plan()?);
+        self.0.push(LeafPlan {
+            full,
+            domain: domain.cloned(),
+            cover_level,
+            plan: planned.clone(),
+        });
+        Ok(planned)
+    }
+
+    /// An execution's half: the plan made at prepare, else a fresh one
+    /// from `plan`.
+    fn get(
+        &self,
+        full: bool,
+        domain: Option<&Domain>,
+        cover_level: Option<u8>,
+        plan: impl FnOnce() -> Result<ScanPlan, StorageError>,
+    ) -> Result<Arc<ScanPlan>, StorageError> {
+        match self.find(full, domain, cover_level) {
+            Some(planned) => Ok(planned.clone()),
+            None => plan().map(Arc::new),
+        }
+    }
+}
+
 /// Where a scan's morsels come from — the substrate the morsel driver
 /// drains. Tag and full-store scans resolve an HTM cover into a
 /// [`ScanPlan`] (one morsel per touched container); stored sets expose
@@ -1107,18 +1184,21 @@ enum ScanSource {
 
 impl ScanSource {
     /// Resolve a scan's source (`store` is needed only by full-store
-    /// scans). Records the failure on the ticket and returns `None` when
-    /// resolution fails (scan planning error, or a stored set missing
-    /// from the pinned snapshot — the latter indicates a prepare-time
-    /// bug, since sessions pin sets).
+    /// scans), taking a base store's plan from `plans`. Records the
+    /// failure on the ticket and returns `None` when resolution fails
+    /// (scan planning error, or a stored set missing from the pinned
+    /// snapshot — the latter indicates a prepare-time bug, since sessions
+    /// pin sets).
     fn resolve(
         store: Option<Arc<ObjectStore>>,
         tags: &Option<Arc<TagStore>>,
         sets: &HashMap<String, Arc<ResultSet>>,
+        plans: &LeafPlans,
         spec: &ScanSpec,
         cover_level: Option<u8>,
         ticket: &TicketCore,
     ) -> Option<ScanSource> {
+        let domain = spec.domain.as_ref();
         let planned = match &spec.source {
             QuerySource::Set(name) => {
                 let set = sets.get(name).cloned().map(ScanSource::Set);
@@ -1131,13 +1211,17 @@ impl ScanSource {
             }
             QuerySource::Full => {
                 let store = store.expect("full-store leaves carry the object store");
-                let plan = store.plan_scan(spec.domain.as_ref(), cover_level);
-                plan.map(|plan| ScanSource::Full(store, Arc::new(plan)))
+                let plan = plans.get(true, domain, cover_level, || {
+                    store.plan_scan(domain, cover_level)
+                });
+                plan.map(|plan| ScanSource::Full(store, plan))
             }
             QuerySource::Tag | QuerySource::Match(_) => {
                 let store = tags.clone().expect("tag-routed leaves have the tag store");
-                let plan = store.plan_batch_scan(spec.domain.as_ref(), cover_level);
-                plan.map(|plan| ScanSource::Tag(store, Arc::new(plan)))
+                let plan = plans.get(false, domain, cover_level, || {
+                    store.plan_batch_scan(domain, cover_level)
+                });
+                plan.map(|plan| ScanSource::Tag(store, plan))
             }
         };
         planned
@@ -1399,10 +1483,11 @@ fn scan_leaf(
     spec: ScanSpec,
 ) -> impl FnOnce(&TicketCore) -> Option<(ScanSource, ())> + Send + 'static {
     let store = (spec.source == QuerySource::Full).then(|| env.store.clone());
-    let (tags, sets, level) = (env.tags.clone(), env.sets.clone(), env.cover_level);
+    let (tags, sets, plans) = (env.tags.clone(), env.sets.clone(), env.plans.clone());
+    let level = env.cover_level;
     move |t| {
         Some((
-            ScanSource::resolve(store, &tags, &sets, &spec, level, t)?,
+            ScanSource::resolve(store, &tags, &sets, &plans, &spec, level, t)?,
             (),
         ))
     }
@@ -1415,8 +1500,8 @@ fn match_leaf(
     spec: ScanSpec,
     m: MatchSpec,
 ) -> impl FnOnce(&TicketCore) -> Option<(ScanSource, Arc<MatchJoin>)> + Send + 'static {
-    let (tags, sets) = (env.tags.clone(), env.sets.clone());
-    move |t| MatchJoin::prepare(&tags, &sets, &spec, &m, t)
+    let (tags, sets, plans) = (env.tags.clone(), env.sets.clone(), env.plans.clone());
+    move |t| MatchJoin::prepare(&tags, &sets, &plans, &spec, &m, t)
 }
 
 /// One worker's side of a [`RowFilter`], counting the rows it kept.
@@ -1876,13 +1961,14 @@ impl MatchJoin {
     fn prepare(
         tags: &Option<Arc<TagStore>>,
         sets: &HashMap<String, Arc<ResultSet>>,
+        plans: &LeafPlans,
         spec: &ScanSpec,
         m: &MatchSpec,
         ticket: &TicketCore,
     ) -> Option<(ScanSource, Arc<MatchJoin>)> {
         let footprint = match_archive_footprint(m, sets);
-        let a = Self::resolve_input(&m.a, &footprint, tags, sets, ticket)?;
-        let b = Self::resolve_input(&m.b, &footprint, tags, sets, ticket)?;
+        let input = |input| Self::resolve_input(input, &footprint, tags, sets, plans, ticket);
+        let (a, b) = (input(&m.a)?, input(&m.b)?);
         let build_is_a = match_builds_on_a(a.total_bytes(), b.total_bytes());
         let (probe, build_side) = if build_is_a { (b, a) } else { (a, b) };
         // The driver notes the probe side's cover lookup; note the
@@ -1920,14 +2006,16 @@ impl MatchJoin {
 
     /// One join input as a morsel source, delegated to the scan path's
     /// own resolver via a bare scan spec: stored sets expose their
-    /// chunks, the archive resolves to a tag scan plan over `footprint`
-    /// (a cover of the other input's cap, or the whole sky), and an
-    /// archive input facing an empty set resolves to no rows at all.
+    /// chunks, the archive resolves to the tag scan plan made at prepare
+    /// over `footprint` (a cover of the other input's cap, or the whole
+    /// sky) at the store's scan cover level, and an archive input facing
+    /// an empty set resolves to no rows at all.
     fn resolve_input(
         input: &MatchInput,
         footprint: &MatchFootprint,
         tags: &Option<Arc<TagStore>>,
         sets: &HashMap<String, Arc<ResultSet>>,
+        plans: &LeafPlans,
         ticket: &TicketCore,
     ) -> Option<ScanSource> {
         let (source, domain) = match input {
@@ -1944,7 +2032,7 @@ impl MatchJoin {
             columns: Vec::new(),
             sample: None,
         };
-        ScanSource::resolve(None, tags, sets, &spec, None, ticket)
+        ScanSource::resolve(None, tags, sets, plans, &spec, None, ticket)
     }
 
     /// Materialize the build side once as owned tag rows, with each

@@ -41,7 +41,8 @@
 //! * [`Archive::prepare`] / [`Session::prepare`] → [`Prepared`] —
 //!   parse/plan split from execution: inspect the plan, read the
 //!   plan-time [`CostEstimate`] (rows / bytes / containers — exact for
-//!   stored sets, cover-derived for the base stores), then execute
+//!   stored sets, read from the scan plans the executions reuse for the
+//!   base stores), then execute
 //!   repeatedly with `$1`-style numeric parameters re-bound per run — no
 //!   re-parse, no re-plan. Session prepares pin a snapshot of the sets
 //!   they reference. [`Prepared::explain`] leads with the estimate line

@@ -255,6 +255,22 @@ fn prepared_params_rebind_matches_literals() {
     assert!(plain.run_with(&[5.0]).is_err());
 }
 
+/// A prepared statement's scan plans are made once, at prepare, from its
+/// domains, and every execution reuses them: that is sound only while a
+/// domain cannot hold a parameter.
+#[test]
+fn a_parameter_in_a_domain_is_rejected_at_prepare() {
+    let archive = build_archive(96, 300);
+    for sql in [
+        "SELECT objid FROM photoobj WHERE CIRCLE($1, 15, 1)",
+        "SELECT objid FROM photoobj WHERE CIRCLE(185, 15, $1)",
+        "SELECT objid FROM photoobj WHERE RECT(184, 186, $1, 16)",
+    ] {
+        let err = archive.prepare(sql).unwrap_err().to_string();
+        assert!(err.contains("must be numeric literals"), "{sql}: {err}");
+    }
+}
+
 #[test]
 fn params_anywhere_a_literal_goes() {
     let archive = build_archive(94, 900);

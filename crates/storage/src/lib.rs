@@ -52,7 +52,7 @@ pub mod zone;
 pub use column::{ColumnBatch, ColumnChunk, SelectionMask, SetBits, BATCH_ROWS};
 pub use container::{Container, ContainerStats};
 pub use cover_cache::CoverCache;
-pub use estimate::{ContainerSize, CostModel, QueryEstimate};
+pub use estimate::{CostModel, QueryEstimate};
 pub use morsel::MorselQueue;
 pub use page::{Page, PageIter, PAGE_SIZE};
 pub use partition::PartitionMap;

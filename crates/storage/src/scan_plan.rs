@@ -31,6 +31,8 @@ pub struct ScanMorsel {
     pub container: u64,
     /// Wholly inside the cover: every row selected without geometry.
     pub full: bool,
+    /// Rows the container holds.
+    pub rows: usize,
     /// Scan charge in bytes — the whole container, in its store's unit
     /// — and the byte-balancing weight for [`crate::MorselQueue`]
     /// sharding.
@@ -119,24 +121,32 @@ impl Bisected<'_> {
     }
 }
 
+/// The parts of `ranges` inside `[lo, hi)`, found by binary search.
+fn clipped(ranges: &HtmRangeSet, (lo, hi): (u64, u64)) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let ranges = ranges.ranges();
+    let first = ranges.partition_point(|&(_, rhi)| rhi <= lo);
+    ranges[first..]
+        .iter()
+        .take_while(move |&&(rlo, _)| rlo < hi)
+        .map(move |&(rlo, rhi)| (rlo.max(lo), rhi.min(hi)))
+}
+
 /// Paint `cell` over the part of `ranges` inside `[lo, hi)`, into
 /// `cells` indexed from `lo`.
 fn paint(cells: &mut [Cell], ranges: &HtmRangeSet, (lo, hi): (u64, u64), cell: Cell) {
-    let ranges = ranges.ranges();
-    let first = ranges.partition_point(|&(_, rhi)| rhi <= lo);
-    for &(rlo, rhi) in ranges[first..].iter().take_while(|&&(rlo, _)| rlo < hi) {
-        cells[(rlo.max(lo) - lo) as usize..(rhi.min(hi) - lo) as usize].fill(cell);
+    for (clo, chi) in clipped(ranges, (lo, hi)) {
+        cells[(clo - lo) as usize..(chi - lo) as usize].fill(cell);
     }
 }
 
 impl ScanPlan {
-    /// Plan a scan over a store's containers (keyed by raw id, charged
-    /// `bytes` each) at `cover_level` (the store's `scan_cover_level`
-    /// when `None`). `domain = None` plans an unrestricted sweep: every
-    /// container, no geometry.
+    /// Plan a scan over a store's containers (keyed by raw id, `size`
+    /// giving each one's rows and scan charge in bytes) at `cover_level`
+    /// (the store's `scan_cover_level` when `None`). `domain = None`
+    /// plans an unrestricted sweep: every container, no geometry.
     pub(crate) fn build<T>(
         containers: &BTreeMap<u64, T>,
-        bytes: impl Fn(&T) -> usize,
+        size: impl Fn(&T) -> (usize, usize),
         (container_level, scan_cover_level): (u8, u8),
         cover_cache: &CoverCache,
         domain: Option<&Domain>,
@@ -145,10 +155,14 @@ impl ScanPlan {
         let Some(domain) = domain else {
             let morsels = containers
                 .iter()
-                .map(|(&raw, c)| ScanMorsel {
-                    container: raw,
-                    full: true,
-                    bytes: bytes(c),
+                .map(|(&raw, c)| {
+                    let (rows, bytes) = size(c);
+                    ScanMorsel {
+                        container: raw,
+                        full: true,
+                        rows,
+                        bytes,
+                    }
                 })
                 .collect();
             return Ok(ScanPlan {
@@ -177,10 +191,12 @@ impl ScanPlan {
             .map(|(&raw, c)| {
                 let id = HtmId::from_raw(raw).expect("stored containers have valid HTM ids");
                 let (clo, chi) = id.deep_range(level);
+                let (rows, bytes) = size(c);
                 ScanMorsel {
                     container: raw,
                     full: full.contains_range(clo, chi),
-                    bytes: bytes(c),
+                    rows,
+                    bytes,
                 }
             })
             .collect();
@@ -212,6 +228,28 @@ impl ScanPlan {
         self.cover.as_ref().map(|_| self.cache_hit)
     }
 
+    /// The cover's ids inside morsel `m`'s container: `[lo, hi)` at the
+    /// cover level.
+    fn deep_range(&self, m: &ScanMorsel) -> (u64, u64) {
+        let id = HtmId::from_raw(m.container).expect("stored containers have valid HTM ids");
+        id.deep_range(self.level)
+    }
+
+    /// The share of morsel `m`'s container inside the cover: 1 for a
+    /// full morsel; for a bisected one, its cover-level trixels counted
+    /// from the cover's ranges clipped to the container, a full trixel
+    /// whole and a partial (boundary) one half.
+    pub(crate) fn overlap(&self, m: &ScanMorsel) -> f64 {
+        if m.full {
+            return 1.0;
+        }
+        let (cover, _) = self.cover.as_ref().expect("bisected morsels have a cover");
+        let span = self.deep_range(m);
+        let cells = |ranges| clipped(ranges, span).map(|(lo, hi)| hi - lo).sum::<u64>() as f64;
+        let inside = cells(cover.full_ranges()) + 0.5 * cells(cover.partial_ranges());
+        inside / (span.1 - span.0) as f64
+    }
+
     /// Morsel `idx`'s container, its opening accounting (the whole
     /// container charged, classified full or bisected) and, for a
     /// bisected container, the row test. That test gets a table of the
@@ -229,8 +267,7 @@ impl ScanPlan {
         let bisected = (!m.full).then(|| {
             let (cover, domain) = self.cover.as_ref().expect("bisected morsels have a cover");
             let (full, partial) = (cover.full_ranges(), cover.partial_ranges());
-            let id = HtmId::from_raw(m.container).expect("stored containers have valid HTM ids");
-            let (lo, hi) = id.deep_range(self.level);
+            let (lo, hi) = self.deep_range(m);
             let trixels = if hi - lo <= MAX_TABLE_CELLS {
                 let mut cells = vec![Cell::Out; (hi - lo) as usize];
                 paint(&mut cells, full, (lo, hi), Cell::Full);

@@ -280,7 +280,7 @@ impl ObjectStore {
     ) -> Result<ScanPlan, StorageError> {
         ScanPlan::build(
             &self.containers,
-            Container::bytes,
+            |c| (c.len(), c.bytes()),
             (self.config.container_level, self.config.scan_cover_level),
             &self.cover_cache,
             domain,

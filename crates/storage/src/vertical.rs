@@ -17,23 +17,17 @@
 
 use crate::column::{ColumnBatch, ColumnChunk, SelectionMask, BATCH_ROWS};
 use crate::cover_cache::CoverCache;
-use crate::estimate::ContainerSize;
 use crate::scan_plan::ScanPlan;
 use crate::store::{ObjectStore, RegionScan};
 use crate::StorageError;
 use sdss_catalog::{PhotoRecord, TagObject};
-use sdss_htm::{Domain, HtmId};
+use sdss_htm::Domain;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The scan charge of `rows` tag rows: one serialized record each.
 fn charge(rows: usize) -> usize {
     rows * TagObject::SERIALIZED_LEN
-}
-
-/// The id of a stored container (keys are valid by construction).
-fn container_id(raw: u64) -> HtmId {
-    HtmId::from_raw(raw).expect("tag containers have valid HTM ids")
 }
 
 /// Vertical partition holding tag objects, clustered like the full store.
@@ -92,16 +86,6 @@ impl TagStore {
         self.chunks.len()
     }
 
-    /// Each container's id, rows and scan charge, in id order — all the
-    /// cost model reads of a store.
-    pub fn container_sizes(&self) -> impl Iterator<Item = ContainerSize> + '_ {
-        self.chunks.iter().map(|(&raw, c)| ContainerSize {
-            id: container_id(raw),
-            rows: c.len() as u64,
-            bytes: charge(c.len()) as u64,
-        })
-    }
-
     /// The SoA chunks, keyed by raw container id.
     pub fn column_chunks(&self) -> impl Iterator<Item = (u64, &Arc<ColumnChunk>)> {
         self.chunks.iter().map(|(&raw, c)| (raw, c))
@@ -116,7 +100,7 @@ impl TagStore {
         self.cover_cache.stats()
     }
 
-    /// The memoized cover cache (shared with plan-time estimation).
+    /// The memoized cover cache behind [`TagStore::plan_batch_scan`].
     pub fn cover_cache(&self) -> &CoverCache {
         &self.cover_cache
     }
@@ -140,7 +124,7 @@ impl TagStore {
     ) -> Result<ScanPlan, StorageError> {
         ScanPlan::build(
             &self.chunks,
-            |c| charge(c.len()),
+            |c| (c.len(), charge(c.len())),
             (self.container_level, self.scan_cover_level),
             &self.cover_cache,
             domain,
