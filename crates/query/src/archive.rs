@@ -31,7 +31,7 @@
 
 use crate::exec::{
     compile_into, launch, match_archive_footprint, match_builds_on_a, plan_uses_columnar, run_into,
-    BatchHandle, ExecEnv, ExecMode, LeafPlans, ResultBatch, Row, ScanTotals, TicketCore,
+    BaseStore, BatchHandle, ExecEnv, ExecMode, LeafPlans, ResultBatch, Row, ScanTotals, TicketCore,
 };
 use crate::parser::parse_statement;
 use crate::plan::{plan, MatchInput, PlanNode, QueryPlan, QuerySource};
@@ -618,29 +618,24 @@ impl Archive {
         Ok((est, surface, plans))
     }
 
-    /// Plan a scan of the full store (`full`) or the tag store over
-    /// `domain` at `cover_level` into `plans` and estimate it.
+    /// Plan a scan of `store` over `domain` at `cover_level` into
+    /// `plans` and estimate it.
     fn estimate_base(
         &self,
         plans: &mut LeafPlans,
-        full: bool,
+        store: BaseStore,
         domain: Option<&Domain>,
         cover_level: Option<u8>,
     ) -> Result<QueryEstimate, QueryError> {
         let inner = &self.inner;
-        let plan = if full {
-            plans.add(true, domain, cover_level, || {
-                inner.store.plan_scan(domain, cover_level)
-            })?
-        } else {
-            let tags = inner
+        let plan = plans.add(store, domain, cover_level, || match store {
+            BaseStore::Full => inner.store.plan_scan(domain, cover_level),
+            BaseStore::Tag => inner
                 .tags
                 .as_ref()
-                .expect("the planner routes to tags only when present");
-            plans.add(false, domain, cover_level, || {
-                tags.plan_batch_scan(domain, cover_level)
-            })?
-        };
+                .expect("the planner routes to tags only when present")
+                .plan_batch_scan(domain, cover_level),
+        })?;
         Ok(inner.config.cost_model.estimate(&plan))
     }
 
@@ -686,7 +681,8 @@ impl Archive {
                             MatchInput::Archive => {
                                 let domain = footprint.domain();
                                 est.full_sweep |= domain.is_none();
-                                let leaf = self.estimate_base(plans, false, domain, None)?;
+                                let leaf =
+                                    self.estimate_base(plans, BaseStore::Tag, domain, None)?;
                                 (
                                     leaf.est_rows,
                                     leaf.est_bytes,
@@ -734,9 +730,13 @@ impl Archive {
                     est.containers_full += set.n_chunks();
                     return Ok(());
                 }
-                let full = s.source == QuerySource::Full;
+                let store = if s.source == QuerySource::Full {
+                    BaseStore::Full
+                } else {
+                    BaseStore::Tag
+                };
                 let level = self.inner.config.cover_level;
-                let leaf = self.estimate_base(plans, full, s.domain.as_ref(), level)?;
+                let leaf = self.estimate_base(plans, store, s.domain.as_ref(), level)?;
                 est.full_sweep |= s.domain.is_none();
                 est.est_rows += leaf.est_rows;
                 est.est_bytes += leaf.est_bytes;

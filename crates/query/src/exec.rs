@@ -1099,72 +1099,64 @@ fn ship(ticket: &TicketCore, tx: &Sender<ResultBatch>, batch: ResultBatch) -> bo
 /// resolved once, at prepare, at the cover level its scan reads. The
 /// cost estimate reads these plans and every execution drains them, so
 /// an execution makes no cover lookup. A plan is keyed by what decides
-/// it (the store, the domain and the cover level): leaves of one domain
-/// share it, and a leaf whose bound domain no plan was made for plans
-/// afresh rather than reusing a stale plan. Domains are numeric literals
-/// (the parser rejects a parameter in one), so binding never changes a
-/// domain today.
+/// it (the store, the domain and the cover level), so leaves of one
+/// domain share it. Domains are numeric literals (the parser rejects a
+/// parameter in one), so binding never changes a domain and a plan made
+/// at prepare serves every execution; a domain parameter would have to
+/// re-plan at bind.
 #[derive(Debug, Default)]
 pub(crate) struct LeafPlans(Vec<LeafPlan>);
+
+/// The base store a [`LeafPlans`] entry scans.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum BaseStore {
+    Tag,
+    Full,
+}
 
 /// One planned base-store scan and its key.
 #[derive(Debug)]
 struct LeafPlan {
-    full: bool,
+    store: BaseStore,
     domain: Option<Domain>,
     cover_level: Option<u8>,
     plan: Arc<ScanPlan>,
 }
 
 impl LeafPlans {
+    /// The plan of a scan of `store` over `domain` at `cover_level`.
     fn find(
         &self,
-        full: bool,
+        store: BaseStore,
         domain: Option<&Domain>,
         cover_level: Option<u8>,
     ) -> Option<&Arc<ScanPlan>> {
         let key = |p: &&LeafPlan| {
-            p.full == full && p.domain.as_ref() == domain && p.cover_level == cover_level
+            p.store == store && p.domain.as_ref() == domain && p.cover_level == cover_level
         };
         self.0.iter().find(key).map(|p| &p.plan)
     }
 
-    /// Prepare's half: the plan of a scan of the full store (`full`) or
-    /// the tag store over `domain` at `cover_level`, made by `plan`
-    /// unless an equal one already was.
+    /// Prepare's half: the plan of a scan of `store` over `domain` at
+    /// `cover_level`, made by `plan` unless an equal one already was.
     pub(crate) fn add(
         &mut self,
-        full: bool,
+        store: BaseStore,
         domain: Option<&Domain>,
         cover_level: Option<u8>,
         plan: impl FnOnce() -> Result<ScanPlan, StorageError>,
     ) -> Result<Arc<ScanPlan>, StorageError> {
-        if let Some(planned) = self.find(full, domain, cover_level) {
+        if let Some(planned) = self.find(store, domain, cover_level) {
             return Ok(planned.clone());
         }
         let planned = Arc::new(plan()?);
         self.0.push(LeafPlan {
-            full,
+            store,
             domain: domain.cloned(),
             cover_level,
             plan: planned.clone(),
         });
         Ok(planned)
-    }
-
-    /// An execution's half: the plan made at prepare, else a fresh one
-    /// from `plan`.
-    fn get(
-        &self,
-        full: bool,
-        domain: Option<&Domain>,
-        cover_level: Option<u8>,
-        plan: impl FnOnce() -> Result<ScanPlan, StorageError>,
-    ) -> Result<Arc<ScanPlan>, StorageError> {
-        match self.find(full, domain, cover_level) {
-            Some(planned) => Ok(planned.clone()),
-            None => plan().map(Arc::new),
-        }
     }
 }
 
@@ -1185,10 +1177,10 @@ enum ScanSource {
 impl ScanSource {
     /// Resolve a scan's source (`store` is needed only by full-store
     /// scans), taking a base store's plan from `plans`. Records the
-    /// failure on the ticket and returns `None` when resolution fails
-    /// (scan planning error, or a stored set missing from the pinned
-    /// snapshot — the latter indicates a prepare-time bug, since sessions
-    /// pin sets).
+    /// failure on the ticket and returns `None` when prepare made no plan
+    /// for the scan or a stored set is missing from the pinned snapshot;
+    /// either is a prepare-time bug, since prepare plans every base-store
+    /// leaf and sessions pin sets.
     fn resolve(
         store: Option<Arc<ObjectStore>>,
         tags: &Option<Arc<TagStore>>,
@@ -1198,8 +1190,7 @@ impl ScanSource {
         cover_level: Option<u8>,
         ticket: &TicketCore,
     ) -> Option<ScanSource> {
-        let domain = spec.domain.as_ref();
-        let planned = match &spec.source {
+        let base = match &spec.source {
             QuerySource::Set(name) => {
                 let set = sets.get(name).cloned().map(ScanSource::Set);
                 if set.is_none() {
@@ -1209,24 +1200,27 @@ impl ScanSource {
                 }
                 return set;
             }
-            QuerySource::Full => {
-                let store = store.expect("full-store leaves carry the object store");
-                let plan = plans.get(true, domain, cover_level, || {
-                    store.plan_scan(domain, cover_level)
-                });
-                plan.map(|plan| ScanSource::Full(store, plan))
-            }
-            QuerySource::Tag | QuerySource::Match(_) => {
-                let store = tags.clone().expect("tag-routed leaves have the tag store");
-                let plan = plans.get(false, domain, cover_level, || {
-                    store.plan_batch_scan(domain, cover_level)
-                });
-                plan.map(|plan| ScanSource::Tag(store, plan))
-            }
+            QuerySource::Full => BaseStore::Full,
+            QuerySource::Tag | QuerySource::Match(_) => BaseStore::Tag,
         };
-        planned
-            .map_err(|e| ticket.record_failure(format!("scan planning failed: {e}")))
-            .ok()
+        let domain = spec.domain.as_ref();
+        let Some(plan) = plans.find(base, domain, cover_level).cloned() else {
+            ticket.record_failure(format!(
+                "no {base:?} scan plan was made at prepare for domain {domain:?} \
+                 at cover level {cover_level:?}"
+            ));
+            return None;
+        };
+        Some(match base {
+            BaseStore::Full => {
+                let store = store.expect("full-store leaves carry the object store");
+                ScanSource::Full(store, plan)
+            }
+            BaseStore::Tag => {
+                let store = tags.clone().expect("tag-routed leaves have the tag store");
+                ScanSource::Tag(store, plan)
+            }
+        })
     }
 
     /// Byte weight per morsel — the [`MorselQueue`] sharding input.
@@ -2613,5 +2607,27 @@ mod tests {
         assert!(!t.is_cancelled());
         t.cancel();
         assert!(t.is_cancelled());
+    }
+
+    #[test]
+    fn a_scan_prepare_made_no_plan_for_fails_without_planning() {
+        // No tag store: planning afresh would have nothing to plan
+        // against, so the failure must come from the missing plan.
+        let spec = ScanSpec {
+            source: QuerySource::Tag,
+            domain: None,
+            predicate: None,
+            columns: Vec::new(),
+            sample: None,
+        };
+        let (sets, plans, t) = (HashMap::new(), LeafPlans::default(), TicketCore::default());
+        let source = ScanSource::resolve(None, &None, &sets, &plans, &spec, Some(10), &t);
+        assert!(source.is_none());
+        let msg = t.failure().expect("the missing plan is recorded");
+        assert!(msg.contains("no Tag scan plan"), "{msg}");
+        assert_eq!(
+            t.totals().cover_cache_hits + t.totals().cover_cache_misses,
+            0
+        );
     }
 }
