@@ -30,15 +30,18 @@
 //!   a burst of full-sky sweeps cannot starve interactive cone searches.
 
 use crate::exec::{
-    compile_into, launch, match_archive_footprint, match_builds_on_a, plan_uses_columnar, run_into,
-    BaseStore, BatchHandle, ExecEnv, ExecMode, LeafPlans, ResultBatch, Row, ScanTotals, TicketCore,
+    compile_into, launch, plan_uses_columnar, run_into, BatchHandle, ExecEnv, ExecMode, Leaf,
+    ResultBatch, Row, ScanSource, ScanTotals, TicketCore,
 };
 use crate::parser::parse_statement;
-use crate::plan::{plan, MatchInput, PlanNode, QueryPlan, QuerySource};
+use crate::plan::{plan, MatchInput, MatchSpec, PlanNode, QueryPlan, QuerySource, ScanSpec};
 use crate::session::{Session, SessionConfig, SessionInfo, SessionShared};
 use crate::QueryError;
 use sdss_htm::Domain;
-use sdss_storage::{CostModel, MatchFootprint, ObjectStore, QueryEstimate, ResultSet, TagStore};
+use sdss_storage::{
+    CostModel, MatchFootprint, ObjectStore, QueryEstimate, ResultSet, ResultSetBuilder, ScanPlan,
+    TagStore,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -119,19 +122,6 @@ pub struct CostEstimate {
     pub containers_partial: usize,
     /// At least one scan has no spatial restriction (whole-store sweep).
     pub full_sweep: bool,
-}
-
-/// Per-MATCH-leaf sizing accumulated alongside the cost estimate in the
-/// same plan walk (so the two can never drift): probe-side morsels (the
-/// join's actual parallelism surface — the build side is read once by
-/// the coordinator, not drained by workers) and the containers the MATCH
-/// leaves contributed to the estimate's totals, which `planned_workers`
-/// swaps back out so columnar leaves sharing a set-op plan keep their
-/// own surface.
-#[derive(Debug, Clone, Copy, Default)]
-struct MatchSurface {
-    probe_morsels: usize,
-    est_containers: usize,
 }
 
 /// Admission-control configuration: the slot pool bounding concurrent
@@ -504,16 +494,17 @@ impl Archive {
     /// session workspace to resolve the names against — prepare those
     /// through [`Session::prepare`]; here they error.
     pub fn prepare(&self, sql: &str) -> Result<Prepared, QueryError> {
-        self.prepare_in(sql, Arc::new(HashMap::new()), None)
+        self.prepare_in(sql, &HashMap::new(), None)
     }
 
-    /// The shared prepare path: `sets` is the session's pinned stored-set
-    /// snapshot (empty for sessionless prepares) and `workspace` the
-    /// session the statement runs under (required for `INTO`).
+    /// The shared prepare path: `sets` is the session's stored sets
+    /// (empty for sessionless prepares), of which the statement's leaves
+    /// pin those they read, and `workspace` the session the statement
+    /// runs under (required for `INTO`).
     pub(crate) fn prepare_in(
         &self,
         sql: &str,
-        sets: Arc<HashMap<String, Arc<ResultSet>>>,
+        sets: &HashMap<String, Arc<ResultSet>>,
         workspace: Option<Arc<SessionShared>>,
     ) -> Result<Prepared, QueryError> {
         let query_plan = self.explain(sql)?;
@@ -522,20 +513,6 @@ impl Archive {
                 "INTO requires a session workspace (use Archive::session)".to_string(),
             ));
         }
-        // Pin only the sets this statement actually scans — a long-lived
-        // Prepared must not keep the whole workspace's memory alive
-        // after sets it never references are dropped.
-        let referenced = query_plan.root.referenced_sets();
-        let sets: Arc<HashMap<String, Arc<ResultSet>>> = if referenced.is_empty() {
-            Arc::new(HashMap::new())
-        } else {
-            Arc::new(
-                referenced
-                    .iter()
-                    .filter_map(|n| sets.get(*n).map(|s| (n.to_string(), s.clone())))
-                    .collect(),
-            )
-        };
         let route = route_of(&query_plan.root);
         let columnar = plan_uses_columnar(
             &query_plan.root,
@@ -552,26 +529,34 @@ impl Archive {
                 self.inner.config.mode,
             )
             .is_some();
-        let (estimate, match_surface, plans) =
-            self.estimate_plan(&query_plan.root, &sets, lane_into)?;
+        // The lane route runs a set operation as one scan of its left
+        // branch's source and domain, so only that leaf is resolved.
+        let root = match &query_plan.root {
+            PlanNode::Set { left, .. } if lane_into => left,
+            root => root,
+        };
+        let mut resolver = LeafResolver {
+            inner: &self.inner,
+            sets,
+            plans: Vec::new(),
+            leaves: Vec::new(),
+            estimate: CostEstimate::default(),
+        };
+        resolver.walk(root)?;
+        let estimate = resolver.estimate;
         let heavy = estimate.est_bytes >= self.inner.config.admission.heavy_bytes;
-        let (match_probe_morsels, match_est_containers) =
-            (match_surface.probe_morsels, match_surface.est_containers);
         Ok(Prepared {
             archive: self.clone(),
             columns: query_plan.root.columns(),
             into: query_plan.into.clone(),
             plan: Arc::new(query_plan),
-            sets,
-            plans: Arc::new(plans),
+            leaves: resolver.leaves.into(),
             workspace,
             route,
             columnar,
             lane_into,
             estimate,
             heavy,
-            match_probe_morsels,
-            match_est_containers,
             #[cfg(test)]
             fault_at_claim: 0,
         })
@@ -592,193 +577,185 @@ impl Archive {
         let stats = output.stats.clone();
         Ok((output, stats))
     }
+}
 
-    /// Plan every base-store scan leaf once, into the [`LeafPlans`] the
-    /// executions reuse, and sum the leaves' estimates: a tag or
-    /// full-store leaf's is read from its own scan plan
-    /// ([`CostModel::estimate`]), a stored set's from its row, byte and
-    /// chunk counts (exact: the set is resident). An `INTO` on the lane
-    /// route (`lane_into`) runs a set operation as one scan of its left
-    /// branch's source and domain, so only that scan is planned and
-    /// priced. Reads no object data.
-    fn estimate_plan(
-        &self,
-        node: &PlanNode,
-        sets: &HashMap<String, Arc<ResultSet>>,
-        lane_into: bool,
-    ) -> Result<(CostEstimate, MatchSurface, LeafPlans), QueryError> {
-        let node = match node {
-            PlanNode::Set { left, .. } if lane_into => left,
-            node => node,
-        };
-        let mut est = CostEstimate::default();
-        let mut surface = MatchSurface::default();
-        let mut plans = LeafPlans::default();
-        self.accumulate_estimate(node, sets, &mut est, &mut surface, &mut plans)?;
-        Ok((est, surface, plans))
-    }
+/// What decides a base-store scan plan: whether it scans the full store,
+/// the domain and the cover level.
+type PlanKey = (bool, Option<Domain>, Option<u8>);
 
-    /// Plan a scan of `store` over `domain` at `cover_level` into
-    /// `plans` and estimate it.
-    fn estimate_base(
-        &self,
-        plans: &mut LeafPlans,
-        store: BaseStore,
-        domain: Option<&Domain>,
-        cover_level: Option<u8>,
-    ) -> Result<QueryEstimate, QueryError> {
-        let inner = &self.inner;
-        let plan = plans.add(store, domain, cover_level, || match store {
-            BaseStore::Full => inner.store.plan_scan(domain, cover_level),
-            BaseStore::Tag => inner
-                .tags
-                .as_ref()
-                .expect("the planner routes to tags only when present")
-                .plan_batch_scan(domain, cover_level),
-        })?;
-        Ok(inner.config.cost_model.estimate(&plan))
-    }
+/// The prepare walk over a plan's scan leaves, left to right: it resolves
+/// each leaf into what every execution drains and sums the leaves'
+/// estimates. A tag or full-store leaf's HTM cover is resolved once, at
+/// the cover level its scan reads, into a [`ScanPlan`]; a leaf of one
+/// domain as another shares its plan, and so one cover-cache entry.
+/// Domains are numeric literals (the parser rejects a parameter in one),
+/// so binding never changes a domain and a plan made at prepare serves
+/// every execution; a domain parameter would have to re-plan at bind.
+/// Reads no object data.
+struct LeafResolver<'a> {
+    inner: &'a ArchiveInner,
+    sets: &'a HashMap<String, Arc<ResultSet>>,
+    /// The plans made so far, each after what decides it.
+    plans: Vec<(PlanKey, Arc<ScanPlan>)>,
+    leaves: Vec<Leaf>,
+    estimate: CostEstimate,
+}
 
-    fn accumulate_estimate(
-        &self,
-        node: &PlanNode,
-        sets: &HashMap<String, Arc<ResultSet>>,
-        est: &mut CostEstimate,
-        surface: &mut MatchSurface,
-        plans: &mut LeafPlans,
-    ) -> Result<(), QueryError> {
-        let model = &self.inner.config.cost_model;
-        let set_of = |name: &String| {
-            sets.get(name).ok_or_else(|| {
-                QueryError::Unknown(format!(
-                    "stored set {name} (prepare through a session workspace that holds it)"
-                ))
-            })
-        };
+impl LeafResolver<'_> {
+    fn walk(&mut self, node: &PlanNode) -> Result<(), QueryError> {
         match node {
             PlanNode::Scan(s) => {
-                if let QuerySource::Match(m) = &s.source {
-                    // Cost from both inputs' exact row counts: stored
-                    // sets are resident (exact); an archive input prices
-                    // the plan of the footprint the execution reads — the
-                    // other input's cap, nothing for an empty set, else a
-                    // whole tag sweep — at the store's scan cover level.
-                    // Pair multiplicity is data-dependent, so est_rows
-                    // carries the probe-side row count (the scan
-                    // driver), and est_seconds adds a per-probe term on
-                    // top of the byte cost of reading both sides.
-                    let footprint = match_archive_footprint(m, sets);
-                    let mut sides = [(0.0, 0, 0, 0); 2];
-                    for (side, input) in sides.iter_mut().zip([&m.a, &m.b]) {
-                        *side = match input {
-                            MatchInput::Set(name) => {
-                                let set = set_of(name)?;
-                                (set.rows() as f64, set.bytes() as u64, set.n_chunks(), 0)
-                            }
-                            MatchInput::Archive if footprint == MatchFootprint::Empty => {
-                                (0.0, 0, 0, 0)
-                            }
-                            MatchInput::Archive => {
-                                let domain = footprint.domain();
-                                est.full_sweep |= domain.is_none();
-                                let leaf =
-                                    self.estimate_base(plans, BaseStore::Tag, domain, None)?;
-                                (
-                                    leaf.est_rows,
-                                    leaf.est_bytes,
-                                    leaf.containers_full,
-                                    leaf.containers_partial,
-                                )
-                            }
-                        };
-                    }
-                    // The execution probes with the larger input.
-                    let [a_side, b_side] = sides;
-                    let (probe_rows, _, probe_full, probe_partial) =
-                        if match_builds_on_a(a_side.1, b_side.1) {
-                            b_side
-                        } else {
-                            a_side
-                        };
-                    surface.probe_morsels += probe_full + probe_partial;
-                    for (_, bytes, full, partial) in sides {
-                        // The surface mirrors exactly what this arm adds
-                        // to the estimate, so `planned_workers`' swap-out
-                        // subtraction can never drift from the totals.
-                        surface.est_containers += full + partial;
-                        est.est_bytes += bytes;
-                        est.est_seconds += bytes as f64 / model.scan_bandwidth_bps;
-                        est.containers_full += full;
-                        est.containers_partial += partial;
-                    }
-                    est.est_rows += probe_rows;
-                    // The per-probe join work (stripe searches, candidate
-                    // separations, pair evaluation — see
-                    // `CostModel::match_probe_seconds`); the queue orders
-                    // on est_seconds, so underpricing this would let
-                    // heavy joins jump interactive queries.
-                    est.est_seconds += probe_rows * model.match_probe_seconds;
-                    return Ok(());
-                }
-                if let QuerySource::Set(name) = &s.source {
-                    // Stored-set stats are exact: the set is resident and
-                    // scans read it whole (chunks are the containers).
-                    let set = set_of(name)?;
-                    est.est_rows += set.rows() as f64;
-                    est.est_bytes += set.bytes() as u64;
-                    est.est_seconds += set.bytes() as f64 / model.scan_bandwidth_bps;
-                    est.containers_full += set.n_chunks();
-                    return Ok(());
-                }
-                let store = if s.source == QuerySource::Full {
-                    BaseStore::Full
-                } else {
-                    BaseStore::Tag
-                };
-                let level = self.inner.config.cover_level;
-                let leaf = self.estimate_base(plans, store, s.domain.as_ref(), level)?;
-                est.full_sweep |= s.domain.is_none();
-                est.est_rows += leaf.est_rows;
-                est.est_bytes += leaf.est_bytes;
-                est.est_seconds += leaf.est_seconds;
-                est.containers_full += leaf.containers_full;
-                est.containers_partial += leaf.containers_partial;
+                let leaf = self.leaf(s)?;
+                self.price(&leaf);
+                self.leaves.push(leaf);
             }
             PlanNode::Sort { child, .. }
             | PlanNode::Limit { child, .. }
-            | PlanNode::Aggregate { child, .. } => {
-                self.accumulate_estimate(child, sets, est, surface, plans)?
-            }
+            | PlanNode::Aggregate { child, .. } => self.walk(child)?,
             PlanNode::Set { left, right, .. } => {
-                self.accumulate_estimate(left, sets, est, surface, plans)?;
-                self.accumulate_estimate(right, sets, est, surface, plans)?;
+                self.walk(left)?;
+                self.walk(right)?;
             }
         }
         Ok(())
     }
-}
 
-/// Scan leaves of a plan (set operations have several running at once).
-fn count_scan_leaves(node: &PlanNode) -> usize {
-    match node {
-        PlanNode::Scan(_) => 1,
-        PlanNode::Sort { child, .. }
-        | PlanNode::Limit { child, .. }
-        | PlanNode::Aggregate { child, .. } => count_scan_leaves(child),
-        PlanNode::Set { left, right, .. } => count_scan_leaves(left) + count_scan_leaves(right),
+    fn leaf(&mut self, s: &ScanSpec) -> Result<Leaf, QueryError> {
+        let level = self.inner.config.cover_level;
+        let source = match &s.source {
+            QuerySource::Set(name) => ScanSource::Set(self.set(name)?),
+            QuerySource::Tag => self.base(false, s.domain.as_ref(), level)?,
+            QuerySource::Full => self.base(true, s.domain.as_ref(), level)?,
+            QuerySource::Match(m) => return self.join(m),
+        };
+        Ok(Leaf::Scan(source))
+    }
+
+    /// A MATCH leaf. When exactly one input is the archive and the other
+    /// a stored set, only the set's footprint cap (see
+    /// [`MatchFootprint::of_set`]) can hold partners, so the archive
+    /// input reads that cap, or nothing for an empty set; every other
+    /// shape reads the archive whole. The archive is read at the store's
+    /// scan cover level.
+    fn join(&mut self, m: &MatchSpec) -> Result<Leaf, QueryError> {
+        let footprint = match (&m.a, &m.b) {
+            (MatchInput::Archive, MatchInput::Set(name))
+            | (MatchInput::Set(name), MatchInput::Archive) => {
+                MatchFootprint::of_set(&*self.set(name)?, m.radius_arcsec)
+            }
+            _ => MatchFootprint::Whole,
+        };
+        let mut input = |input: &MatchInput| match input {
+            MatchInput::Set(name) => Ok(ScanSource::Set(self.set(name)?)),
+            MatchInput::Archive if footprint == MatchFootprint::Empty => {
+                Ok(ScanSource::Set(Arc::new(ResultSetBuilder::new(1).finish())))
+            }
+            MatchInput::Archive => self.base(false, footprint.domain(), None),
+        };
+        let (a, b) = (input(&m.a)?, input(&m.b)?);
+        Ok(Leaf::join(m, a, b))
+    }
+
+    /// A stored set the statement reads.
+    fn set(&self, name: &str) -> Result<Arc<ResultSet>, QueryError> {
+        self.sets.get(name).cloned().ok_or_else(|| {
+            QueryError::Unknown(format!(
+                "stored set {name} (prepare through a session workspace that holds it)"
+            ))
+        })
+    }
+
+    /// A scan of the full store (`full`) or the tag store over `domain`
+    /// at `cover_level`, planned unless an equal one already was.
+    fn base(
+        &mut self,
+        full: bool,
+        domain: Option<&Domain>,
+        cover_level: Option<u8>,
+    ) -> Result<ScanSource, QueryError> {
+        self.estimate.full_sweep |= domain.is_none();
+        let inner = self.inner;
+        let tags = || {
+            let tags = inner.tags.clone();
+            tags.expect("the planner routes to tags only when present")
+        };
+        let planned = self
+            .plans
+            .iter()
+            .find(|((f, d, level), _)| *f == full && d.as_ref() == domain && *level == cover_level);
+        let plan = match planned {
+            Some((.., plan)) => plan.clone(),
+            None => {
+                let plan = Arc::new(if full {
+                    inner.store.plan_scan(domain, cover_level)?
+                } else {
+                    tags().plan_batch_scan(domain, cover_level)?
+                });
+                let key = (full, domain.cloned(), cover_level);
+                self.plans.push((key, plan.clone()));
+                plan
+            }
+        };
+        Ok(if full {
+            ScanSource::Full(inner.store.clone(), plan)
+        } else {
+            ScanSource::Tag(tags(), plan)
+        })
+    }
+
+    /// Add a leaf's estimate. A MATCH reads both inputs; pair
+    /// multiplicity is data-dependent, so its `est_rows` carries the
+    /// probe side's row count (the scan driver), and `est_seconds` adds a
+    /// per-probe term (stripe searches, candidate separations, pair
+    /// evaluation — see `CostModel::match_probe_seconds`) to the byte
+    /// cost of reading both sides: the queue orders on `est_seconds`, so
+    /// underpricing it would let heavy joins jump interactive queries.
+    fn price(&mut self, leaf: &Leaf) {
+        let model = &self.inner.config.cost_model;
+        let est = &mut self.estimate;
+        let mut read = |e: &QueryEstimate| {
+            est.est_bytes += e.est_bytes;
+            est.est_seconds += e.est_seconds;
+            est.containers_full += e.containers_full;
+            est.containers_partial += e.containers_partial;
+        };
+        match leaf {
+            Leaf::Scan(source) => {
+                let e = price(model, source);
+                read(&e);
+                est.est_rows += e.est_rows;
+            }
+            Leaf::Match(m) => {
+                let (a, b) = if m.build_is_a {
+                    (&m.build, &m.probe)
+                } else {
+                    (&m.probe, &m.build)
+                };
+                let [a, b] = [a, b].map(|side| price(model, side));
+                read(&a);
+                read(&b);
+                let probe_rows = if m.build_is_a { b.est_rows } else { a.est_rows };
+                est.est_rows += probe_rows;
+                est.est_seconds += probe_rows * model.match_probe_seconds;
+            }
+        }
     }
 }
 
-/// Does any scan leaf run a MATCH join? Match joins parallelize over
-/// probe-side morsels even though they are not compiled-columnar scans,
-/// so the worker grant treats them like columnar plans.
-fn plan_has_match(node: &PlanNode) -> bool {
-    match node {
-        PlanNode::Scan(s) => matches!(s.source, QuerySource::Match(_)),
-        PlanNode::Sort { child, .. }
-        | PlanNode::Limit { child, .. }
-        | PlanNode::Aggregate { child, .. } => plan_has_match(child),
-        PlanNode::Set { left, right, .. } => plan_has_match(left) || plan_has_match(right),
+/// The plan-time estimate of draining `source`: a tag or full-store
+/// scan's read from its own plan ([`CostModel::estimate`]), a stored
+/// set's from its row, byte and chunk counts (exact: the set is resident
+/// and scans read it whole, its chunks being the containers).
+fn price(model: &CostModel, source: &ScanSource) -> QueryEstimate {
+    match source {
+        ScanSource::Tag(_, plan) | ScanSource::Full(_, plan) => model.estimate(plan),
+        ScanSource::Set(set) => QueryEstimate {
+            est_rows: set.rows() as f64,
+            est_bytes: set.bytes() as u64,
+            est_seconds: set.bytes() as f64 / model.scan_bandwidth_bps,
+            containers_full: set.n_chunks(),
+            containers_partial: 0,
+        },
     }
 }
 
@@ -799,20 +776,18 @@ fn route_of(node: &PlanNode) -> RouteChoice {
 }
 
 /// A parsed + planned + estimated query, ready to execute any number of
-/// times. Cheap to clone; clones share the plan (and, for
-/// session-prepared statements, the pinned stored-set snapshot).
+/// times. Cheap to clone; clones share the plan and its resolved scan
+/// leaves.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     archive: Archive,
     plan: Arc<QueryPlan>,
     columns: Vec<String>,
-    /// Stored sets pinned at prepare time: `FROM <set>` leaves read
-    /// these snapshots even if the session later drops or replaces the
-    /// name (the `Arc` keeps the data alive).
-    sets: Arc<HashMap<String, Arc<ResultSet>>>,
-    /// The base-store scan plans made at prepare: every execution drains
-    /// these, so it makes no cover lookup.
-    plans: Arc<LeafPlans>,
+    /// Every scan leaf, resolved at prepare in the plan's left-to-right
+    /// order: the base-store scan plans and the stored sets the statement
+    /// reads, which it keeps even if the session later drops or replaces
+    /// a name. Every execution drains these and looks nothing up.
+    leaves: Arc<[Leaf]>,
     /// `INTO <name>` target, when this statement materializes a set.
     into: Option<String>,
     /// The session workspace this statement runs under (set when
@@ -826,16 +801,6 @@ pub struct Prepared {
     lane_into: bool,
     estimate: CostEstimate,
     heavy: bool,
-    /// Probe-side morsel count summed over MATCH leaves (0 when the
-    /// plan has none). Worker grants for match leaves cap here rather
-    /// than at the estimate's container total, which also counts the
-    /// build side — slots granted past the probe morsel count could
-    /// never be used.
-    match_probe_morsels: usize,
-    /// Containers the MATCH leaves contributed to the cost estimate
-    /// (probe + build sides) — subtracted back out so co-existing
-    /// columnar leaves keep their own parallelism surface.
-    match_est_containers: usize,
     /// Injected worker fault for this statement's executions (see
     /// [`TicketCore`]'s `claims_until_fault`; 0 = off).
     #[cfg(test)]
@@ -925,38 +890,24 @@ impl Prepared {
     /// one thread (set operations run their sides concurrently), so the
     /// grant never drops below the leaf count; an `INTO` on the lane
     /// route runs a set operation as one scan, so it counts one leaf.
-    /// Beyond that, only
-    /// compiled columnar plans parallelize, bounded by the per-query
-    /// cap, the pool size, and the number of touched containers (a
-    /// one-container cone search gains nothing from a second worker).
+    /// Beyond that, only compiled columnar plans and MATCH joins
+    /// parallelize, bounded by the per-query cap, the pool size, and the
+    /// morsels the workers drain: touched containers and set chunks, and
+    /// a MATCH's probe side only, since its build side is read once by
+    /// the coordinator (a one-container cone search gains nothing from a
+    /// second worker).
     pub fn planned_workers(&self) -> usize {
-        let leaves = if self.lane_into {
-            1
-        } else {
-            count_scan_leaves(&self.plan.root).max(1)
-        };
-        let has_match = plan_has_match(&self.plan.root);
+        let leaves = self.leaves.len();
+        let has_match = self.leaves.iter().any(|l| matches!(l, Leaf::Match(_)));
         if !self.columnar && !has_match {
             return leaves;
         }
-        // The parallelism surface: touched containers for columnar
-        // scan leaves plus probe-side morsels for MATCH leaves. The
-        // estimate's container total counts MATCH build sides too,
-        // which workers never drain — granting past the probe morsels
-        // would hold slots the execution can never use — so the MATCH
-        // contribution is swapped out for the probe morsel count while
-        // any co-existing columnar leaves keep their own surface.
-        let est_containers = self.estimate.containers_full + self.estimate.containers_partial;
-        let containers = if has_match {
-            est_containers.saturating_sub(self.match_est_containers) + self.match_probe_morsels
-        } else {
-            est_containers
-        };
+        let morsels: usize = self.leaves.iter().map(Leaf::drained_morsels).sum();
         let cfg = &self.archive.inner.config.admission;
         cfg.max_workers_per_query
             .max(1)
             .min(cfg.max_worker_slots.max(1))
-            .min(containers.max(1))
+            .min(morsels.max(1))
             .max(leaves)
     }
 
@@ -1065,21 +1016,22 @@ impl Prepared {
         // plan's leaf count, where the clamp to the pool size leaves
         // each leaf its mandatory single thread.)
         let workers_granted = slot.weight;
-        let leaves = count_scan_leaves(&root).max(1);
-        let env = self.exec_env((workers_granted / leaves).max(1));
-        let started = Instant::now();
-        let handle = launch(&env, root, &ticket);
-        ResultStream {
-            handle,
-            ticket: QueryTicket { core: ticket },
+        let env = self.exec_env((workers_granted / self.leaves.len()).max(1));
+        let started = Started {
             route: self.route,
             columnar,
             queue_time,
+            at: Instant::now(),
+            workers_granted,
+        };
+        let handle = launch(&env, root, &self.leaves, &ticket);
+        ResultStream {
+            handle,
+            ticket: QueryTicket { core: ticket },
             started,
             first: None,
             rows: 0,
             batches: 0,
-            workers_granted,
             finished: false,
             workspace: self.workspace.clone(),
             _slot: slot,
@@ -1091,11 +1043,7 @@ impl Prepared {
     fn exec_env(&self, workers: usize) -> ExecEnv {
         let inner = &self.archive.inner;
         ExecEnv {
-            store: inner.store.clone(),
             tags: inner.tags.clone(),
-            sets: self.sets.clone(),
-            cover_level: inner.config.cover_level,
-            plans: self.plans.clone(),
             mode: inner.config.mode,
             workers,
         }
@@ -1149,7 +1097,10 @@ impl Prepared {
     /// at any worker count (see `exec::run_into`). Returns `Ok(None)`
     /// for every other shape, as judged at prepare time (see
     /// `session::run_into`): the caller falls back to the
-    /// stream-and-fetch route, which handles them all.
+    /// stream-and-fetch route, which handles them all. A statement
+    /// prepare put on this route fails if its bound plan does not lower
+    /// to it: prepare resolved only the scan this route runs, so the
+    /// fetch route could not run it.
     ///
     /// Workers charge `budget` per batch for the rows they keep, so a
     /// quota overrun stops the scan like the fetch route's mid-stream
@@ -1167,7 +1118,10 @@ impl Prepared {
         }
         let root = self.bind_root(params)?;
         let Some(plan) = compile_into(root, inner.tags.is_some(), inner.config.mode) else {
-            return Ok(None);
+            return Err(QueryError::Exec(format!(
+                "INTO {set_name} was prepared for the lane route, \
+                 but its bound plan does not lower to it"
+            )));
         };
         let queued_at = Instant::now();
         let slot = inner.slots.acquire(
@@ -1175,12 +1129,18 @@ impl Prepared {
             self.heavy,
             self.estimate.est_seconds,
         );
-        let queue_time = queued_at.elapsed();
-        let workers_granted = slot.weight;
-        let started = Instant::now();
+        let started = Started {
+            route: self.route,
+            columnar: true,
+            queue_time: queued_at.elapsed(),
+            at: Instant::now(),
+            workers_granted: slot.weight,
+        };
         let ticket = self.new_ticket();
+        let env = self.exec_env(slot.weight);
         let result = run_into(
-            &self.exec_env(workers_granted),
+            &env,
+            &self.leaves,
             plan,
             &ticket,
             set_name,
@@ -1189,27 +1149,55 @@ impl Prepared {
         );
         drop(slot);
         let set = result?;
+        // The set's rows are what the stream route delivers to its sink,
+        // so SessionStats.rows_delivered doesn't depend on which INTO
+        // route executed.
+        let batches = ticket.totals().batches_emitted as usize;
+        let stats = started.stats(&ticket, set.rows(), batches, None);
+        Ok(Some((set, stats)))
+    }
+}
+
+/// What an execution fixed when it started, on either route: the part of
+/// its [`QueryStats`] the ticket does not count.
+#[derive(Debug)]
+struct Started {
+    route: RouteChoice,
+    columnar: bool,
+    queue_time: Duration,
+    /// When execution began (after admission).
+    at: Instant,
+    workers_granted: usize,
+}
+
+impl Started {
+    /// The stats of the execution once it is done: the `rows` and
+    /// `batches` delivered and the first-row latency, beside the ticket's
+    /// worker and scan counters. Both routes build their [`QueryStats`]
+    /// here, so they cannot count differently.
+    fn stats(
+        &self,
+        ticket: &TicketCore,
+        rows: usize,
+        batches: usize,
+        time_to_first_row: Option<Duration>,
+    ) -> QueryStats {
         let worker_scans = ticket.worker_scans();
-        let totals = ticket.totals();
-        let stats = QueryStats {
+        QueryStats {
             route: self.route,
-            columnar: true,
-            queue_time,
-            time_to_first_row: None,
-            total_time: started.elapsed(),
-            // The set's rows are what the stream route delivers to its
-            // sink, so SessionStats.rows_delivered doesn't depend on
-            // which INTO route executed.
-            rows: set.rows(),
+            columnar: self.columnar,
+            queue_time: self.queue_time,
+            time_to_first_row,
+            total_time: self.at.elapsed(),
+            rows,
             rows_emitted: ticket.rows_emitted(),
-            batches: totals.batches_emitted as usize,
-            workers_granted,
+            batches,
+            workers_granted: self.workers_granted,
             workers_used: worker_scans.len(),
             worker_bytes: worker_scans.iter().map(|w| w.bytes_scanned).collect(),
             morsels: worker_scans.iter().map(|w| w.morsels).sum(),
-            scan: totals,
-        };
-        Ok(Some((set, stats)))
+            scan: ticket.totals(),
+        }
     }
 }
 
@@ -1254,14 +1242,10 @@ impl QueryTicket {
 pub struct ResultStream {
     handle: BatchHandle,
     ticket: QueryTicket,
-    route: RouteChoice,
-    columnar: bool,
-    queue_time: Duration,
-    started: Instant,
+    started: Started,
     first: Option<Duration>,
     rows: usize,
     batches: usize,
-    workers_granted: usize,
     finished: bool,
     /// Session this execution runs under: [`ResultStream::finish`]
     /// reports the final stats into its accumulated `SessionStats`.
@@ -1288,7 +1272,7 @@ impl ResultStream {
         match self.handle.rx.recv() {
             Ok(batch) => {
                 if self.first.is_none() && !batch.is_empty() {
-                    self.first = Some(self.started.elapsed());
+                    self.first = Some(self.started.at.elapsed());
                 }
                 self.rows += batch.len();
                 self.batches += 1;
@@ -1313,22 +1297,9 @@ impl ResultStream {
         // at the end of this call, and unaccounted background work is
         // exactly what admission exists to prevent.
         self.ticket.cancel();
-        let worker_scans = self.ticket.core.worker_scans();
-        let stats = QueryStats {
-            route: self.route,
-            columnar: self.columnar,
-            queue_time: self.queue_time,
-            time_to_first_row: self.first,
-            total_time: self.started.elapsed(),
-            rows: self.rows,
-            rows_emitted: self.ticket.core.rows_emitted(),
-            batches: self.batches,
-            workers_granted: self.workers_granted,
-            workers_used: worker_scans.len(),
-            worker_bytes: worker_scans.iter().map(|w| w.bytes_scanned).collect(),
-            morsels: worker_scans.iter().map(|w| w.morsels).sum(),
-            scan: self.ticket.core.totals(),
-        };
+        let stats = self
+            .started
+            .stats(&self.ticket.core, self.rows, self.batches, self.first);
         if let Some(ws) = &self.workspace {
             ws.note_query(&stats);
         }

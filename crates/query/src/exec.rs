@@ -26,7 +26,8 @@
 //! container-sized morsels, each feeding its own sink. The full store
 //! feeds the row interpreter in-place record views, so a record is read
 //! only once it passes the cover, and only in the attributes the query
-//! names.
+//! names. Prepare resolves each scan leaf's morsel source once (a
+//! `Leaf`), and every execution takes the leaves in plan order.
 //!
 //! Execution is owned, not scoped: stores travel as `Arc`s and node
 //! threads are detached, so a [`BatchHandle`] can outlive the call that
@@ -44,13 +45,11 @@ use crate::plan::{AggSpec, MatchInput, MatchSpec, PlanNode, QuerySource, ScanSpe
 use crate::QueryError;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use sdss_catalog::{ObjClass, PhotoRecord, TagObject};
-use sdss_htm::Domain;
 use sdss_storage::{
-    cut_runs, sample_hash_keep, ColumnBatch, ColumnChunk, DecZoneIndex, MatchFootprint,
-    MorselQueue, ObjectStore, RegionScan, ResultSet, ResultSetBuilder, ScanPlan, SelectionMask,
-    StorageError, TagStore,
+    cut_runs, sample_hash_keep, ColumnBatch, ColumnChunk, DecZoneIndex, MorselQueue, ObjectStore,
+    RegionScan, ResultSet, ScanPlan, SelectionMask, TagStore,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -505,16 +504,6 @@ impl TicketCore {
         self.worker_scans.lock().unwrap().clone()
     }
 
-    /// Container morsels dispatched across all workers.
-    pub fn morsels_dispatched(&self) -> u64 {
-        self.worker_scans
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|w| w.morsels)
-            .sum()
-    }
-
     fn absorb_scan(&self, s: &RegionScan) {
         self.bytes_scanned
             .fetch_add(s.bytes_scanned as u64, Ordering::Relaxed);
@@ -535,19 +524,11 @@ impl TicketCore {
 // The execution environment and fabric
 // ---------------------------------------------------------------------
 
-/// Everything a query execution needs, owned: any number of concurrent
-/// executions share the stores through `Arc`.
+/// What a query execution needs beside its scan leaves, which prepare
+/// resolved and which hold the stores and sets they read.
 #[derive(Debug, Clone)]
 pub struct ExecEnv {
-    pub store: Arc<ObjectStore>,
     pub tags: Option<Arc<TagStore>>,
-    /// Stored result sets pinned at prepare time (session workspaces):
-    /// `QuerySource::Set` leaves resolve their snapshot here by name.
-    pub sets: Arc<HashMap<String, Arc<ResultSet>>>,
-    /// Cover level override for scans.
-    pub cover_level: Option<u8>,
-    /// The statement's base-store scan plans, made at prepare.
-    pub(crate) plans: Arc<LeafPlans>,
     pub mode: ExecMode,
     /// Scan workers each scan leaf may use (≥ 1). The caller
     /// holds this many admission slots per leaf — see the morsel
@@ -645,11 +626,18 @@ pub fn plan_uses_columnar(plan: &PlanNode, tags_available: bool, mode: ExecMode)
 }
 
 /// Launch a plan on detached node threads and return the root's handle.
-/// The caller pulls batches at its own pace; dropping the handle
-/// cascades channel-disconnect shutdown through the tree, and
-/// `ticket.cancel()` stops scans between batches.
-pub fn launch(env: &ExecEnv, plan: PlanNode, ticket: &Arc<TicketCore>) -> BatchHandle {
-    spawn_node(env, plan, ticket)
+/// `leaves` are the plan's scan leaves as prepare resolved them, in the
+/// plan's left-to-right order; each scan node takes the next one. The
+/// caller pulls batches at its own pace; dropping the handle cascades
+/// channel-disconnect shutdown through the tree, and `ticket.cancel()`
+/// stops scans between batches.
+pub(crate) fn launch(
+    env: &ExecEnv,
+    plan: PlanNode,
+    leaves: &[Leaf],
+    ticket: &Arc<TicketCore>,
+) -> BatchHandle {
+    spawn_node(env, plan, &mut leaves.iter(), ticket)
 }
 
 /// Spawn a detached node thread that records panics into the ticket —
@@ -676,11 +664,27 @@ fn record_panic(ticket: &TicketCore, panic: Box<dyn std::any::Any + Send>) {
     ticket.record_failure(format!("execution thread panicked: {msg}"));
 }
 
-fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchHandle {
+/// The plan's leaves not yet taken, in left-to-right order.
+type Leaves<'a> = std::slice::Iter<'a, Leaf>;
+
+/// The next scan node's leaf.
+fn next_leaf(leaves: &mut Leaves<'_>) -> Leaf {
+    let leaf = leaves
+        .next()
+        .expect("prepare resolves one leaf per scan node");
+    leaf.clone()
+}
+
+fn spawn_node(
+    env: &ExecEnv,
+    node: PlanNode,
+    leaves: &mut Leaves<'_>,
+    ticket: &Arc<TicketCore>,
+) -> BatchHandle {
     match node {
-        PlanNode::Scan(spec) => spawn_scan(env, spec, ticket),
+        PlanNode::Scan(spec) => spawn_scan(env, spec, next_leaf(leaves), ticket),
         PlanNode::Limit { child, n } => {
-            let child_handle = spawn_node(env, *child, ticket);
+            let child_handle = spawn_node(env, *child, leaves, ticket);
             let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
             let columns = child_handle.columns.clone();
             spawn_guarded(ticket.clone(), move || {
@@ -699,7 +703,7 @@ fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchH
             BatchHandle { columns, rx }
         }
         PlanNode::Sort { child, key, desc } => {
-            let child_handle = spawn_node(env, *child, ticket);
+            let child_handle = spawn_node(env, *child, leaves, ticket);
             let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
             let columns = child_handle.columns.clone();
             let key_idx = columns.iter().position(|c| c == &key);
@@ -733,11 +737,11 @@ fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchH
             let PlanNode::Scan(spec) = *child else {
                 unreachable!("the planner puts every aggregate directly over its scan")
             };
-            spawn_agg_scan(env, spec, aggs, ticket)
+            spawn_agg_scan(env, spec, aggs, next_leaf(leaves), ticket)
         }
         PlanNode::Set { op, left, right } => {
-            let lh = spawn_node(env, *left, ticket);
-            let rh = spawn_node(env, *right, ticket);
+            let lh = spawn_node(env, *left, leaves, ticket);
+            let rh = spawn_node(env, *right, leaves, ticket);
             let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
             let columns = lh.columns.clone();
             let objid_idx = columns
@@ -813,23 +817,29 @@ fn spawn_node(env: &ExecEnv, node: PlanNode, ticket: &Arc<TicketCore>) -> BatchH
 /// compiled path when the predicate and projection both lower to
 /// bytecode; everything else — the full store always — interprets
 /// row-at-a-time over the same morsels.
-fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchHandle {
+fn spawn_scan(env: &ExecEnv, spec: ScanSpec, leaf: Leaf, ticket: &Arc<TicketCore>) -> BatchHandle {
     let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
     let columns: Arc<Vec<String>> = Arc::new(spec.columns.iter().map(|(n, _)| n.clone()).collect());
     let t = ticket.clone();
-    if let QuerySource::Match(m) = spec.source.clone() {
-        let exprs: Arc<Vec<Expr>> = Arc::new(spec.columns.iter().map(|(_, e)| e.clone()).collect());
-        let sink = move |join: &Arc<MatchJoin>| PairRows {
-            join: join.clone(),
-            exprs: exprs.clone(),
-            out: Vec::with_capacity(BATCH),
-            tx: tx.clone(),
-            ticket: t.clone(),
-            pairs: 0,
-        };
-        spawn_drive(env.workers, ticket, match_leaf(env, spec, m), sink, drop);
-        return BatchHandle { columns, rx };
-    }
+    let source = match leaf {
+        Leaf::Scan(source) => source,
+        Leaf::Match(leaf) => {
+            let exprs: Arc<Vec<Expr>> =
+                Arc::new(spec.columns.iter().map(|(_, e)| e.clone()).collect());
+            let sink = move |join: &Arc<MatchJoin>| PairRows {
+                join: join.clone(),
+                exprs: exprs.clone(),
+                out: Vec::with_capacity(BATCH),
+                tx: tx.clone(),
+                ticket: t.clone(),
+                pairs: 0,
+            };
+            let probe = leaf.probe.clone();
+            let join = move |t: &TicketCore| MatchJoin::build(&leaf, &spec, t);
+            spawn_drive(env.workers, ticket, probe, join, sink, drop);
+            return BatchHandle { columns, rx };
+        }
+    };
     // `compile_scan` is the gate `plan_uses_columnar` reports through
     // `QueryStats.columnar`. Every worker streams into the one channel
     // (the channel is the per-worker stream merge).
@@ -843,10 +853,9 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
             pending: None,
             sent_any: false,
         };
-        spawn_drive(env.workers, ticket, scan_leaf(env, spec), sink, drop);
+        spawn_drive(env.workers, ticket, source, no_share, sink, drop);
         return BatchHandle { columns, rx };
     }
-    let leaf = scan_leaf(env, spec.clone());
     let spec = Arc::new(spec);
     let sink = move |_: &()| RowSink {
         spec: spec.clone(),
@@ -855,7 +864,7 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, ticket: &Arc<TicketCore>) -> BatchH
         ticket: t.clone(),
         kept: 0,
     };
-    spawn_drive(env.workers, ticket, leaf, sink, drop);
+    spawn_drive(env.workers, ticket, source, no_share, sink, drop);
     BatchHandle { columns, rx }
 }
 
@@ -988,6 +997,7 @@ fn spawn_agg_scan(
     env: &ExecEnv,
     spec: ScanSpec,
     aggs: Vec<AggSpec>,
+    leaf: Leaf,
     ticket: &Arc<TicketCore>,
 ) -> BatchHandle {
     let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
@@ -998,6 +1008,23 @@ fn spawn_agg_scan(
         let (funcs, t) = (funcs.clone(), t.clone());
         move |partials: Vec<Vec<MorselPartial>>| send_merged(partials, &funcs, &t, &tx)
     };
+    let source = match leaf {
+        Leaf::Scan(source) => source,
+        Leaf::Match(leaf) => {
+            let args: Arc<Vec<_>> = Arc::new(aggs.into_iter().map(|a| a.arg).collect());
+            let sink = move |join: &Arc<MatchJoin>| PairFold {
+                join: join.clone(),
+                args: args.clone(),
+                accs: MorselAccs::new(&funcs),
+                ticket: t.clone(),
+                pairs: 0,
+            };
+            let probe = leaf.probe.clone();
+            let join = move |t: &TicketCore| MatchJoin::build(&leaf, &spec, t);
+            spawn_drive(env.workers, ticket, probe, join, sink, merge);
+            return BatchHandle { columns, rx };
+        }
+    };
     if let Some((filter, inputs)) = compile_fold(&spec, &aggs, env.tags.is_some(), env.mode) {
         let (filter, inputs) = (Arc::new(filter), Arc::new(inputs));
         let sink = move |_: &()| FoldSink {
@@ -1006,31 +1033,19 @@ fn spawn_agg_scan(
             accs: MorselAccs::new(&funcs),
             ticket: t.clone(),
         };
-        spawn_drive(env.workers, ticket, scan_leaf(env, spec), sink, merge);
+        spawn_drive(env.workers, ticket, source, no_share, sink, merge);
         return BatchHandle { columns, rx };
     }
-    let args: Arc<Vec<Option<Expr>>> = Arc::new(aggs.into_iter().map(|a| a.arg).collect());
-    if let QuerySource::Match(m) = spec.source.clone() {
-        let sink = move |join: &Arc<MatchJoin>| PairFold {
-            join: join.clone(),
-            args: args.clone(),
-            accs: MorselAccs::new(&funcs),
-            ticket: t.clone(),
-            pairs: 0,
-        };
-        spawn_drive(env.workers, ticket, match_leaf(env, spec, m), sink, merge);
-    } else {
-        let leaf = scan_leaf(env, spec.clone());
-        let spec = Arc::new(spec);
-        let sink = move |_: &()| RowFold {
-            spec: spec.clone(),
-            args: args.clone(),
-            accs: MorselAccs::new(&funcs),
-            ticket: t.clone(),
-            kept: 0,
-        };
-        spawn_drive(env.workers, ticket, leaf, sink, merge);
-    }
+    let args: Arc<Vec<_>> = Arc::new(aggs.into_iter().map(|a| a.arg).collect());
+    let spec = Arc::new(spec);
+    let sink = move |_: &()| RowFold {
+        spec: spec.clone(),
+        args: args.clone(),
+        accs: MorselAccs::new(&funcs),
+        ticket: t.clone(),
+        kept: 0,
+    };
+    spawn_drive(env.workers, ticket, source, no_share, sink, merge);
     BatchHandle { columns, rx }
 }
 
@@ -1094,135 +1109,91 @@ fn ship(ticket: &TicketCore, tx: &Sender<ResultBatch>, batch: ResultBatch) -> bo
     tx.send(batch).is_ok()
 }
 
-/// The scan plans of one prepared statement's base-store leaves — tag
-/// and full-store scans and a MATCH's archive input — each HTM cover
-/// resolved once, at prepare, at the cover level its scan reads. The
-/// cost estimate reads these plans and every execution drains them, so
-/// an execution makes no cover lookup. A plan is keyed by what decides
-/// it (the store, the domain and the cover level), so leaves of one
-/// domain share it. Domains are numeric literals (the parser rejects a
-/// parameter in one), so binding never changes a domain and a plan made
-/// at prepare serves every execution; a domain parameter would have to
-/// re-plan at bind.
-#[derive(Debug, Default)]
-pub(crate) struct LeafPlans(Vec<LeafPlan>);
-
-/// The base store a [`LeafPlans`] entry scans.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum BaseStore {
-    Tag,
-    Full,
+/// One scan leaf of a prepared statement, resolved at prepare: where its
+/// rows come from. Prepare resolves the leaves in the plan's
+/// left-to-right order, in the walk that makes the cost estimate, and
+/// every execution takes them in that order, so an execution looks
+/// nothing up, plans nothing and decides nothing about its sources. A
+/// leaf holds the stores and stored sets it reads, which pins a
+/// session's sets for as long as the statement lives.
+#[derive(Clone, Debug)]
+pub(crate) enum Leaf {
+    /// A tag, full-store or stored-set scan.
+    Scan(ScanSource),
+    /// A MATCH join.
+    Match(MatchLeaf),
 }
 
-/// One planned base-store scan and its key.
-#[derive(Debug)]
-struct LeafPlan {
-    store: BaseStore,
-    domain: Option<Domain>,
-    cover_level: Option<u8>,
-    plan: Arc<ScanPlan>,
+/// A MATCH leaf: both inputs' sources and the join's shape, decided at
+/// prepare from the one footprint (see [`Leaf::join`]).
+#[derive(Clone, Debug)]
+pub(crate) struct MatchLeaf {
+    /// The input the workers drain, morsel by morsel.
+    pub(crate) probe: ScanSource,
+    /// The input the coordinator collects and indexes.
+    pub(crate) build: ScanSource,
+    /// The build rows are input `a` and the probe rows input `b`; pairs
+    /// are presented as `(a, b)` either way.
+    pub(crate) build_is_a: bool,
+    /// Whether the zone index carries an occupancy filter (see
+    /// [`MatchJoin`]).
+    occupancy: bool,
+    radius_arcsec: f64,
 }
 
-impl LeafPlans {
-    /// The plan of a scan of `store` over `domain` at `cover_level`.
-    fn find(
-        &self,
-        store: BaseStore,
-        domain: Option<&Domain>,
-        cover_level: Option<u8>,
-    ) -> Option<&Arc<ScanPlan>> {
-        let key = |p: &&LeafPlan| {
-            p.store == store && p.domain.as_ref() == domain && p.cover_level == cover_level
+impl Leaf {
+    /// A MATCH leaf over its inputs `a` and `b`. The join builds on the
+    /// input with fewer bytes to read, since the build is serial and
+    /// held in memory while the probe side streams morsel-parallel; ties
+    /// keep `a` as the probe side. The index filters on occupancy only
+    /// where the archive probes a stored set (see [`MatchJoin`]).
+    pub(crate) fn join(m: &MatchSpec, a: ScanSource, b: ScanSource) -> Leaf {
+        let build_is_a = a.total_bytes() < b.total_bytes();
+        let (probe_input, build_input) = if build_is_a {
+            (&m.b, &m.a)
+        } else {
+            (&m.a, &m.b)
         };
-        self.0.iter().find(key).map(|p| &p.plan)
+        let occupancy = matches!(
+            (probe_input, build_input),
+            (MatchInput::Archive, MatchInput::Set(_))
+        );
+        let (probe, build) = if build_is_a { (b, a) } else { (a, b) };
+        Leaf::Match(MatchLeaf {
+            probe,
+            build,
+            build_is_a,
+            occupancy,
+            radius_arcsec: m.radius_arcsec,
+        })
     }
 
-    /// Prepare's half: the plan of a scan of `store` over `domain` at
-    /// `cover_level`, made by `plan` unless an equal one already was.
-    pub(crate) fn add(
-        &mut self,
-        store: BaseStore,
-        domain: Option<&Domain>,
-        cover_level: Option<u8>,
-        plan: impl FnOnce() -> Result<ScanPlan, StorageError>,
-    ) -> Result<Arc<ScanPlan>, StorageError> {
-        if let Some(planned) = self.find(store, domain, cover_level) {
-            return Ok(planned.clone());
+    /// Morsels the granted workers drain: the scan's, or a MATCH's probe
+    /// side's (the coordinator reads the build side alone).
+    pub(crate) fn drained_morsels(&self) -> usize {
+        match self {
+            Leaf::Scan(source) => source.n_morsels(),
+            Leaf::Match(m) => m.probe.n_morsels(),
         }
-        let planned = Arc::new(plan()?);
-        self.0.push(LeafPlan {
-            store,
-            domain: domain.cloned(),
-            cover_level,
-            plan: planned.clone(),
-        });
-        Ok(planned)
     }
 }
 
 /// Where a scan's morsels come from — the substrate the morsel driver
-/// drains. Tag and full-store scans resolve an HTM cover into a
-/// [`ScanPlan`] (one morsel per touched container); stored sets expose
-/// their SoA chunks (one morsel per chunk, every row pre-selected). Tag
-/// and set morsels stream column batches, which is what makes `FROM
-/// <set>` ride the same compiled path as a tag scan; full-store morsels
-/// stream in-place record views to the row interpreter.
-#[derive(Clone)]
-enum ScanSource {
+/// drains, fixed at prepare. Tag and full-store scans hold the
+/// [`ScanPlan`] prepare made from their HTM cover (one morsel per touched
+/// container); stored sets expose their SoA chunks (one morsel per chunk,
+/// every row pre-selected). Tag and set morsels stream column batches,
+/// which is what makes `FROM <set>` ride the same compiled path as a tag
+/// scan; full-store morsels stream in-place record views to the row
+/// interpreter.
+#[derive(Clone, Debug)]
+pub(crate) enum ScanSource {
     Tag(Arc<TagStore>, Arc<ScanPlan>),
     Set(Arc<ResultSet>),
     Full(Arc<ObjectStore>, Arc<ScanPlan>),
 }
 
 impl ScanSource {
-    /// Resolve a scan's source (`store` is needed only by full-store
-    /// scans), taking a base store's plan from `plans`. Records the
-    /// failure on the ticket and returns `None` when prepare made no plan
-    /// for the scan or a stored set is missing from the pinned snapshot;
-    /// either is a prepare-time bug, since prepare plans every base-store
-    /// leaf and sessions pin sets.
-    fn resolve(
-        store: Option<Arc<ObjectStore>>,
-        tags: &Option<Arc<TagStore>>,
-        sets: &HashMap<String, Arc<ResultSet>>,
-        plans: &LeafPlans,
-        spec: &ScanSpec,
-        cover_level: Option<u8>,
-        ticket: &TicketCore,
-    ) -> Option<ScanSource> {
-        let base = match &spec.source {
-            QuerySource::Set(name) => {
-                let set = sets.get(name).cloned().map(ScanSource::Set);
-                if set.is_none() {
-                    ticket.record_failure(format!(
-                        "stored set `{name}` was not pinned at prepare time"
-                    ));
-                }
-                return set;
-            }
-            QuerySource::Full => BaseStore::Full,
-            QuerySource::Tag | QuerySource::Match(_) => BaseStore::Tag,
-        };
-        let domain = spec.domain.as_ref();
-        let Some(plan) = plans.find(base, domain, cover_level).cloned() else {
-            ticket.record_failure(format!(
-                "no {base:?} scan plan was made at prepare for domain {domain:?} \
-                 at cover level {cover_level:?}"
-            ));
-            return None;
-        };
-        Some(match base {
-            BaseStore::Full => {
-                let store = store.expect("full-store leaves carry the object store");
-                ScanSource::Full(store, plan)
-            }
-            BaseStore::Tag => {
-                let store = tags.clone().expect("tag-routed leaves have the tag store");
-                ScanSource::Tag(store, plan)
-            }
-        })
-    }
-
     /// Byte weight per morsel — the [`MorselQueue`] sharding input.
     fn morsel_bytes(&self) -> Vec<usize> {
         match self {
@@ -1328,7 +1299,9 @@ struct Drive<F> {
 }
 
 /// The one morsel driver: projection, in-scan aggregate, MATCH probe,
-/// INTO and the row interpreter all run through here, and only here knows the drive policy:
+/// INTO and the row interpreter all run through here. The source arrives
+/// as prepare resolved it, so the driver plans and looks up nothing, and
+/// only the driver knows the drive policy:
 ///
 /// 1. note the source's plan-time cover-cache lookup;
 /// 2. cap the workers at `min(workers, morsels)`;
@@ -1448,13 +1421,14 @@ impl<F: FnMut(&ColumnBatch<'_>, &SelectionMask) -> bool> MorselSink for F {
     }
 }
 
-/// Launch one morsel-driven leaf on a coordinator thread: `resolve`
-/// yields its source plus what its sinks share (the join, for a MATCH),
-/// `workers` workers drain it, and `finish` takes their partials.
+/// Launch one morsel-driven leaf on a coordinator thread: `share` builds
+/// what its sinks share there (a MATCH's join; `None` stops the leaf),
+/// `workers` workers drain `source`, and `finish` takes their partials.
 fn spawn_drive<X, S>(
     workers: usize,
     ticket: &Arc<TicketCore>,
-    resolve: impl FnOnce(&TicketCore) -> Option<(ScanSource, X)> + Send + 'static,
+    source: ScanSource,
+    share: impl FnOnce(&TicketCore) -> Option<X> + Send + 'static,
     make_sink: impl Fn(&X) -> S + Send + Sync + 'static,
     finish: impl FnOnce(Vec<S::Partial>) + Send + 'static,
 ) where
@@ -1463,39 +1437,15 @@ fn spawn_drive<X, S>(
 {
     let t = ticket.clone();
     spawn_guarded(ticket.clone(), move || {
-        if let Some((source, shared)) = resolve(&t) {
+        if let Some(shared) = share(&t) {
             finish(run_morsels(source, workers, &t, move || make_sink(&shared)));
         }
     });
 }
 
-/// A scan leaf's resolution for [`spawn_drive`]. It captures only what
-/// the scan reads: a coordinator thread may outlive its stream by a
-/// moment and must not pin a store it does not scan.
-fn scan_leaf(
-    env: &ExecEnv,
-    spec: ScanSpec,
-) -> impl FnOnce(&TicketCore) -> Option<(ScanSource, ())> + Send + 'static {
-    let store = (spec.source == QuerySource::Full).then(|| env.store.clone());
-    let (tags, sets, plans) = (env.tags.clone(), env.sets.clone(), env.plans.clone());
-    let level = env.cover_level;
-    move |t| {
-        Some((
-            ScanSource::resolve(store, &tags, &sets, &plans, &spec, level, t)?,
-            (),
-        ))
-    }
-}
-
-/// A MATCH leaf's resolution for [`spawn_drive`]: the probe source and
-/// the prepared join.
-fn match_leaf(
-    env: &ExecEnv,
-    spec: ScanSpec,
-    m: MatchSpec,
-) -> impl FnOnce(&TicketCore) -> Option<(ScanSource, Arc<MatchJoin>)> + Send + 'static {
-    let (tags, sets, plans) = (env.tags.clone(), env.sets.clone(), env.plans.clone());
-    move |t| MatchJoin::prepare(&tags, &sets, &plans, &spec, &m, t)
+/// The `share` of a scan whose sinks share nothing.
+fn no_share(_: &TicketCore) -> Option<()> {
+    Some(())
 }
 
 /// One worker's side of a [`RowFilter`], counting the rows it kept.
@@ -1619,10 +1569,9 @@ impl MorselSink for FoldSink {
     }
 }
 
-/// The lane path's INTO plan: one compiled scan, and for a set
+/// The lane path's INTO plan: one compiled scan's filter, and for a set
 /// operation the right branch's filter over the same source and domain.
 pub(crate) struct IntoPlan {
-    spec: ScanSpec,
     filter: Arc<RowFilter>,
     set: Option<(SetOp, Arc<RowFilter>)>,
 }
@@ -1656,18 +1605,13 @@ pub(crate) fn compile_into(
             let (right, right_filter) = leaf(*right, true)?;
             let fused = spec.source == right.source && spec.domain == right.domain;
             fused.then_some(IntoPlan {
-                spec,
                 filter,
                 set: Some((op, right_filter)),
             })
         }
         scan => {
-            let (spec, filter) = leaf(scan, false)?;
-            Some(IntoPlan {
-                spec,
-                filter,
-                set: None,
-            })
+            let (_, filter) = leaf(scan, false)?;
+            Some(IntoPlan { filter, set: None })
         }
     }
 }
@@ -1765,9 +1709,10 @@ impl MorselSink for IntoSink {
     }
 }
 
-/// The direct columnar INTO path: drive an [`IntoPlan`]'s scan with
-/// `env.workers` workers into a new result set of `chunk_rows`-row
-/// chunks, failing once it outgrows `budget` bytes.
+/// The direct columnar INTO path: drive an [`IntoPlan`]'s scan of the
+/// statement's one resolved leaf (a fused set operation resolves only its
+/// left branch's) with `env.workers` workers into a new result set of
+/// `chunk_rows`-row chunks, failing once it outgrows `budget` bytes.
 ///
 /// A set operation runs as the one scan, selecting both branches per
 /// batch: no second scan, no id hash. The workers record which rows
@@ -1781,16 +1726,17 @@ impl MorselSink for IntoSink {
 /// panic or quota overrun returns `Err` and builds no set.
 pub(crate) fn run_into(
     env: &ExecEnv,
+    leaves: &[Leaf],
     plan: IntoPlan,
     ticket: &Arc<TicketCore>,
     set_name: &str,
     chunk_rows: usize,
     budget: u64,
 ) -> Result<ResultSet, QueryError> {
-    let failed = || QueryError::Exec(ticket.failure().unwrap_or_default());
-    let Some((source, ())) = scan_leaf(env, plan.spec)(ticket) else {
-        return Err(failed());
+    let [Leaf::Scan(source)] = leaves else {
+        unreachable!("a lane-route INTO resolves one scan leaf")
     };
+    let failed = || QueryError::Exec(ticket.failure().unwrap_or_default());
     let quota = Arc::new(IntoQuota {
         budget,
         charged: AtomicU64::new(0),
@@ -1809,7 +1755,7 @@ pub(crate) fn run_into(
     }
     let mut kept: Vec<KeptRows> = parts.into_iter().flatten().collect();
     kept.sort_unstable_by_key(|(m, _)| *m);
-    let (source, kept) = (&source, &kept);
+    let kept = &kept;
     let runs = (0..2).flat_map(|out| {
         let kept = kept.iter().filter(move |(_, rows)| !rows[out].is_empty());
         kept.map(move |(m, rows)| (source.morsel_chunk(*m), &rows[out][..]))
@@ -1862,26 +1808,6 @@ pub(crate) fn run_into(
 // build side
 // ---------------------------------------------------------------------
 
-/// The part of the archive a MATCH reads. When exactly one input is the
-/// archive and the other a stored set, only the set's footprint cap
-/// (see [`MatchFootprint::of_set`]) can hold partners; every other shape
-/// reads the archive whole. The cost estimate and the execution both
-/// call this, so EXPLAIN, admission and the scan agree on what is read.
-pub(crate) fn match_archive_footprint(
-    m: &MatchSpec,
-    sets: &HashMap<String, Arc<ResultSet>>,
-) -> MatchFootprint {
-    let set = match (&m.a, &m.b) {
-        (MatchInput::Archive, MatchInput::Set(name))
-        | (MatchInput::Set(name), MatchInput::Archive) => sets.get(name),
-        _ => None,
-    };
-    match set {
-        Some(set) => MatchFootprint::of_set(set, m.radius_arcsec),
-        None => MatchFootprint::Whole,
-    }
-}
-
 /// One pair of a MATCH join, presented to the row-wise evaluator:
 /// `a.<attr>` / `b.<attr>` resolve through the underlying tag records,
 /// `sep_arcsec` is the pair's angular separation. Positional functions
@@ -1911,21 +1837,13 @@ impl AttrSource for PairSource<'_> {
     }
 }
 
-/// Whether a MATCH builds its index on input `a` and probes with `b`:
-/// the join builds on the input with fewer bytes to read, since the
-/// build is serial and held in memory while the probe side streams
-/// morsel-parallel. Ties keep `a` as the probe side. The cost estimate
-/// and the execution both decide through this rule.
-pub(crate) fn match_builds_on_a(a_bytes: u64, b_bytes: u64) -> bool {
-    a_bytes < b_bytes
-}
-
 /// A MATCH's collected build rows and each row's `(ra, dec)` lanes.
 type BuildRows = (Vec<TagObject>, Vec<(f64, f64)>);
 
 /// The build half of one MATCH execution: the collected build rows with
 /// their [`DecZoneIndex`] and the join parameters, shared read-only by
-/// every probe worker. The probe side is a plain [`ScanSource`] that the
+/// every probe worker. Prepare fixed both sides and the join's shape in
+/// the [`MatchLeaf`]; the probe side is a plain [`ScanSource`] that the
 /// morsel driver drains like any columnar scan.
 ///
 /// The index is built from the build batches' `ra`/`dec` lanes, and it
@@ -1941,92 +1859,35 @@ struct MatchJoin {
     /// The sample clause when it filters probe rows (`a` probes).
     probe_sample: Option<f64>,
     radius_arcsec: f64,
-    /// The build rows are input `a` and the probe rows input `b` (see
-    /// [`match_builds_on_a`]); pairs are presented as `(a, b)` either way.
+    /// See [`MatchLeaf::build_is_a`].
     build_is_a: bool,
     build: Vec<TagObject>,
     index: DecZoneIndex,
 }
 
 impl MatchJoin {
-    /// Resolve both join sides (the archive one restricted to the
-    /// footprint), collect the build side and index it; returns the probe
-    /// source and the join. Failures are recorded on the ticket.
-    fn prepare(
-        tags: &Option<Arc<TagStore>>,
-        sets: &HashMap<String, Arc<ResultSet>>,
-        plans: &LeafPlans,
-        spec: &ScanSpec,
-        m: &MatchSpec,
-        ticket: &TicketCore,
-    ) -> Option<(ScanSource, Arc<MatchJoin>)> {
-        let footprint = match_archive_footprint(m, sets);
-        let input = |input| Self::resolve_input(input, &footprint, tags, sets, plans, ticket);
-        let (a, b) = (input(&m.a)?, input(&m.b)?);
-        let build_is_a = match_builds_on_a(a.total_bytes(), b.total_bytes());
-        let (probe, build_side) = if build_is_a { (b, a) } else { (a, b) };
+    /// Collect a MATCH leaf's build side and index it, on the leaf's
+    /// coordinator thread; `None` once cancelled.
+    fn build(leaf: &MatchLeaf, spec: &ScanSpec, ticket: &TicketCore) -> Option<Arc<MatchJoin>> {
         // The driver notes the probe side's cover lookup; note the
         // build side's here.
-        if let Some(hit) = build_side.cover_cache_hit() {
+        if let Some(hit) = leaf.build.cover_cache_hit() {
             ticket.note_cover(hit);
         }
         // The sample clause filters `a` rows: on the probe side when `a`
         // probes, here when it is the build side.
-        let build_sample = spec.sample.filter(|_| build_is_a);
-        let (build, at) = Self::collect_build(&build_side, build_sample, ticket)?;
-        // The occupancy filter pays only where the archive probes a set
-        // (see the type's docs).
-        let (probe_input, build_input) = if build_is_a {
-            (&m.b, &m.a)
-        } else {
-            (&m.a, &m.b)
-        };
-        let occupancy = matches!(
-            (probe_input, build_input),
-            (MatchInput::Archive, MatchInput::Set(_))
-        );
+        let build_sample = spec.sample.filter(|_| leaf.build_is_a);
+        let (build, at) = Self::collect_build(&leaf.build, build_sample, ticket)?;
         let points = build.iter().zip(at).map(|(row, at)| (row.unit_vec(), at));
-        let index = DecZoneIndex::build(points, m.radius_arcsec, occupancy);
-        let join = MatchJoin {
+        let index = DecZoneIndex::build(points, leaf.radius_arcsec, leaf.occupancy);
+        Some(Arc::new(MatchJoin {
             predicate: spec.predicate.clone(),
-            probe_sample: spec.sample.filter(|_| !build_is_a),
-            radius_arcsec: m.radius_arcsec,
-            build_is_a,
+            probe_sample: spec.sample.filter(|_| !leaf.build_is_a),
+            radius_arcsec: leaf.radius_arcsec,
+            build_is_a: leaf.build_is_a,
             build,
             index,
-        };
-        Some((probe, Arc::new(join)))
-    }
-
-    /// One join input as a morsel source, delegated to the scan path's
-    /// own resolver via a bare scan spec: stored sets expose their
-    /// chunks, the archive resolves to the tag scan plan made at prepare
-    /// over `footprint` (a cover of the other input's cap, or the whole
-    /// sky) at the store's scan cover level, and an archive input facing
-    /// an empty set resolves to no rows at all.
-    fn resolve_input(
-        input: &MatchInput,
-        footprint: &MatchFootprint,
-        tags: &Option<Arc<TagStore>>,
-        sets: &HashMap<String, Arc<ResultSet>>,
-        plans: &LeafPlans,
-        ticket: &TicketCore,
-    ) -> Option<ScanSource> {
-        let (source, domain) = match input {
-            MatchInput::Set(name) => (QuerySource::Set(name.clone()), None),
-            MatchInput::Archive if *footprint == MatchFootprint::Empty => {
-                return Some(ScanSource::Set(Arc::new(ResultSetBuilder::new(1).finish())));
-            }
-            MatchInput::Archive => (QuerySource::Tag, footprint.domain().cloned()),
-        };
-        let spec = ScanSpec {
-            source,
-            domain,
-            predicate: None,
-            columns: Vec::new(),
-            sample: None,
-        };
-        ScanSource::resolve(None, tags, sets, plans, &spec, None, ticket)
+        }))
     }
 
     /// Materialize the build side once as owned tag rows, with each
@@ -2607,27 +2468,5 @@ mod tests {
         assert!(!t.is_cancelled());
         t.cancel();
         assert!(t.is_cancelled());
-    }
-
-    #[test]
-    fn a_scan_prepare_made_no_plan_for_fails_without_planning() {
-        // No tag store: planning afresh would have nothing to plan
-        // against, so the failure must come from the missing plan.
-        let spec = ScanSpec {
-            source: QuerySource::Tag,
-            domain: None,
-            predicate: None,
-            columns: Vec::new(),
-            sample: None,
-        };
-        let (sets, plans, t) = (HashMap::new(), LeafPlans::default(), TicketCore::default());
-        let source = ScanSource::resolve(None, &None, &sets, &plans, &spec, Some(10), &t);
-        assert!(source.is_none());
-        let msg = t.failure().expect("the missing plan is recorded");
-        assert!(msg.contains("no Tag scan plan"), "{msg}");
-        assert_eq!(
-            t.totals().cover_cache_hits + t.totals().cover_cache_misses,
-            0
-        );
     }
 }

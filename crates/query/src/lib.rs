@@ -44,9 +44,10 @@
 //!   stored sets, read from the scan plans the executions reuse for the
 //!   base stores), then execute
 //!   repeatedly with `$1`-style numeric parameters re-bound per run — no
-//!   re-parse, no re-plan. Session prepares pin a snapshot of the sets
-//!   they reference. [`Prepared::explain`] leads with the estimate line
-//!   the admission queue orders on.
+//!   re-parse, no re-plan. Prepare resolves each scan leaf once, and a
+//!   session-prepared statement's leaves keep the sets they read.
+//!   [`Prepared::explain`] leads with the estimate line the admission
+//!   queue orders on.
 //! * [`Prepared::stream`] → [`ResultStream`] — pull-based
 //!   [`ResultBatch`]es; the compiled scan path ships struct-of-arrays
 //!   [`ColumnarBatch`]es through the whole channel fabric and rows

@@ -239,41 +239,6 @@ impl PlanNode {
         })
     }
 
-    /// Names of every stored set this tree scans (deduplicated) — what
-    /// a session prepare needs to pin, and nothing more.
-    pub fn referenced_sets(&self) -> Vec<&str> {
-        fn push<'a>(name: &'a str, out: &mut Vec<&'a str>) {
-            if !out.contains(&name) {
-                out.push(name);
-            }
-        }
-        fn walk<'a>(node: &'a PlanNode, out: &mut Vec<&'a str>) {
-            match node {
-                PlanNode::Scan(s) => match &s.source {
-                    QuerySource::Set(name) => push(name, out),
-                    QuerySource::Match(m) => {
-                        for input in [&m.a, &m.b] {
-                            if let MatchInput::Set(name) = input {
-                                push(name, out);
-                            }
-                        }
-                    }
-                    QuerySource::Full | QuerySource::Tag => {}
-                },
-                PlanNode::Sort { child, .. }
-                | PlanNode::Limit { child, .. }
-                | PlanNode::Aggregate { child, .. } => walk(child, out),
-                PlanNode::Set { left, right, .. } => {
-                    walk(left, out);
-                    walk(right, out);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        walk(self, &mut out);
-        out
-    }
-
     /// Number of nodes (for tests / EXPLAIN).
     pub fn size(&self) -> usize {
         match self {

@@ -264,9 +264,9 @@ impl Session {
     /// or replacements don't affect this statement's executions), and
     /// `INTO <name>` statements materialize into this session when run.
     pub fn prepare(&self, sql: &str) -> Result<Prepared, QueryError> {
-        let sets = Arc::new(self.shared.sets.lock().unwrap().clone());
+        let sets = self.shared.sets.lock().unwrap().clone();
         self.archive
-            .prepare_in(sql, sets, Some(self.shared.clone()))
+            .prepare_in(sql, &sets, Some(self.shared.clone()))
     }
 
     /// Prepare + execute. Plain queries return their rows; `INTO`

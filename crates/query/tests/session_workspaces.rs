@@ -465,6 +465,51 @@ fn lane_into_matches_the_fetch_route_at_every_worker_count() {
     }
 }
 
+/// A stored set `EXCEPT` a tag cone, in both orders, and with `ORDER BY
+/// ... LIMIT` over the set: the branches read different sources, so each
+/// runs on its own leaf. On the interpreted oracle and at 1, 2 and 4
+/// workers, the rows are the left branch run alone less the objects the
+/// right branch run alone returns.
+#[test]
+fn set_except_cone_branches_read_their_own_sources() {
+    let (store, tags) = build_stores(61, 2500);
+    let oracle = Archive::with_config(
+        store.clone(),
+        Some(tags.clone()),
+        ArchiveConfig {
+            mode: ExecMode::Interpreted,
+            admission: AdmissionConfig {
+                max_workers_per_query: 1,
+                ..AdmissionConfig::default()
+            },
+            ..ArchiveConfig::default()
+        },
+    );
+    let set = "SELECT objid, r FROM sa WHERE r < 21.5";
+    let limited = format!("{set} ORDER BY r LIMIT 300");
+    let cone = "SELECT objid, r FROM photoobj WHERE CIRCLE(185, 15, 2)";
+    let shapes = [(set, cone), (cone, set), (&limited, cone)];
+    let mut archives = vec![oracle];
+    archives.extend([1, 2, 4].map(|w| archive_with_workers(&store, &tags, w)));
+    let mut want = Vec::new();
+    for (k, archive) in archives.iter().enumerate() {
+        let session = matrix_session(archive, 1 << 30);
+        for (i, (left, right)) in shapes.iter().enumerate() {
+            let sql = format!("({left}) EXCEPT ({right})");
+            let out = session.run(&sql).unwrap();
+            if k == 0 {
+                let right = session.run(right).unwrap();
+                let right: Vec<_> = right.rows.iter().map(|row| row[0].as_id()).collect();
+                let mut alone = session.run(left).unwrap();
+                alone.rows.retain(|row| !right.contains(&row[0].as_id()));
+                assert!(!alone.rows.is_empty(), "{sql} must select rows");
+                want.push(keyed(&alone));
+            }
+            assert_eq!(keyed(&out), want[i], "{sql} on archive {k}");
+        }
+    }
+}
+
 #[test]
 fn lane_into_quota_counts_committed_rows_only() {
     let (store, tags) = build_stores(62, 2500);

@@ -160,6 +160,38 @@ fn tag_cones_and_sweeps_agree_across_routes() {
     assert_eq!(sweep.stats.workers_used, 2);
 }
 
+/// Set operations whose branches read different domains or stores, so
+/// each branch must run on its own leaf: `EXCEPT` of two different
+/// cones, and a full-store branch (selecting on `psf_r`) `EXCEPT` a tag
+/// branch. The expected rows are the branches run alone: the left rows
+/// whose object the right branch does not return.
+#[test]
+fn set_operations_over_different_leaves_agree_across_routes() {
+    use sdss::query::RouteChoice::{Full, TagOnly};
+    let (store, tags) = stores();
+    let routes = routes(&store, &tags);
+    let (_, interp) = &routes[0];
+    let cone = "SELECT objid, r FROM photoobj WHERE CIRCLE(185, 15, 1.5)";
+    let other = "SELECT objid, r FROM photoobj WHERE CIRCLE(185.8, 15.3, 1)";
+    let full = "SELECT objid, r FROM photoobj WHERE CIRCLE(185, 15, 1.5) AND psf_r < 22";
+    let right: BTreeSet<Option<u64>> = interp
+        .run(other)
+        .unwrap()
+        .rows
+        .iter()
+        .map(|row| row[0].as_id())
+        .collect();
+    for (left, route) in [(cone, TagOnly), (full, Full)] {
+        let sql = format!("({left}) EXCEPT ({other})");
+        let out = agree(&routes, &sql);
+        assert_eq!(out.stats.route, route, "{sql}");
+        let mut want = interp.run(left).unwrap().rows;
+        want.retain(|row| !right.contains(&row[0].as_id()));
+        assert!(!want.is_empty(), "{sql} must select rows");
+        assert_same_rows(&want, &out.rows, &sql);
+    }
+}
+
 #[test]
 fn non_compilable_predicate_agrees_across_routes() {
     let (store, tags) = stores();
