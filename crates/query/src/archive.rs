@@ -23,15 +23,14 @@
 //! * [`QueryTicket`] — every execution's cancel token + live progress
 //!   counters; [`QueryStats`] summarizes the run once the stream
 //!   finishes.
-//! * Admission control — a semaphore-bounded slot pool
-//!   ([`AdmissionConfig`]): executions queue for a slot instead of
-//!   oversubscribing the machine, and *heavy* queries (estimated bytes
-//!   over a threshold) additionally share a smaller heavy-slot pool so
-//!   a burst of full-sky sweeps cannot starve interactive cone searches.
+//! * Admission control — a semaphore-bounded pool of worker slots
+//!   ([`AdmissionConfig`]): an execution holds one slot per scan worker
+//!   it starts, and executions queue for slots, cheapest estimate first,
+//!   instead of oversubscribing the machine.
 
 use crate::exec::{
-    compile_into, launch, plan_uses_columnar, run_into, BatchHandle, ExecEnv, ExecMode, Leaf,
-    ResultBatch, Row, ScanSource, ScanTotals, TicketCore,
+    compile_into, plan_uses_columnar, run_into, ExecEnv, ExecMode, Leaf, Node, ResultBatch, Row,
+    ScanSource, ScanTotals, TicketCore,
 };
 use crate::parser::parse_statement;
 use crate::plan::{plan, MatchInput, MatchSpec, PlanNode, QueryPlan, QuerySource, ScanSpec};
@@ -134,11 +133,6 @@ pub struct AdmissionConfig {
     /// queue cost-ordered (shortest estimated query first, with a
     /// starvation bound).
     pub max_worker_slots: usize,
-    /// Estimated scan bytes at or above which a query is *heavy*.
-    pub heavy_bytes: u64,
-    /// How many heavy queries may execute at once (clamped to at least 1
-    /// so heavy queries always make progress).
-    pub max_heavy: usize,
     /// Cap on scan workers granted to one query — the intra-query
     /// parallelism degree (clamped to at least 1).
     pub max_workers_per_query: usize,
@@ -157,8 +151,6 @@ impl Default for AdmissionConfig {
             // Enough slots for one full-width sweep plus interactive
             // queries alongside it.
             max_worker_slots: (2 * cores).max(4),
-            heavy_bytes: 64 << 20,
-            max_heavy: 2,
             max_workers_per_query: cores.max(1),
             max_bypass: 4,
         }
@@ -182,7 +174,6 @@ pub struct AdmissionSnapshot {
 struct Waiter {
     id: u64,
     weight: usize,
-    heavy: bool,
     est_seconds: f64,
     /// Later-arriving queries that dispatched ahead of this one.
     bypass: u32,
@@ -190,8 +181,6 @@ struct Waiter {
 
 #[derive(Debug)]
 struct SlotState {
-    free: usize,
-    heavy_free: usize,
     total: usize,
     max_bypass: u32,
     /// Waiting queries in arrival order.
@@ -201,7 +190,7 @@ struct SlotState {
     peak_running: usize,
 }
 
-/// A weighted counting semaphore over (general, heavy) worker slots with
+/// A weighted counting semaphore over worker slots with
 /// a **cost-ordered** wait queue: among the waiters that fit the free
 /// slots, the one with the smallest `est_seconds` dispatches first
 /// (short interactive queries jump queued sweeps). Every dispatch that
@@ -219,8 +208,6 @@ impl Slots {
         let total = cfg.max_worker_slots.max(1);
         Slots {
             state: Mutex::new(SlotState {
-                free: total,
-                heavy_free: cfg.max_heavy.clamp(1, total),
                 total,
                 max_bypass: cfg.max_bypass,
                 waiters: Vec::new(),
@@ -232,8 +219,8 @@ impl Slots {
         }
     }
 
-    fn fits(st: &SlotState, w: &Waiter) -> bool {
-        w.weight <= st.free && (!w.heavy || st.heavy_free > 0)
+    fn fits(st: &SlotState, weight: usize) -> bool {
+        weight <= st.total - st.running
     }
 
     /// The waiter that should dispatch next, if any fits right now.
@@ -241,37 +228,41 @@ impl Slots {
         // A starved waiter is a barrier: it dispatches next or nothing
         // does (the pool drains until it fits).
         if let Some(pos) = st.waiters.iter().position(|w| w.bypass >= st.max_bypass) {
-            return Self::fits(st, &st.waiters[pos]).then_some(pos);
+            return Self::fits(st, st.waiters[pos].weight).then_some(pos);
         }
         // Cost order: cheapest eligible first; `min_by` keeps the first
         // (earliest-arrival) of equal estimates, so FIFO breaks ties.
         st.waiters
             .iter()
             .enumerate()
-            .filter(|(_, w)| Self::fits(st, w))
+            .filter(|(_, w)| Self::fits(st, w.weight))
             .min_by(|(_, a), (_, b)| a.est_seconds.total_cmp(&b.est_seconds))
             .map(|(pos, _)| pos)
     }
 
     /// Take `pos` out of the queue and claim its slots. Earlier arrivals
     /// still waiting were just bypassed.
-    fn dispatch(st: &mut SlotState, pos: usize) -> Waiter {
+    fn dispatch(self: &Arc<Slots>, st: &mut SlotState, pos: usize) -> SlotGuard {
         let w = st.waiters.remove(pos);
         for earlier in &mut st.waiters[..pos] {
             earlier.bypass += 1;
         }
-        st.free -= w.weight;
-        if w.heavy {
-            st.heavy_free -= 1;
-        }
-        st.running += w.weight;
+        self.claim(st, w.weight)
+    }
+
+    /// Claim `weight` free slots.
+    fn claim(self: &Arc<Slots>, st: &mut SlotState, weight: usize) -> SlotGuard {
+        st.running += weight;
         st.peak_running = st.peak_running.max(st.running);
-        w
+        SlotGuard {
+            slots: self.clone(),
+            weight,
+        }
     }
 
     /// Blocking acquire of `weight` worker slots (clamped to the pool
     /// size so wide queries always fit eventually).
-    fn acquire(self: &Arc<Slots>, weight: usize, heavy: bool, est_seconds: f64) -> SlotGuard {
+    fn acquire(self: &Arc<Slots>, weight: usize, est_seconds: f64) -> SlotGuard {
         let mut st = self.state.lock().unwrap();
         let weight = weight.clamp(1, st.total);
         let id = st.next_id;
@@ -279,22 +270,17 @@ impl Slots {
         st.waiters.push(Waiter {
             id,
             weight,
-            heavy,
             est_seconds,
             bypass: 0,
         });
         loop {
             if let Some(pos) = Self::chosen(&st) {
                 if st.waiters[pos].id == id {
-                    let w = Self::dispatch(&mut st, pos);
+                    let guard = self.dispatch(&mut st, pos);
                     drop(st);
                     // Another waiter may also fit in what's left.
                     self.cv.notify_all();
-                    return SlotGuard {
-                        slots: self.clone(),
-                        weight: w.weight,
-                        heavy,
-                    };
+                    return guard;
                 }
                 // Someone else should go first; make sure they're awake.
                 self.cv.notify_all();
@@ -305,31 +291,10 @@ impl Slots {
 
     /// Non-blocking acquire: `None` when the slots aren't free right now
     /// or queued queries are ahead (try never jumps the queue).
-    fn try_acquire(self: &Arc<Slots>, weight: usize, heavy: bool) -> Option<SlotGuard> {
+    fn try_acquire(self: &Arc<Slots>, weight: usize) -> Option<SlotGuard> {
         let mut st = self.state.lock().unwrap();
         let weight = weight.clamp(1, st.total);
-        let probe = Waiter {
-            id: 0,
-            weight,
-            heavy,
-            est_seconds: 0.0,
-            bypass: 0,
-        };
-        if !st.waiters.is_empty() || !Self::fits(&st, &probe) {
-            return None;
-        }
-        st.free -= weight;
-        if heavy {
-            st.heavy_free -= 1;
-        }
-        st.running += weight;
-        st.peak_running = st.peak_running.max(st.running);
-        drop(st);
-        Some(SlotGuard {
-            slots: self.clone(),
-            weight,
-            heavy,
-        })
+        (st.waiters.is_empty() && Self::fits(&st, weight)).then(|| self.claim(&mut st, weight))
     }
 
     fn snapshot(&self) -> AdmissionSnapshot {
@@ -348,16 +313,11 @@ impl Slots {
 struct SlotGuard {
     slots: Arc<Slots>,
     weight: usize,
-    heavy: bool,
 }
 
 impl Drop for SlotGuard {
     fn drop(&mut self) {
         let mut st = self.slots.state.lock().unwrap();
-        st.free += self.weight;
-        if self.heavy {
-            st.heavy_free += 1;
-        }
         st.running -= self.weight;
         drop(st);
         self.slots.cv.notify_all();
@@ -367,8 +327,6 @@ impl Drop for SlotGuard {
 /// Archive-wide configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ArchiveConfig {
-    /// Cover level override for all scans (None = store default).
-    pub cover_level: Option<u8>,
     /// Columnar compilation vs forced interpretation (default: Auto).
     pub mode: ExecMode,
     /// Calibration for plan-time cost estimates.
@@ -543,11 +501,9 @@ impl Archive {
             estimate: CostEstimate::default(),
         };
         resolver.walk(root)?;
-        let estimate = resolver.estimate;
-        let heavy = estimate.est_bytes >= self.inner.config.admission.heavy_bytes;
         Ok(Prepared {
             archive: self.clone(),
-            columns: query_plan.root.columns(),
+            columns: query_plan.root.columns().into(),
             into: query_plan.into.clone(),
             plan: Arc::new(query_plan),
             leaves: resolver.leaves.into(),
@@ -555,8 +511,7 @@ impl Archive {
             route,
             columnar,
             lane_into,
-            estimate,
-            heavy,
+            estimate: resolver.estimate,
             #[cfg(test)]
             fault_at_claim: 0,
         })
@@ -580,13 +535,13 @@ impl Archive {
 }
 
 /// What decides a base-store scan plan: whether it scans the full store,
-/// the domain and the cover level.
-type PlanKey = (bool, Option<Domain>, Option<u8>);
+/// and the domain.
+type PlanKey = (bool, Option<Domain>);
 
 /// The prepare walk over a plan's scan leaves, left to right: it resolves
 /// each leaf into what every execution drains and sums the leaves'
 /// estimates. A tag or full-store leaf's HTM cover is resolved once, at
-/// the cover level its scan reads, into a [`ScanPlan`]; a leaf of one
+/// its store's scan cover level, into a [`ScanPlan`]; a leaf of one
 /// domain as another shares its plan, and so one cover-cache entry.
 /// Domains are numeric literals (the parser rejects a parameter in one),
 /// so binding never changes a domain and a plan made at prepare serves
@@ -621,11 +576,10 @@ impl LeafResolver<'_> {
     }
 
     fn leaf(&mut self, s: &ScanSpec) -> Result<Leaf, QueryError> {
-        let level = self.inner.config.cover_level;
         let source = match &s.source {
             QuerySource::Set(name) => ScanSource::Set(self.set(name)?),
-            QuerySource::Tag => self.base(false, s.domain.as_ref(), level)?,
-            QuerySource::Full => self.base(true, s.domain.as_ref(), level)?,
+            QuerySource::Tag => self.base(false, s.domain.as_ref())?,
+            QuerySource::Full => self.base(true, s.domain.as_ref())?,
             QuerySource::Match(m) => return self.join(m),
         };
         Ok(Leaf::Scan(source))
@@ -635,8 +589,7 @@ impl LeafResolver<'_> {
     /// a stored set, only the set's footprint cap (see
     /// [`MatchFootprint::of_set`]) can hold partners, so the archive
     /// input reads that cap, or nothing for an empty set; every other
-    /// shape reads the archive whole. The archive is read at the store's
-    /// scan cover level.
+    /// shape reads the archive whole.
     fn join(&mut self, m: &MatchSpec) -> Result<Leaf, QueryError> {
         let footprint = match (&m.a, &m.b) {
             (MatchInput::Archive, MatchInput::Set(name))
@@ -650,7 +603,7 @@ impl LeafResolver<'_> {
             MatchInput::Archive if footprint == MatchFootprint::Empty => {
                 Ok(ScanSource::Set(Arc::new(ResultSetBuilder::new(1).finish())))
             }
-            MatchInput::Archive => self.base(false, footprint.domain(), None),
+            MatchInput::Archive => self.base(false, footprint.domain()),
         };
         let (a, b) = (input(&m.a)?, input(&m.b)?);
         Ok(Leaf::join(m, a, b))
@@ -665,14 +618,9 @@ impl LeafResolver<'_> {
         })
     }
 
-    /// A scan of the full store (`full`) or the tag store over `domain`
-    /// at `cover_level`, planned unless an equal one already was.
-    fn base(
-        &mut self,
-        full: bool,
-        domain: Option<&Domain>,
-        cover_level: Option<u8>,
-    ) -> Result<ScanSource, QueryError> {
+    /// A scan of the full store (`full`) or the tag store over `domain`,
+    /// planned unless an equal one already was.
+    fn base(&mut self, full: bool, domain: Option<&Domain>) -> Result<ScanSource, QueryError> {
         self.estimate.full_sweep |= domain.is_none();
         let inner = self.inner;
         let tags = || {
@@ -682,16 +630,16 @@ impl LeafResolver<'_> {
         let planned = self
             .plans
             .iter()
-            .find(|((f, d, level), _)| *f == full && d.as_ref() == domain && *level == cover_level);
+            .find(|((f, d), _)| *f == full && d.as_ref() == domain);
         let plan = match planned {
             Some((.., plan)) => plan.clone(),
             None => {
                 let plan = Arc::new(if full {
-                    inner.store.plan_scan(domain, cover_level)?
+                    inner.store.plan_scan(domain, None)?
                 } else {
-                    tags().plan_batch_scan(domain, cover_level)?
+                    tags().plan_batch_scan(domain, None)?
                 });
-                let key = (full, domain.cloned(), cover_level);
+                let key = (full, domain.cloned());
                 self.plans.push((key, plan.clone()));
                 plan
             }
@@ -782,7 +730,8 @@ fn route_of(node: &PlanNode) -> RouteChoice {
 pub struct Prepared {
     archive: Archive,
     plan: Arc<QueryPlan>,
-    columns: Vec<String>,
+    /// Output column names, shared with every execution's stream.
+    columns: Arc<[String]>,
     /// Every scan leaf, resolved at prepare in the plan's left-to-right
     /// order: the base-store scan plans and the stored sets the statement
     /// reads, which it keeps even if the session later drops or replaces
@@ -800,7 +749,6 @@ pub struct Prepared {
     /// [`Prepared::run_into_columnar`]), decided at prepare time.
     lane_into: bool,
     estimate: CostEstimate,
-    heavy: bool,
     /// Injected worker fault for this statement's executions (see
     /// [`TicketCore`]'s `claims_until_fault`; 0 = off).
     #[cfg(test)]
@@ -822,7 +770,7 @@ impl Prepared {
         let est = &self.estimate;
         format!(
             "Estimate: est_rows={:.0} est_bytes={} containers={}+{} \
-             est_seconds={:.4} planned_workers={} route={:?} heavy={} \
+             est_seconds={:.4} planned_workers={} route={:?} \
              columnar={} full_sweep={}\n{}",
             est.est_rows,
             est.est_bytes,
@@ -831,7 +779,6 @@ impl Prepared {
             est.est_seconds,
             self.planned_workers(),
             self.route,
-            self.heavy,
             self.columnar,
             est.full_sweep,
             self.plan.explain(),
@@ -878,11 +825,6 @@ impl Prepared {
     /// truth, judged after parameter binding.)
     pub fn columnar(&self) -> bool {
         self.columnar
-    }
-
-    /// Would this execution occupy a heavy admission slot?
-    pub fn is_heavy(&self) -> bool {
-        self.heavy
     }
 
     /// Scan workers an execution will be granted — and the worker-thread
@@ -952,22 +894,22 @@ impl Prepared {
     pub(crate) fn stream_raw(&self, params: &[f64]) -> Result<ResultStream, QueryError> {
         let root = self.bind_root(params)?;
         let queued_at = Instant::now();
-        let slot = self.archive.inner.slots.acquire(
-            self.planned_workers(),
-            self.heavy,
-            self.estimate.est_seconds,
-        );
+        let slot = self
+            .archive
+            .inner
+            .slots
+            .acquire(self.planned_workers(), self.estimate.est_seconds);
         Ok(self.launch_stream(root, slot, queued_at.elapsed()))
     }
 
     /// Non-blocking variant of [`Prepared::stream`]: errors immediately
-    /// when the admission pool has no free (heavy-)slot.
+    /// when the admission pool has no free slots for it.
     pub fn try_stream(&self) -> Result<ResultStream, QueryError> {
         self.try_stream_with(&[])
     }
 
     /// Non-blocking variant of [`Prepared::stream_with`]: errors
-    /// immediately when the admission pool has no free (heavy-)slot
+    /// immediately when the admission pool has no free slots for it
     /// instead of queueing, so callers that hold open streams can issue
     /// nested queries without risking self-deadlock.
     pub fn try_stream_with(&self, params: &[f64]) -> Result<ResultStream, QueryError> {
@@ -977,7 +919,7 @@ impl Prepared {
             .archive
             .inner
             .slots
-            .try_acquire(self.planned_workers(), self.heavy)
+            .try_acquire(self.planned_workers())
             .ok_or_else(|| {
                 QueryError::Exec("admission pool is full (try again later)".to_string())
             })?;
@@ -999,8 +941,8 @@ impl Prepared {
         }
     }
 
-    /// The post-admission half of an execution: spawn the node threads
-    /// and wrap the pull end.
+    /// The post-admission half of an execution: start the scan leaves'
+    /// drives and wrap the operator tree above them.
     fn launch_stream(&self, root: PlanNode, slot: SlotGuard, queue_time: Duration) -> ResultStream {
         let inner = &self.archive.inner;
         // The execution-truth flag: judged on the *bound* plan (binding
@@ -1024,15 +966,14 @@ impl Prepared {
             at: Instant::now(),
             workers_granted,
         };
-        let handle = launch(&env, root, &self.leaves, &ticket);
         ResultStream {
-            handle,
+            root: Node::start(&env, root, &mut self.leaves.iter(), &ticket),
+            columns: self.columns.clone(),
             ticket: QueryTicket { core: ticket },
             started,
             first: None,
             rows: 0,
             batches: 0,
-            finished: false,
             workspace: self.workspace.clone(),
             _slot: slot,
         }
@@ -1124,11 +1065,9 @@ impl Prepared {
             )));
         };
         let queued_at = Instant::now();
-        let slot = inner.slots.acquire(
-            self.planned_workers(),
-            self.heavy,
-            self.estimate.est_seconds,
-        );
+        let slot = inner
+            .slots
+            .acquire(self.planned_workers(), self.estimate.est_seconds);
         let started = Started {
             route: self.route,
             columnar: true,
@@ -1233,20 +1172,24 @@ impl QueryTicket {
 }
 
 /// The pull end of one execution: iterate [`ResultBatch`]es as they
-/// arrive (ASAP push upstream, pull at the edge), then call
-/// [`ResultStream::finish`] for the [`QueryStats`].
+/// arrive (ASAP push from the scan leaves' workers, pull at the edge),
+/// then call [`ResultStream::finish`] for the [`QueryStats`]. `Limit`,
+/// `Sort` and `Set` run inside [`ResultStream::next_batch`], on the
+/// caller's thread, so the only threads an execution runs are its
+/// granted scan workers.
 ///
-/// Dropping the stream mid-flight tears execution down: node threads
-/// observe the closed channel and exit. The admission slot is held until
-/// the stream is dropped or finished.
+/// Dropping the stream mid-flight tears execution down: the scan
+/// workers observe the closed channels or the cancelled ticket and exit.
+/// The admission slots are held until the stream is dropped or finished.
 pub struct ResultStream {
-    handle: BatchHandle,
+    /// The operator tree over the scan leaves' channels.
+    root: Node,
+    columns: Arc<[String]>,
     ticket: QueryTicket,
     started: Started,
     first: Option<Duration>,
     rows: usize,
     batches: usize,
-    finished: bool,
     /// Session this execution runs under: [`ResultStream::finish`]
     /// reports the final stats into its accumulated `SessionStats`.
     workspace: Option<Arc<SessionShared>>,
@@ -1256,7 +1199,7 @@ pub struct ResultStream {
 impl ResultStream {
     /// Output column names.
     pub fn columns(&self) -> &[String] {
-        &self.handle.columns
+        &self.columns
     }
 
     /// This execution's cancel/progress ticket.
@@ -1265,24 +1208,16 @@ impl ResultStream {
     }
 
     /// The next batch, blocking until one arrives or the plan finishes.
+    /// A blocking operator does its work on the first pull: `Sort` and
+    /// `Set` drain a child there.
     pub fn next_batch(&mut self) -> Option<ResultBatch> {
-        if self.finished {
-            return None;
+        let batch = self.root.next()?;
+        if self.first.is_none() && !batch.is_empty() {
+            self.first = Some(self.started.at.elapsed());
         }
-        match self.handle.rx.recv() {
-            Ok(batch) => {
-                if self.first.is_none() && !batch.is_empty() {
-                    self.first = Some(self.started.at.elapsed());
-                }
-                self.rows += batch.len();
-                self.batches += 1;
-                Some(batch)
-            }
-            Err(_) => {
-                self.finished = true;
-                None
-            }
-        }
+        self.rows += batch.len();
+        self.batches += 1;
+        Some(batch)
     }
 
     /// Statistics for what this stream consumed. Scan-side totals are
@@ -1342,10 +1277,12 @@ impl Iterator for ResultStream {
     }
 }
 
-/// Abandoning a stream cancels its execution: without this, blocking
-/// nodes (Sort/Aggregate/Set) would keep draining their children to
-/// completion on detached threads *after* the admission slot returns to
-/// the pool — unaccounted background work admission exists to prevent.
+/// Abandoning a stream cancels its execution. Dropping the operator tree
+/// closes every drive's channel, but a drive notices that only when it
+/// next sends, and an in-scan aggregate sends once, at the end: without
+/// the cancel its workers would fold the rest of the scan *after* the
+/// admission slots return to the pool — unaccounted background work
+/// admission exists to prevent.
 impl Drop for ResultStream {
     fn drop(&mut self) {
         self.ticket.cancel();
@@ -1640,11 +1577,9 @@ mod tests {
         check_send::<ResultStream>();
     }
 
-    fn slots_cfg(max_worker_slots: usize, max_heavy: usize, max_bypass: u32) -> AdmissionConfig {
+    fn slots_cfg(max_worker_slots: usize, max_bypass: u32) -> AdmissionConfig {
         AdmissionConfig {
             max_worker_slots,
-            heavy_bytes: 1,
-            max_heavy,
             max_workers_per_query: max_worker_slots,
             max_bypass,
         }
@@ -1652,14 +1587,14 @@ mod tests {
 
     #[test]
     fn admission_slots_block_and_release() {
-        let slots = Arc::new(Slots::new(&slots_cfg(2, 1, 4)));
-        let a = slots.acquire(1, false, 1.0);
-        let b = slots.acquire(1, true, 1.0);
+        let slots = Arc::new(Slots::new(&slots_cfg(2, 4)));
+        let a = slots.acquire(1, 1.0);
+        let b = slots.acquire(1, 1.0);
         assert_eq!(slots.snapshot().running, 2);
         // Third acquire must wait until one guard drops.
         let slots2 = slots.clone();
         let t = std::thread::spawn(move || {
-            let _c = slots2.acquire(1, false, 1.0);
+            let _c = slots2.acquire(1, 1.0);
         });
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(slots.snapshot().queued, 1);
@@ -1673,13 +1608,13 @@ mod tests {
 
     #[test]
     fn weighted_acquire_accounts_worker_slots() {
-        let slots = Arc::new(Slots::new(&slots_cfg(8, 2, 4)));
+        let slots = Arc::new(Slots::new(&slots_cfg(8, 4)));
         // An 8-worker sweep holds 8 slots — the whole pool.
-        let sweep = slots.acquire(8, false, 100.0);
+        let sweep = slots.acquire(8, 100.0);
         assert_eq!(slots.snapshot().running, 8);
         let slots2 = slots.clone();
         let t = std::thread::spawn(move || {
-            let _one = slots2.acquire(1, false, 0.1);
+            let _one = slots2.acquire(1, 0.1);
         });
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(
@@ -1692,22 +1627,22 @@ mod tests {
         assert_eq!(slots.snapshot().running, 0);
         assert_eq!(slots.snapshot().peak_running, 8);
         // Weights clamp to the pool: an oversized request still fits.
-        let wide = slots.acquire(64, false, 1.0);
+        let wide = slots.acquire(64, 1.0);
         assert_eq!(slots.snapshot().running, 8);
         drop(wide);
     }
 
     #[test]
     fn admission_queue_is_cost_ordered() {
-        let slots = Arc::new(Slots::new(&slots_cfg(1, 1, 100)));
-        let hold = slots.acquire(1, false, 0.0);
+        let slots = Arc::new(Slots::new(&slots_cfg(1, 100)));
+        let hold = slots.acquire(1, 0.0);
         let (order_tx, order_rx) = std::sync::mpsc::channel::<&'static str>();
         // Expensive waiter arrives first...
         let slow = {
             let slots = slots.clone();
             let tx = order_tx.clone();
             std::thread::spawn(move || {
-                let g = slots.acquire(1, false, 60.0);
+                let g = slots.acquire(1, 60.0);
                 tx.send("slow").unwrap();
                 drop(g);
             })
@@ -1720,7 +1655,7 @@ mod tests {
             let slots = slots.clone();
             let tx = order_tx.clone();
             std::thread::spawn(move || {
-                let g = slots.acquire(1, false, 0.5);
+                let g = slots.acquire(1, 0.5);
                 tx.send("fast").unwrap();
                 // Hold briefly so "slow" can't finish first by racing.
                 std::thread::sleep(Duration::from_millis(20));
@@ -1749,15 +1684,15 @@ mod tests {
         // max_bypass = 2: after two cheap queries overtake it, the
         // expensive waiter becomes a barrier and dispatches next even
         // though cheaper work is queued behind it.
-        let slots = Arc::new(Slots::new(&slots_cfg(1, 1, 2)));
-        let hold = slots.acquire(1, false, 0.0);
+        let slots = Arc::new(Slots::new(&slots_cfg(1, 2)));
+        let hold = slots.acquire(1, 0.0);
         let order = Arc::new(Mutex::new(Vec::<String>::new()));
         let mut handles = Vec::new();
         // The starving expensive waiter arrives first.
         {
             let (slots, order) = (slots.clone(), order.clone());
             handles.push(std::thread::spawn(move || {
-                let g = slots.acquire(1, false, 1000.0);
+                let g = slots.acquire(1, 1000.0);
                 order.lock().unwrap().push("slow".into());
                 drop(g);
             }));
@@ -1770,7 +1705,7 @@ mod tests {
         for i in 0..4 {
             let (slots_t, order_t) = (slots.clone(), order.clone());
             handles.push(std::thread::spawn(move || {
-                let g = slots_t.acquire(1, false, 0.1);
+                let g = slots_t.acquire(1, 0.1);
                 order_t.lock().unwrap().push(format!("fast{i}"));
                 std::thread::sleep(Duration::from_millis(10));
                 drop(g);
@@ -1792,7 +1727,8 @@ mod tests {
     }
 
     /// A worker panic inside the morsel driver surfaces as `Err` on every
-    /// shape it drives, at 1 and 4 workers, whichever worker makes the
+    /// shape it drives, the operators pulled above the scans included, at
+    /// 1 and 4 workers, whichever worker makes the
     /// faulting claim (the coordinator or a spawned worker, the first
     /// claim or a later one): never a truncated result, never a leaked
     /// admission slot, and a failed INTO commits no set.
@@ -1812,13 +1748,17 @@ mod tests {
             "(SELECT objid FROM photoobj WHERE r < 22) UNION (SELECT objid FROM photoobj WHERE gr > 0.3) INTO t",
             "(SELECT objid FROM s) INTERSECT (SELECT objid FROM photoobj WHERE gr > 0.3) INTO t",
             "(SELECT objid FROM photoobj WHERE r < 22) EXCEPT (SELECT objid FROM photoobj WHERE gr > 0.3) INTO t",
+            // The pulled operators over the stream route. The bare LIMIT
+            // exceeds the row count, so it is never spent and every
+            // faulting claim happens.
+            "SELECT objid, r FROM photoobj WHERE r < 23 ORDER BY r LIMIT 50",
+            "SELECT objid, r FROM photoobj WHERE r < 23 LIMIT 1000000",
+            "(SELECT objid FROM photoobj WHERE r < 22) EXCEPT (SELECT objid FROM s)",
         ];
         for workers in [1, 4] {
             let config = ArchiveConfig {
                 admission: AdmissionConfig {
                     max_worker_slots: 16,
-                    heavy_bytes: u64::MAX,
-                    max_heavy: 1,
                     max_workers_per_query: workers,
                     max_bypass: 4,
                 },

@@ -1,23 +1,25 @@
-//! Multithreaded QET execution with ASAP push streaming of *batches*.
+//! QET execution with ASAP push streaming of *batches*.
 //!
-//! Every plan node runs on its own thread; results flow upward through
-//! bounded crossbeam channels as [`ResultBatch`]es. Scan/Limit nodes
-//! stream; Sort/Aggregate/Set nodes are the paper's blocking nodes ("at
-//! least one of the child nodes must be complete before results can be
-//! sent further up the tree"). The channel fabric gives the ASAP
-//! property: the first matching object reaches the consumer while scans
-//! are still running.
+//! All parallelism is at the scan leaves: each scan leaf and in-scan
+//! aggregate is a drive whose granted workers push [`ResultBatch`]es up
+//! a bounded crossbeam channel from the moment the execution starts, so
+//! the first matching object reaches the consumer while scans still
+//! run. `Limit`, `Sort` and `Set` are pulled above the leaves on the
+//! consumer's thread (`Node`); Sort and Set are the paper's blocking
+//! nodes ("at least one of the child nodes must be complete before
+//! results can be sent further up the tree") and drain a child on their
+//! first pull.
 //!
 //! Tag scans run **columnar**: the scan leaf pulls
 //! [`sdss_storage::ColumnBatch`]es from the tag store's struct-of-arrays
 //! chunks, evaluates the compiled predicate ([`crate::compile`]) over
 //! each batch into a selection bitmap, and ships the projected columns
-//! onward as a [`ColumnarBatch`] — typed column vectors, **not**
-//! `Vec<Row>`. Rows materialize only at the edge, when a consumer calls
+//! onward as a [`ColumnarBatch`] — typed column vectors, **not** rows.
+//! Rows materialize only at the edge, when a consumer calls
 //! [`ResultBatch::rows`], which builds every value of the batch eagerly
 //! into one row-major [`RowBlock`] (one allocation per batch, not per
-//! row); row-at-a-time interpretation remains as the fallback for
-//! whatever the compiler can't express.
+//! row); row-at-a-time interpretation, the fallback for whatever the
+//! compiler can't express, fills [`RowBlock`]s itself.
 //!
 //! Every scan execution — projection, in-scan aggregate, MATCH probe,
 //! INTO fast path and the row interpreter, over tags, stored sets and
@@ -29,10 +31,10 @@
 //! names. Prepare resolves each scan leaf's morsel source once (a
 //! `Leaf`), and every execution takes the leaves in plan order.
 //!
-//! Execution is owned, not scoped: stores travel as `Arc`s and node
-//! threads are detached, so a [`BatchHandle`] can outlive the call that
-//! launched it (the pull-based `ResultStream` of [`crate::archive`]).
-//! Producers observe consumer disappearance through channel send errors
+//! Execution is owned, not scoped: stores travel as `Arc`s and drives
+//! run on their own threads, so the operator tree can outlive the call
+//! that started it (the pull-based `ResultStream` of [`crate::archive`]).
+//! Drives observe consumer disappearance through channel send errors
 //! and cooperative cancellation through the shared [`TicketCore`].
 
 use crate::ast::{AggFn, Expr, SetOp, Value};
@@ -228,12 +230,14 @@ impl ColumnarBatch {
     }
 }
 
-/// A batch of materialized rows at the client edge: one row-major
-/// `Vec<Value>` slab (`width` values per row), so a batch costs one
-/// allocation instead of one per row. Eager: every `Value` is fully built
-/// when [`ResultBatch::rows`] returns. Index or iterate it as `&[Value]`
-/// rows; [`RowBlock::into_rows`] moves the values out as owned rows.
-#[derive(Debug, Clone, PartialEq)]
+/// A batch of materialized rows: one row-major `Vec<Value>` slab
+/// (`width` values per row), so a batch costs one allocation instead of
+/// one per row. The row interpreter, MATCH pairs, aggregates and the
+/// pulled operators fill blocks directly, and [`ResultBatch::rows`]
+/// hands them to the client as they are. Eager: every `Value` is fully
+/// built. Index or iterate it as `&[Value]` rows; [`RowBlock::into_rows`]
+/// moves the values out as owned rows.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RowBlock {
     values: Vec<Value>,
     width: usize,
@@ -241,6 +245,15 @@ pub struct RowBlock {
 }
 
 impl RowBlock {
+    /// An empty block of `width`-value rows with room for `rows` rows.
+    fn with_capacity(width: usize, rows: usize) -> RowBlock {
+        RowBlock {
+            values: Vec::with_capacity(width * rows),
+            width,
+            len: 0,
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.len
@@ -262,6 +275,53 @@ impl RowBlock {
             .map(|_| values.by_ref().take(self.width).collect())
             .collect()
     }
+
+    /// Append one row of exactly `width` values, one `push` per value (at
+    /// the columnar edge a `Vec::extend` per row cost 36 against 22 ns).
+    fn push(&mut self, row: impl IntoIterator<Item = Value>) {
+        for value in row {
+            self.values.push(value);
+        }
+        self.len += 1;
+        debug_assert_eq!(self.values.len(), self.len * self.width, "one row width");
+    }
+
+    /// Append every row of `other`, moving its values (an empty block
+    /// takes `other` whole).
+    fn append(&mut self, other: RowBlock) {
+        if self.len == 0 {
+            *self = other;
+            return;
+        }
+        assert_eq!(other.width, self.width, "one node emits one row width");
+        self.values.extend(other.values);
+        self.len += other.len;
+    }
+
+    fn truncate(&mut self, n: usize) {
+        if n < self.len {
+            self.values.truncate(n * self.width);
+            self.len = n;
+        }
+    }
+
+    /// Hand out the rows so far, leaving an empty block of the same width.
+    fn take(&mut self) -> RowBlock {
+        let empty = RowBlock::with_capacity(self.width, self.len);
+        std::mem::replace(self, empty)
+    }
+
+    /// Move the rows at `rows`, in that order, into a new block; each
+    /// moved value leaves a `Null` behind.
+    fn take_rows(&mut self, rows: impl ExactSizeIterator<Item = usize>) -> RowBlock {
+        let width = self.width;
+        let mut out = RowBlock::with_capacity(width, rows.len());
+        for r in rows {
+            let row = &mut self.values[r * width..(r + 1) * width];
+            out.push(row.iter_mut().map(|v| std::mem::replace(v, Value::Null)));
+        }
+        out
+    }
 }
 
 impl std::ops::Index<usize> for RowBlock {
@@ -273,12 +333,12 @@ impl std::ops::Index<usize> for RowBlock {
     }
 }
 
-/// What travels through the channel fabric: columnar batches from the
-/// compiled scan path, row batches from everything else.
+/// What the drives push and the operators pass up: columnar batches from
+/// the compiled scan path, row blocks from everything else.
 #[derive(Debug, Clone)]
 pub enum ResultBatch {
     Columnar(ColumnarBatch),
-    Rows(Vec<Row>),
+    Rows(RowBlock),
 }
 
 impl ResultBatch {
@@ -306,22 +366,12 @@ impl ResultBatch {
     }
 
     /// Materialize into one row-major [`RowBlock`] — the edge adapter.
-    /// One allocation per batch, and eager: columnar batches decode here
-    /// and nowhere earlier, and row batches move their values into the
-    /// slab without cloning.
+    /// Eager, and one allocation per batch: columnar batches decode here
+    /// and nowhere earlier; a row batch already is a block.
     pub fn rows(self) -> RowBlock {
         match self {
             ResultBatch::Columnar(b) => b.rows(),
-            ResultBatch::Rows(r) => {
-                let len = r.len();
-                let width = r.first().map_or(0, Vec::len);
-                let mut values = Vec::with_capacity(len * width);
-                for row in r {
-                    assert_eq!(row.len(), width, "one node emits one row width");
-                    values.extend(row);
-                }
-                RowBlock { values, width, len }
-            }
+            ResultBatch::Rows(r) => r,
         }
     }
 
@@ -333,15 +383,7 @@ impl ResultBatch {
                 out.extend((0..b.len()).map(|_| Vec::with_capacity(b.columns.len())));
                 b.append_columns(&mut out[start..]);
             }
-            ResultBatch::Rows(r) => out.extend(r),
-        }
-    }
-
-    /// Materialize one row.
-    fn row(&self, row: usize) -> Row {
-        match self {
-            ResultBatch::Columnar(b) => b.columns.iter().map(|c| c.value_at(row)).collect(),
-            ResultBatch::Rows(r) => r[row].clone(),
+            ResultBatch::Rows(r) => out.extend(r.into_rows()),
         }
     }
 
@@ -380,8 +422,8 @@ pub struct TicketCore {
     cover_misses: AtomicU64,
     /// One entry per scan worker that ran.
     worker_scans: Mutex<Vec<WorkerScan>>,
-    /// First node-thread panic, surfaced instead of silently truncating
-    /// the result (detached threads have no join to propagate through).
+    /// First execution-thread panic, surfaced instead of silently
+    /// truncating the result (a drive's coordinator thread is detached).
     failure: std::sync::Mutex<Option<String>>,
     /// Test fault injection, per execution: morsel claims left until the
     /// claiming worker panics (0 = off).
@@ -419,7 +461,7 @@ pub struct ScanTotals {
 
 impl TicketCore {
     /// Request cooperative cancellation: scan leaves stop between
-    /// batches; blocking nodes drain out through closed channels.
+    /// batches, and their channels close.
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::Relaxed);
     }
@@ -536,13 +578,6 @@ pub struct ExecEnv {
     pub workers: usize,
 }
 
-/// A handle to a running (sub)tree: the receiving end of its output.
-pub struct BatchHandle {
-    /// Output column names (shared, not re-cloned per node).
-    pub columns: Arc<Vec<String>>,
-    pub rx: Receiver<ResultBatch>,
-}
-
 /// The compiled row selection of a morsel-driven scan: the predicate
 /// (when present) and the deterministic sample filter, applied on top
 /// of the source's cover mask. Every worker of a drive shares it.
@@ -625,28 +660,6 @@ pub fn plan_uses_columnar(plan: &PlanNode, tags_available: bool, mode: ExecMode)
     }
 }
 
-/// Launch a plan on detached node threads and return the root's handle.
-/// `leaves` are the plan's scan leaves as prepare resolved them, in the
-/// plan's left-to-right order; each scan node takes the next one. The
-/// caller pulls batches at its own pace; dropping the handle cascades
-/// channel-disconnect shutdown through the tree, and `ticket.cancel()`
-/// stops scans between batches.
-pub(crate) fn launch(
-    env: &ExecEnv,
-    plan: PlanNode,
-    leaves: &[Leaf],
-    ticket: &Arc<TicketCore>,
-) -> BatchHandle {
-    spawn_node(env, plan, &mut leaves.iter(), ticket)
-}
-
-/// Spawn a detached node thread that records panics into the ticket —
-/// detached threads have no scope join to propagate through, and a
-/// silently dead producer would read as a clean (truncated) result.
-fn spawn_guarded(ticket: Arc<TicketCore>, body: impl FnOnce() + Send + 'static) {
-    std::thread::spawn(move || guarded(&ticket, body));
-}
-
 /// Run `body`, recording a panic into the ticket instead of unwinding
 /// further: `None` means it panicked.
 fn guarded<T>(ticket: &TicketCore, body: impl FnOnce() -> T) -> Option<T> {
@@ -675,139 +688,184 @@ fn next_leaf(leaves: &mut Leaves<'_>) -> Leaf {
     leaf.clone()
 }
 
-fn spawn_node(
-    env: &ExecEnv,
-    node: PlanNode,
-    leaves: &mut Leaves<'_>,
-    ticket: &Arc<TicketCore>,
-) -> BatchHandle {
-    match node {
-        PlanNode::Scan(spec) => spawn_scan(env, spec, next_leaf(leaves), ticket),
-        PlanNode::Limit { child, n } => {
-            let child_handle = spawn_node(env, *child, leaves, ticket);
-            let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-            let columns = child_handle.columns.clone();
-            spawn_guarded(ticket.clone(), move || {
-                let mut remaining = n;
-                for mut batch in child_handle.rx.iter() {
-                    if remaining == 0 {
-                        break; // dropping rx cancels the child
-                    }
-                    batch.truncate(remaining);
-                    remaining -= batch.len();
-                    if tx.send(batch).is_err() {
-                        break;
-                    }
-                }
-            });
-            BatchHandle { columns, rx }
-        }
-        PlanNode::Sort { child, key, desc } => {
-            let child_handle = spawn_node(env, *child, leaves, ticket);
-            let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-            let columns = child_handle.columns.clone();
-            let key_idx = columns.iter().position(|c| c == &key);
-            spawn_guarded(ticket.clone(), move || {
-                // Blocking node: drain the child completely first. Sort
-                // needs random access, so this is where columnar batches
-                // materialize.
-                let mut rows: Vec<Row> = Vec::new();
-                for batch in child_handle.rx.iter() {
-                    batch.append_rows(&mut rows);
-                }
-                if let Some(idx) = key_idx {
-                    rows.sort_by(|a, b| {
-                        let ord = compare_values(&a[idx], &b[idx]);
-                        if desc {
-                            ord.reverse()
-                        } else {
-                            ord
-                        }
-                    });
-                }
-                for chunk in rows.chunks(BATCH) {
-                    if tx.send(ResultBatch::Rows(chunk.to_vec())).is_err() {
-                        break;
-                    }
-                }
-            });
-            BatchHandle { columns, rx }
-        }
-        PlanNode::Aggregate { child, aggs } => {
-            let PlanNode::Scan(spec) = *child else {
-                unreachable!("the planner puts every aggregate directly over its scan")
-            };
-            spawn_agg_scan(env, spec, aggs, next_leaf(leaves), ticket)
-        }
-        PlanNode::Set { op, left, right } => {
-            let lh = spawn_node(env, *left, leaves, ticket);
-            let rh = spawn_node(env, *right, leaves, ticket);
-            let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-            let columns = lh.columns.clone();
-            let objid_idx = columns
-                .iter()
-                .position(|c| c == "objid")
-                .expect("planner enforced objid for set ops");
-            spawn_guarded(ticket.clone(), move || {
-                // Blocking on the right side. INTERSECT and EXCEPT need
-                // only its ids; UNION keeps its batches (unmaterialized)
-                // to emit the right-only rows whole after the left side.
-                let mut right_ids: HashSet<u64> = HashSet::new();
-                let mut right: Vec<ResultBatch> = Vec::new();
-                for batch in rh.rx.iter() {
-                    if op == SetOp::Union {
-                        right.push(batch);
-                        continue;
-                    }
-                    right_ids.extend((0..batch.len()).filter_map(|r| batch.id_at(objid_idx, r)));
-                }
-                // Stream the left side against it.
-                let mut seen: HashSet<u64> = HashSet::new();
-                let mut out = Vec::with_capacity(BATCH);
-                let push = |row: Row, out: &mut Vec<Row>| {
-                    out.push(row);
-                    out.len() < BATCH || tx.send(ResultBatch::Rows(std::mem::take(out))).is_ok()
+// ---------------------------------------------------------------------
+// The pulled operators
+// ---------------------------------------------------------------------
+
+/// One execution's plan as its stream pulls it, on the consumer's
+/// thread: scan leaves and aggregates are the channels of drives started
+/// with the tree, and `Limit`, `Sort` and `Set` pull their children. No
+/// operator starts a thread, so none can outlive its stream.
+pub(crate) enum Node {
+    /// A scan leaf or in-scan aggregate: its drive's batches.
+    Drive(Receiver<ResultBatch>),
+    /// `LIMIT n`: truncates, and drops its child once spent, which
+    /// closes the drives below it.
+    Limit {
+        child: Option<Box<Node>>,
+        remaining: usize,
+    },
+    Sort(Box<Sort>),
+    Set(Box<SetNode>),
+}
+
+impl Node {
+    /// Start every scan leaf's drive and build the operators over them.
+    /// `leaves` are the plan's scan leaves as prepare resolved them, in
+    /// the plan's left-to-right order; each scan node takes the next one.
+    /// Dropping the tree closes every drive's channel, and
+    /// `ticket.cancel()` stops the drives between batches.
+    pub(crate) fn start(
+        env: &ExecEnv,
+        node: PlanNode,
+        leaves: &mut Leaves<'_>,
+        ticket: &Arc<TicketCore>,
+    ) -> Node {
+        let mut build = |node: Box<PlanNode>| Node::start(env, *node, leaves, ticket);
+        match node {
+            PlanNode::Scan(spec) => Node::Drive(spawn_scan(env, spec, next_leaf(leaves), ticket)),
+            PlanNode::Aggregate { child, aggs } => {
+                let PlanNode::Scan(spec) = *child else {
+                    unreachable!("the planner puts every aggregate directly over its scan")
                 };
-                for batch in lh.rx.iter() {
-                    // Borrow each row; only the kept ones are copied out,
-                    // so duplicates and dropped rows cost no allocation.
-                    for row in batch.rows().iter() {
-                        let Some(id) = row[objid_idx].as_id() else {
-                            continue;
-                        };
-                        if seen.contains(&id) {
-                            continue; // set semantics: dedupe left
-                        }
-                        let keep = match op {
-                            SetOp::Union => true,
-                            SetOp::Intersect => right_ids.contains(&id),
-                            SetOp::Except => !right_ids.contains(&id),
-                        };
-                        if keep {
-                            seen.insert(id);
-                            if !push(row.to_vec(), &mut out) {
-                                return;
-                            }
-                        }
-                    }
+                Node::Drive(spawn_agg_scan(env, spec, aggs, next_leaf(leaves), ticket))
+            }
+            PlanNode::Limit { child, n } => Node::Limit {
+                // A `LIMIT 0` still takes its leaves, then drops them.
+                child: Some(Box::new(build(child))).filter(|_| n > 0),
+                remaining: n,
+            },
+            PlanNode::Sort { child, key, desc } => Node::Sort(Box::new(Sort {
+                key_col: child.columns().iter().position(|c| c == &key),
+                child: Some(build(child)),
+                desc,
+                ..Sort::default()
+            })),
+            PlanNode::Set { op, left, right } => {
+                let objid = left.columns().iter().position(|c| c == "objid");
+                // The left subtree takes its leaves first.
+                let left = build(left);
+                let right = Some(build(right));
+                Node::Set(Box::new(SetNode {
+                    op,
+                    objid_col: objid.expect("planner enforced objid for set ops"),
+                    left,
+                    right,
+                    right_ids: HashSet::new(),
+                    right_only: Vec::new().into_iter(),
+                    seen: HashSet::new(),
+                }))
+            }
+        }
+    }
+
+    /// The next batch, or `None` once the node is done (and on every
+    /// pull after).
+    pub(crate) fn next(&mut self) -> Option<ResultBatch> {
+        match self {
+            Node::Drive(rx) => rx.recv().ok(),
+            Node::Limit { child, remaining } => {
+                let mut batch = child.as_mut()?.next()?;
+                batch.truncate(*remaining);
+                *remaining -= batch.len();
+                if *remaining == 0 {
+                    *child = None;
                 }
-                // Union then emits each right-only object once, in
-                // arrival order, materializing only those rows.
-                for batch in &right {
-                    for r in 0..batch.len() {
-                        let Some(id) = batch.id_at(objid_idx, r) else {
-                            continue;
-                        };
-                        if seen.insert(id) && !push(batch.row(r), &mut out) {
-                            return;
-                        }
-                    }
+                Some(batch)
+            }
+            Node::Sort(sort) => sort.next(),
+            Node::Set(set) => set.next(),
+        }
+    }
+}
+
+/// `ORDER BY key`: drains its child into one block on the first pull,
+/// orders the rows by a stable sort (equal keys keep their arrival
+/// order), and hands them out moved into blocks of [`BATCH`] rows.
+#[derive(Default)]
+pub(crate) struct Sort {
+    child: Option<Node>,
+    key_col: Option<usize>,
+    desc: bool,
+    rows: RowBlock,
+    /// The rows not yet handed out, in output order.
+    order: std::vec::IntoIter<usize>,
+}
+
+impl Sort {
+    fn next(&mut self) -> Option<ResultBatch> {
+        if let Some(mut child) = self.child.take() {
+            std::iter::from_fn(|| child.next()).for_each(|batch| self.rows.append(batch.rows()));
+            let mut order: Vec<usize> = (0..self.rows.len()).collect();
+            if let Some(k) = self.key_col {
+                let key = |r: usize| &self.rows[r][k];
+                // Swapped operands order descending and keep ties stable.
+                order.sort_by(|&a, &b| match self.desc {
+                    false => compare_values(key(a), key(b)),
+                    true => compare_values(key(b), key(a)),
+                });
+            }
+            self.order = order.into_iter();
+        }
+        let n = self.order.len().min(BATCH);
+        let out = self.rows.take_rows(self.order.by_ref().take(n));
+        (!out.is_empty()).then_some(ResultBatch::Rows(out))
+    }
+}
+
+/// `UNION`/`INTERSECT`/`EXCEPT` on `objid`: drains its right child on
+/// the first pull, then filters the left stream batch by batch, each
+/// object once. UNION's right-only rows come last, in arrival order.
+pub(crate) struct SetNode {
+    op: SetOp,
+    objid_col: usize,
+    left: Node,
+    right: Option<Node>,
+    /// The right side's objects (INTERSECT and EXCEPT).
+    right_ids: HashSet<u64>,
+    /// The right side's batches, unmaterialized (UNION).
+    right_only: std::vec::IntoIter<ResultBatch>,
+    /// The objects emitted so far.
+    seen: HashSet<u64>,
+}
+
+impl SetNode {
+    fn next(&mut self) -> Option<ResultBatch> {
+        let key = self.objid_col;
+        if let Some(mut right) = self.right.take() {
+            let batches = std::iter::from_fn(|| right.next());
+            if self.op == SetOp::Union {
+                self.right_only = batches.collect::<Vec<_>>().into_iter();
+            } else {
+                for batch in batches {
+                    self.right_ids
+                        .extend((0..batch.len()).filter_map(|r| batch.id_at(key, r)));
                 }
-                if !out.is_empty() {
-                    let _ = tx.send(ResultBatch::Rows(out));
-                }
-            });
-            BatchHandle { columns, rx }
+            }
+        }
+        loop {
+            // The left batches, then UNION's right-only rows.
+            let (batch, left) = match self.left.next() {
+                Some(batch) => (batch, true),
+                None => (self.right_only.next()?, false),
+            };
+            let mut rows = batch.rows();
+            let keep: Vec<usize> = (0..rows.len())
+                .filter(|&r| {
+                    rows[r][key].as_id().is_some_and(|id| {
+                        let keep = !left
+                            || match self.op {
+                                SetOp::Union => true,
+                                SetOp::Intersect => self.right_ids.contains(&id),
+                                SetOp::Except => !self.right_ids.contains(&id),
+                            };
+                        keep && self.seen.insert(id)
+                    })
+                })
+                .collect();
+            if !keep.is_empty() {
+                return Some(ResultBatch::Rows(rows.take_rows(keep.into_iter())));
+            }
         }
     }
 }
@@ -817,9 +875,13 @@ fn spawn_node(
 /// compiled path when the predicate and projection both lower to
 /// bytecode; everything else — the full store always — interprets
 /// row-at-a-time over the same morsels.
-fn spawn_scan(env: &ExecEnv, spec: ScanSpec, leaf: Leaf, ticket: &Arc<TicketCore>) -> BatchHandle {
+fn spawn_scan(
+    env: &ExecEnv,
+    spec: ScanSpec,
+    leaf: Leaf,
+    ticket: &Arc<TicketCore>,
+) -> Receiver<ResultBatch> {
     let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-    let columns: Arc<Vec<String>> = Arc::new(spec.columns.iter().map(|(n, _)| n.clone()).collect());
     let t = ticket.clone();
     let source = match leaf {
         Leaf::Scan(source) => source,
@@ -828,8 +890,8 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, leaf: Leaf, ticket: &Arc<TicketCore
                 Arc::new(spec.columns.iter().map(|(_, e)| e.clone()).collect());
             let sink = move |join: &Arc<MatchJoin>| PairRows {
                 join: join.clone(),
+                out: RowBlock::with_capacity(exprs.len(), BATCH),
                 exprs: exprs.clone(),
-                out: Vec::with_capacity(BATCH),
                 tx: tx.clone(),
                 ticket: t.clone(),
                 pairs: 0,
@@ -837,7 +899,7 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, leaf: Leaf, ticket: &Arc<TicketCore
             let probe = leaf.probe.clone();
             let join = move |t: &TicketCore| MatchJoin::build(&leaf, &spec, t);
             spawn_drive(env.workers, ticket, probe, join, sink, drop);
-            return BatchHandle { columns, rx };
+            return rx;
         }
     };
     // `compile_scan` is the gate `plan_uses_columnar` reports through
@@ -854,18 +916,18 @@ fn spawn_scan(env: &ExecEnv, spec: ScanSpec, leaf: Leaf, ticket: &Arc<TicketCore
             sent_any: false,
         };
         spawn_drive(env.workers, ticket, source, no_share, sink, drop);
-        return BatchHandle { columns, rx };
+        return rx;
     }
     let spec = Arc::new(spec);
     let sink = move |_: &()| RowSink {
         spec: spec.clone(),
-        out: Vec::with_capacity(BATCH),
+        out: RowBlock::with_capacity(spec.columns.len(), BATCH),
         tx: tx.clone(),
         ticket: t.clone(),
         kept: 0,
     };
     spawn_drive(env.workers, ticket, source, no_share, sink, drop);
-    BatchHandle { columns, rx }
+    rx
 }
 
 /// Whether the row interpreter keeps a record: the sample, then the
@@ -889,7 +951,7 @@ fn row_kept<S: AttrSource>(spec: &ScanSpec, src: &S) -> bool {
 /// and reads full-store records in place.
 struct RowSink {
     spec: Arc<ScanSpec>,
-    out: Vec<Row>,
+    out: RowBlock,
     tx: Sender<ResultBatch>,
     ticket: Arc<TicketCore>,
     kept: u64,
@@ -906,14 +968,9 @@ impl RowSink {
             .columns
             .iter()
             .map(|(_, expr)| eval(expr, src).unwrap_or(Value::Null));
-        self.out.push(row.collect());
+        self.out.push(row);
         self.kept += 1;
-        self.out.len() < BATCH
-            || ship(
-                &self.ticket,
-                &self.tx,
-                ResultBatch::Rows(std::mem::take(&mut self.out)),
-            )
+        self.out.len() < BATCH || ship(&self.ticket, &self.tx, ResultBatch::Rows(self.out.take()))
     }
 }
 
@@ -999,9 +1056,8 @@ fn spawn_agg_scan(
     aggs: Vec<AggSpec>,
     leaf: Leaf,
     ticket: &Arc<TicketCore>,
-) -> BatchHandle {
+) -> Receiver<ResultBatch> {
     let (tx, rx) = bounded::<ResultBatch>(CHANNEL_DEPTH);
-    let columns = Arc::new(aggs.iter().map(|a| a.name.clone()).collect::<Vec<_>>());
     let funcs: Vec<AggFn> = aggs.iter().map(|a| a.func).collect();
     let t = ticket.clone();
     let merge = {
@@ -1022,7 +1078,7 @@ fn spawn_agg_scan(
             let probe = leaf.probe.clone();
             let join = move |t: &TicketCore| MatchJoin::build(&leaf, &spec, t);
             spawn_drive(env.workers, ticket, probe, join, sink, merge);
-            return BatchHandle { columns, rx };
+            return rx;
         }
     };
     if let Some((filter, inputs)) = compile_fold(&spec, &aggs, env.tags.is_some(), env.mode) {
@@ -1034,7 +1090,7 @@ fn spawn_agg_scan(
             ticket: t.clone(),
         };
         spawn_drive(env.workers, ticket, source, no_share, sink, merge);
-        return BatchHandle { columns, rx };
+        return rx;
     }
     let args: Arc<Vec<_>> = Arc::new(aggs.into_iter().map(|a| a.arg).collect());
     let spec = Arc::new(spec);
@@ -1046,7 +1102,7 @@ fn spawn_agg_scan(
         kept: 0,
     };
     spawn_drive(env.workers, ticket, source, no_share, sink, merge);
-    BatchHandle { columns, rx }
+    rx
 }
 
 /// One morsel's aggregate partial, tagged with its morsel index.
@@ -1097,9 +1153,10 @@ fn send_merged(
             a.merge(p);
         }
     }
-    let row: Row = acc.into_iter().map(AggAcc::finish).collect();
+    let mut row = RowBlock::with_capacity(funcs.len(), 1);
+    row.push(acc.into_iter().map(AggAcc::finish));
     ticket.note_emitted();
-    let _ = tx.send(ResultBatch::Rows(vec![row]));
+    let _ = tx.send(ResultBatch::Rows(row));
 }
 
 /// Ship one batch into the fabric, counted at the batch edge; `false`
@@ -1424,6 +1481,8 @@ impl<F: FnMut(&ColumnBatch<'_>, &SelectionMask) -> bool> MorselSink for F {
 /// Launch one morsel-driven leaf on a coordinator thread: `share` builds
 /// what its sinks share there (a MATCH's join; `None` stops the leaf),
 /// `workers` workers drain `source`, and `finish` takes their partials.
+/// The coordinator is detached, so it records its panic on the ticket: a
+/// silently dead producer would read as a clean (truncated) result.
 fn spawn_drive<X, S>(
     workers: usize,
     ticket: &Arc<TicketCore>,
@@ -1436,10 +1495,12 @@ fn spawn_drive<X, S>(
     S: MorselSink,
 {
     let t = ticket.clone();
-    spawn_guarded(ticket.clone(), move || {
-        if let Some(shared) = share(&t) {
-            finish(run_morsels(source, workers, &t, move || make_sink(&shared)));
-        }
+    std::thread::spawn(move || {
+        guarded(&t, || {
+            if let Some(shared) = share(&t) {
+                finish(run_morsels(source, workers, &t, move || make_sink(&shared)));
+            }
+        })
     });
 }
 
@@ -1995,7 +2056,7 @@ impl MatchJoin {
 struct PairRows {
     join: Arc<MatchJoin>,
     exprs: Arc<Vec<Expr>>,
-    out: Vec<Row>,
+    out: RowBlock,
     tx: Sender<ResultBatch>,
     ticket: Arc<TicketCore>,
     pairs: u64,
@@ -2011,13 +2072,9 @@ impl MorselSink for PairRows {
                 .exprs
                 .iter()
                 .map(|e| eval(e, pair).unwrap_or(Value::Null));
-            self.out.push(row.collect());
+            self.out.push(row);
             self.out.len() < BATCH
-                || ship(
-                    &self.ticket,
-                    &self.tx,
-                    ResultBatch::Rows(std::mem::take(&mut self.out)),
-                )
+                || ship(&self.ticket, &self.tx, ResultBatch::Rows(self.out.take()))
         })
     }
 
@@ -2391,6 +2448,13 @@ mod tests {
             .collect()
     }
 
+    /// A block holding `rows`.
+    fn block(width: usize, rows: &[Row]) -> RowBlock {
+        let mut block = RowBlock::with_capacity(width, rows.len());
+        rows.iter().for_each(|row| block.push(row.iter().cloned()));
+        block
+    }
+
     #[test]
     fn row_blocks_from_row_batches_and_empty_batches() {
         let rows: Vec<Row> = vec![
@@ -2398,23 +2462,27 @@ mod tests {
             vec![Value::Id(8), Value::Num(f64::NAN), Value::Null],
         ];
         let mut appended = Vec::new();
-        ResultBatch::Rows(rows.clone()).append_rows(&mut appended);
-        let block = ResultBatch::Rows(rows.clone()).rows();
-        assert_eq!(block.len(), 2);
-        assert!(!block.is_empty());
-        assert_eq!(block[1][0], Value::Id(8));
-        assert_eq!(block[0][2], Value::Str("STAR".into()));
-        assert_eq!(block.iter().map(<[Value]>::len).collect::<Vec<_>>(), [3, 3]);
-        assert_eq!(bitwise(&block.into_rows()), bitwise(&appended));
+        ResultBatch::Rows(block(3, &rows)).append_rows(&mut appended);
+        assert_eq!(bitwise(&appended), bitwise(&rows));
+        let block3 = ResultBatch::Rows(block(3, &rows)).rows();
+        assert_eq!(block3.len(), 2);
+        assert!(!block3.is_empty());
+        assert_eq!(block3[1][0], Value::Id(8));
+        assert_eq!(block3[0][2], Value::Str("STAR".into()));
+        assert_eq!(
+            block3.iter().map(<[Value]>::len).collect::<Vec<_>>(),
+            [3, 3]
+        );
+        assert_eq!(bitwise(&block3.into_rows()), bitwise(&rows));
 
-        let mut truncated = ResultBatch::Rows(rows);
+        let mut truncated = ResultBatch::Rows(block(3, &rows));
         truncated.truncate(1);
-        let block = truncated.rows();
-        assert_eq!(block.len(), 1);
-        assert_eq!(block.into_rows(), vec![appended[0].clone()]);
+        let truncated = truncated.rows();
+        assert_eq!(truncated.len(), 1);
+        assert_eq!(truncated.into_rows(), vec![rows[0].clone()]);
 
         for empty in [
-            ResultBatch::Rows(Vec::new()),
+            ResultBatch::Rows(block(3, &[])),
             ResultBatch::Columnar(ColumnarBatch::new(
                 vec![ColumnData::Id(vec![]), ColumnData::Num(vec![])],
                 0,
@@ -2431,21 +2499,110 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of 1 rows")]
     fn row_block_index_past_the_end_panics() {
-        let block = ResultBatch::Rows(vec![vec![Value::Id(1)]]).rows();
+        let block = ResultBatch::Rows(block(1, &[vec![Value::Id(1)]])).rows();
         let _ = &block[1];
     }
 
-    #[test]
-    fn guarded_spawn_surfaces_panics() {
-        let ticket = Arc::new(TicketCore::default());
-        spawn_guarded(ticket.clone(), || panic!("boom in a node thread"));
-        // The detached thread records its panic instead of vanishing.
-        for _ in 0..200 {
-            if ticket.failure().is_some() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
+    /// A drive that has already pushed `batches` of `(objid, r)` rows, one
+    /// batch per slice: a row batch, or a columnar one when `columnar`.
+    fn drive(batches: &[&[(u64, f64)]], columnar: bool) -> (Node, Sender<ResultBatch>) {
+        let (tx, rx) = bounded(batches.len() + 1);
+        for rows in batches {
+            let batch = if columnar {
+                let ids = ColumnData::Id(rows.iter().map(|r| r.0).collect());
+                let r = ColumnData::Num(rows.iter().map(|r| r.1).collect());
+                ResultBatch::Columnar(ColumnarBatch::new(vec![ids, r], rows.len()))
+            } else {
+                let rows: Vec<Row> = rows
+                    .iter()
+                    .map(|&(id, r)| vec![Value::Id(id), Value::Num(r)])
+                    .collect();
+                ResultBatch::Rows(block(2, &rows))
+            };
+            tx.send(batch).unwrap();
         }
+        (Node::Drive(rx), tx)
+    }
+
+    /// Pull `node` dry: its `(objid, r)` rows in output order.
+    fn pull(mut node: Node) -> Vec<(u64, f64)> {
+        let mut out = Vec::new();
+        while let Some(batch) = node.next() {
+            for row in batch.rows().iter() {
+                out.push((row[0].as_id().unwrap(), row[1].as_num().unwrap()));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn pulled_operators_keep_their_row_order() {
+        let left: &[&[(u64, f64)]] = &[&[(1, 20.0), (2, 19.0), (1, 20.0)], &[(3, 21.0), (4, 19.0)]];
+        let right: &[&[(u64, f64)]] = &[&[(5, 18.0), (3, 0.0)], &[(2, 0.0), (6, 22.0), (5, 1.0)]];
+        for columnar in [false, true] {
+            // ORDER BY r is stable: equal keys keep their arrival order.
+            for (desc, want) in [(false, [2, 4, 1, 1, 3]), (true, [3, 1, 1, 2, 4])] {
+                let sort = Node::Sort(Box::new(Sort {
+                    child: Some(drive(left, columnar).0),
+                    key_col: Some(1),
+                    desc,
+                    ..Sort::default()
+                }));
+                let ids: Vec<u64> = pull(sort).iter().map(|r| r.0).collect();
+                assert_eq!(ids, want, "desc {desc}, columnar {columnar}");
+            }
+            // UNION: the left objects once each, then the right-only ones
+            // in arrival order, each with its own row.
+            for (op, want) in [
+                (
+                    SetOp::Union,
+                    vec![
+                        (1, 20.0),
+                        (2, 19.0),
+                        (3, 21.0),
+                        (4, 19.0),
+                        (5, 18.0),
+                        (6, 22.0),
+                    ],
+                ),
+                (SetOp::Intersect, vec![(2, 19.0), (3, 21.0)]),
+                (SetOp::Except, vec![(1, 20.0), (4, 19.0)]),
+            ] {
+                let set = Node::Set(Box::new(SetNode {
+                    op,
+                    objid_col: 0,
+                    left: drive(left, columnar).0,
+                    right: Some(drive(right, !columnar).0),
+                    right_ids: HashSet::new(),
+                    right_only: Vec::new().into_iter(),
+                    seen: HashSet::new(),
+                }));
+                assert_eq!(pull(set), want, "{op:?}, columnar {columnar}");
+            }
+        }
+        // LIMIT truncates, then drops its child, closing the drive.
+        let (child, tx) = drive(left, false);
+        let mut limit = Node::Limit {
+            child: Some(Box::new(child)),
+            remaining: 4,
+        };
+        assert_eq!(limit.next().unwrap().len(), 3);
+        assert!(tx.send(ResultBatch::Rows(block(2, &[]))).is_ok());
+        assert_eq!(limit.next().unwrap().len(), 1);
+        assert!(tx.send(ResultBatch::Rows(block(2, &[]))).is_err());
+        assert!(limit.next().is_none());
+    }
+
+    #[test]
+    fn guarded_records_panics_on_the_ticket() {
+        let ticket = TicketCore::default();
+        assert_eq!(guarded(&ticket, || 7), Some(7));
+        assert!(ticket.failure().is_none());
+        // A panic is recorded instead of unwinding into the caller.
+        assert_eq!(
+            guarded(&ticket, || panic!("boom in a drive thread")),
+            None::<()>
+        );
         let msg = ticket.failure().expect("panic recorded");
         assert!(msg.contains("boom"), "{msg}");
     }

@@ -12,6 +12,10 @@
 //! > that even in the case of a query that takes a very long time to
 //! > complete, the user starts seeing results almost immediately."
 //!
+//! Here the parallel nodes are the scan leaves, whose admitted workers
+//! push batches up as soon as they make them; `Limit`, `Sort` and the
+//! set operations are pulled inside [`ResultStream::next_batch`].
+//!
 //! The public surface is the **archive server API** in [`archive`] plus
 //! the **session workspaces** in [`session`]:
 //!
@@ -50,21 +54,20 @@
 //!   queue orders on.
 //! * [`Prepared::stream`] → [`ResultStream`] — pull-based
 //!   [`ResultBatch`]es; the compiled scan path ships struct-of-arrays
-//!   [`ColumnarBatch`]es through the whole channel fabric and rows
+//!   [`ColumnarBatch`]es from the scan workers to the client and rows
 //!   materialize only at the edge: [`ResultBatch::rows`] builds each
 //!   batch eagerly into one row-major [`RowBlock`], one allocation per
-//!   batch.
+//!   batch; a row batch already is one.
 //! * [`QueryTicket`] — per-execution cancellation + live progress;
 //!   [`QueryStats`] closes the loop with timing, routing, scan-byte,
 //!   worker and cover-cache counters (including `rows_emitted`, the
 //!   batch-edge producer count). [`Archive::run_with_stats`] pairs the
 //!   rows and stats for one-shot callers.
-//! * Admission control — a semaphore-bounded slot pool
+//! * Admission control — a semaphore-bounded pool of worker slots
 //!   ([`AdmissionConfig`]) queues executions rather than oversubscribing,
-//!   with a separate bound on *heavy* (over-estimate) queries — the
-//!   behavior the paper's query agents gave the multi-user archive.
-//!   `INTO` materializations hold their slots while the writer sink
-//!   folds batches into the set.
+//!   one slot per scan worker — the behavior the paper's query agents
+//!   gave the multi-user archive. `INTO` materializations hold their
+//!   slots while the writer sink folds batches into the set.
 //!
 //! ```
 //! use sdss_query::Archive;
@@ -138,11 +141,11 @@
 //! * [`compile`] — predicate/projection compilation to register bytecode
 //!   evaluated over column batches (the E5 hot path, shared by tag
 //!   containers and stored-set chunks)
-//! * [`exec`] — multithreaded ASAP-push execution over crossbeam
-//!   channels; batches stay columnar through the fabric, and compiled
-//!   scans run **morsel-parallel**: the touched-container (or set-chunk)
-//!   list is a byte-balanced work queue drained by a pool of scan
-//!   workers, with `COUNT`/`SUM`/`MIN`/`MAX` folding inside the scan loop
+//! * [`exec`] — ASAP-push execution: scan leaves run **morsel-parallel**
+//!   (a byte-balanced queue of touched containers or set chunks drained
+//!   by the granted workers, `COUNT`/`SUM`/`MIN`/`MAX` folding in-scan)
+//!   and push batches up crossbeam channels; the operators above them
+//!   are pulled on the consumer's thread
 //! * [`archive`] — the server API: shared handle, prepared queries,
 //!   batch streams, tickets, admission control (slots accounted in
 //!   worker threads, cost-ordered queue), session registry

@@ -354,8 +354,8 @@ impl Session {
 ///   oracle of the lane route.
 ///
 /// Both routes quota-check live while folding; a violation aborts
-/// cleanly (dropping the fetch route's stream cancels the execution)
-/// and returns the admission slots.
+/// cleanly (the fetch route's operators run on this thread, and dropping
+/// its stream cancels its scan workers) and returns the admission slots.
 pub(crate) fn run_into(prepared: &Prepared, params: &[f64]) -> Result<QueryOutput, QueryError> {
     let name = prepared
         .into_set()
@@ -406,7 +406,7 @@ pub(crate) fn run_into(prepared: &Prepared, params: &[f64]) -> Result<QueryOutpu
             })?;
             builder.push(&TagObject::from_record(&rec), rec.htm20());
             if builder.bytes() as u64 > budget {
-                // Dropping the stream cancels the producing execution.
+                // Dropping the stream cancels the scan workers.
                 return Err(QueryError::Exec(format!(
                     "session byte quota exceeded materializing `{name}`: \
                      {} bytes available, {} rows already folded",

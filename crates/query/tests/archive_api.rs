@@ -198,8 +198,6 @@ fn try_stream_refuses_instead_of_queueing() {
         ArchiveConfig {
             admission: AdmissionConfig {
                 max_worker_slots: 1,
-                heavy_bytes: u64::MAX,
-                max_heavy: 1,
                 max_workers_per_query: 1,
                 max_bypass: 4,
             },
@@ -332,8 +330,6 @@ fn admission_bounds_concurrency_and_queues() {
             // bound on scan threads.
             admission: AdmissionConfig {
                 max_worker_slots: 2,
-                heavy_bytes: u64::MAX,
-                max_heavy: 1,
                 max_workers_per_query: 1,
                 max_bypass: 4,
             },
@@ -377,37 +373,4 @@ fn admission_bounds_concurrency_and_queues() {
     );
     assert_eq!(archive.admission().running, 0);
     assert!(archive.admission().peak_running <= 2);
-}
-
-#[test]
-fn heavy_queries_share_the_heavy_pool() {
-    let archive_small = build_archive(97, 600);
-    // With a 1-byte heavy threshold every query is heavy; with the
-    // default it is not.
-    let cfg = ArchiveConfig {
-        admission: AdmissionConfig {
-            max_worker_slots: 4,
-            heavy_bytes: 1,
-            max_heavy: 1,
-            max_workers_per_query: 2,
-            max_bypass: 4,
-        },
-        ..ArchiveConfig::default()
-    };
-    let archive = Archive::with_config(
-        archive_small.store().clone(),
-        archive_small.tags().cloned(),
-        cfg,
-    );
-    let p = archive.prepare("SELECT objid FROM photoobj").unwrap();
-    assert!(p.is_heavy());
-    // Heavy executions still complete (the pool clamps to >= 1 slot).
-    let out = p.run().unwrap();
-    assert!(!out.rows.is_empty());
-    assert!(out.stats.scan.bytes_scanned >= 1);
-
-    let cheap = archive_small
-        .prepare("SELECT objid FROM photoobj WHERE CIRCLE(185, 15, 0.2)")
-        .unwrap();
-    assert!(!cheap.is_heavy());
 }

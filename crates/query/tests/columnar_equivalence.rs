@@ -235,9 +235,15 @@ impl QueryGen {
     }
 }
 
-fn build(seed: u64) -> (Arc<ObjectStore>, Arc<TagStore>) {
+/// Stores over a small sky whose scans resolve their covers at
+/// `scan_cover_level` (the tag store inherits it).
+fn build(seed: u64, scan_cover_level: u8) -> (Arc<ObjectStore>, Arc<TagStore>) {
     let objs = SkyModel::small(seed).generate().unwrap();
-    let mut store = ObjectStore::new(StoreConfig::default()).unwrap();
+    let config = StoreConfig {
+        scan_cover_level,
+        ..StoreConfig::default()
+    };
+    let mut store = ObjectStore::new(config).unwrap();
     store.insert_batch(&objs).unwrap();
     let tags = TagStore::from_store(&store);
     (Arc::new(store), Arc::new(tags))
@@ -245,16 +251,11 @@ fn build(seed: u64) -> (Arc<ObjectStore>, Arc<TagStore>) {
 
 /// Two archive handles over the same stores: one compiled, one forced
 /// to the row-at-a-time interpreter (the oracle).
-fn archive_pair(
-    store: &Arc<ObjectStore>,
-    tags: &Arc<TagStore>,
-    cover_level: Option<u8>,
-) -> (Archive, Archive) {
+fn archive_pair(store: &Arc<ObjectStore>, tags: &Arc<TagStore>) -> (Archive, Archive) {
     let auto = Archive::with_config(
         store.clone(),
         Some(tags.clone()),
         ArchiveConfig {
-            cover_level,
             mode: ExecMode::Auto,
             ..ArchiveConfig::default()
         },
@@ -263,7 +264,6 @@ fn archive_pair(
         store.clone(),
         Some(tags.clone()),
         ArchiveConfig {
-            cover_level,
             mode: ExecMode::Interpreted,
             ..ArchiveConfig::default()
         },
@@ -273,8 +273,8 @@ fn archive_pair(
 
 #[test]
 fn compiled_columnar_matches_interpreted_rows() {
-    let (store, tags) = build(424242);
-    let (auto, interp) = archive_pair(&store, &tags, None);
+    let (store, tags) = build(424242, StoreConfig::default().scan_cover_level);
+    let (auto, interp) = archive_pair(&store, &tags);
 
     let mut generator = QueryGen::new(7);
     let n_cases = 250;
@@ -314,10 +314,10 @@ fn compiled_columnar_matches_interpreted_rows() {
 #[test]
 fn equivalence_holds_across_cover_levels_and_skies() {
     for (sky_seed, gen_seed) in [(1u64, 11u64), (2, 22)] {
-        let (store, tags) = build(sky_seed);
         let mut generator = QueryGen::new(gen_seed);
         for &cover_level in &[6u8, 8, 12] {
-            let (auto, interp) = archive_pair(&store, &tags, Some(cover_level));
+            let (store, tags) = build(sky_seed, cover_level);
+            let (auto, interp) = archive_pair(&store, &tags);
             for _ in 0..25 {
                 let sql = generator.query();
                 let a = auto.run(&sql).unwrap();

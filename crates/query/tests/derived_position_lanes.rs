@@ -61,8 +61,6 @@ fn archive(
             mode,
             admission: AdmissionConfig {
                 max_worker_slots: 8,
-                heavy_bytes: u64::MAX,
-                max_heavy: 1,
                 max_workers_per_query: workers,
                 max_bypass: 4,
             },

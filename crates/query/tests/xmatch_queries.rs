@@ -40,8 +40,6 @@ fn archive_with_workers(store: &Arc<ObjectStore>, tags: &Arc<TagStore>, workers:
         ArchiveConfig {
             admission: AdmissionConfig {
                 max_worker_slots: 16,
-                heavy_bytes: u64::MAX,
-                max_heavy: 1,
                 max_workers_per_query: workers,
                 max_bypass: 4,
             },

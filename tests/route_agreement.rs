@@ -161,10 +161,11 @@ fn tag_cones_and_sweeps_agree_across_routes() {
 }
 
 /// Set operations whose branches read different domains or stores, so
-/// each branch must run on its own leaf: `EXCEPT` of two different
-/// cones, and a full-store branch (selecting on `psf_r`) `EXCEPT` a tag
-/// branch. The expected rows are the branches run alone: the left rows
-/// whose object the right branch does not return.
+/// each branch must run on its own leaf: `EXCEPT` and `INTERSECT` of two
+/// different cones, and of a full-store branch (selecting on `psf_r`)
+/// and a tag branch. The expected rows are the branches run alone: the
+/// left rows whose object the right branch does not return (`EXCEPT`) or
+/// does (`INTERSECT`).
 #[test]
 fn set_operations_over_different_leaves_agree_across_routes() {
     use sdss::query::RouteChoice::{Full, TagOnly};
@@ -182,13 +183,15 @@ fn set_operations_over_different_leaves_agree_across_routes() {
         .map(|row| row[0].as_id())
         .collect();
     for (left, route) in [(cone, TagOnly), (full, Full)] {
-        let sql = format!("({left}) EXCEPT ({other})");
-        let out = agree(&routes, &sql);
-        assert_eq!(out.stats.route, route, "{sql}");
-        let mut want = interp.run(left).unwrap().rows;
-        want.retain(|row| !right.contains(&row[0].as_id()));
-        assert!(!want.is_empty(), "{sql} must select rows");
-        assert_same_rows(&want, &out.rows, &sql);
+        for op in ["EXCEPT", "INTERSECT"] {
+            let sql = format!("({left}) {op} ({other})");
+            let out = agree(&routes, &sql);
+            assert_eq!(out.stats.route, route, "{sql}");
+            let mut want = interp.run(left).unwrap().rows;
+            want.retain(|row| right.contains(&row[0].as_id()) == (op == "INTERSECT"));
+            assert!(!want.is_empty(), "{sql} must select rows");
+            assert_same_rows(&want, &out.rows, &sql);
+        }
     }
 }
 
